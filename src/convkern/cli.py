@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from . import serialize as ser
 from .filters import ExpPolySeq, certified_window, eigen_conditions, eigen_residual, kernel_residual, symbol
+from .mpoly import LaurentPoly
 from .newton import WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS, build_p_theta
 from .serialize import FormatError
 from .spectrum import (DEFAULT_CONVENTION, DEFAULT_TOL, hermite_fundamentals,
@@ -34,11 +35,11 @@ def _read_json(path: str) -> Any:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text), text
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -189,24 +190,7 @@ def cmd_eigen(args) -> int:
     (filt_obj, ftext) = _read_json(args.filter)
     (eig_obj, etext) = _read_json(args.eigenspec)
     h = ser.impulse_from_json(filt_obj)
-    if not isinstance(eig_obj, dict) or "theta" not in eig_obj:
-        raise FormatError("eigen spec must contain theta")
-    theta = tuple(ser.complex_from_json(t) for t in eig_obj["theta"])
-    if len(theta) != h.dim:
-        raise FormatError("theta has wrong dimension")
-    lam = ser.complex_from_json(eig_obj.get("lambda", {"re": 1.0, "im": 0.0}))
-    alpha_h = tuple(int(v) for v in eig_obj.get("alpha", [0] * h.dim))
-    from .apolar import DInvariantSpace
-    from .mpoly import LaurentPoly
-    basis_json = eig_obj.get("Q_basis")
-    if basis_json:
-        try:
-            Q = DInvariantSpace(tuple(ser.poly_from_json(p, h.dim) for p in basis_json))
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-    else:
-        Q = DInvariantSpace((LaurentPoly.constant(h.dim, 1.0),))
-
+    theta, lam, alpha_h, Q = ser.eigenspec_from_json(eig_obj, h.dim)
     cond = eigen_conditions(h, theta, Q, lam, alpha_h, tol=args.tol)
     seq = ExpPolySeq.single(theta, LaurentPoly.constant(h.dim, 1.0))
     res = eigen_residual(h, lam, alpha_h, seq, pad=args.window_pad)

@@ -2,13 +2,19 @@
 shift-invariant spaces P_theta with their unimodular shift matrices G(y).
 
 L rewrites the falling-factorial (Newton) coefficients of a polynomial as
-monomial coefficients; it is the identity plus a strictly degree-lowering
-part, so its inverse is obtained by a finite Neumann series.
+monomial coefficients.  It is computed exactly in closed form: since
+x^n = sum_k S(n, k) (x)_k with S the Stirling numbers of the second kind,
+L x^beta = prod_j T_{beta_j}(x_j) with T_n(x) = sum_k S(n, k) x^k.  L is the
+identity plus a strictly degree-lowering part, so its inverse is the finite
+Neumann series, which ends after at most deg f steps.  forward_difference and
+newton_coeffs compute the same coefficients from differences and stay as an
+independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -56,16 +62,50 @@ def newton_coeffs(f: LaurentPoly) -> Dict[Exponent, complex]:
     return out
 
 
+@lru_cache(maxsize=None)
+def stirling2_row(n: int) -> Tuple[int, ...]:
+    """(S(n, 0), ..., S(n, n)), Stirling numbers of the second kind, by
+    S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    if n < 0:
+        raise ValueError("Stirling row of negative order")
+    if n == 0:
+        return (1,)
+    prev = stirling2_row(n - 1) + (0,)
+    return (0,) + tuple(k * prev[k] + prev[k - 1] for k in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _touchard(dim: int, j: int, n: int) -> LaurentPoly:
+    """T_n(x_j) = sum_k S(n, k) x_j^k = L x_j^n."""
+    terms = {}
+    for k, c in enumerate(stirling2_row(n)):
+        exp = [0] * dim
+        exp[j] = k
+        terms[tuple(exp)] = float(c)
+    return LaurentPoly(dim, terms)
+
+
 def L_op(f: LaurentPoly) -> LaurentPoly:
-    """L f = sum_gamma Delta^gamma f(0)/gamma! x^gamma."""
-    return LaurentPoly(f.dim, newton_coeffs(f))
+    """L f = sum_gamma Delta^gamma f(0)/gamma! x^gamma, as
+    sum_beta f_beta prod_j T_{beta_j}(x_j)."""
+    f._require_poly()
+    out: Dict[Exponent, complex] = {}
+    for beta, c in f.terms.items():
+        image = LaurentPoly.constant(f.dim, c)
+        for j, b in enumerate(beta):
+            if b:
+                image = image * _touchard(f.dim, j, b)
+        for exp, v in image.terms.items():
+            out[exp] = out.get(exp, 0) + v
+    return LaurentPoly(f.dim, out)
 
 
 def L_inv(f: LaurentPoly) -> LaurentPoly:
     """Unique g with L g = f, by the finite Neumann series of L - I.
 
-    N = L - I strictly lowers total degree, so g = sum_k (-N)^k f
-    terminates after deg f steps.
+    N = L - I strictly lowers total degree, and the top-degree terms of
+    L c - c cancel exactly, so g = sum_k (-N)^k f terminates after at most
+    deg f steps.
     """
     f._require_poly()
     g = f

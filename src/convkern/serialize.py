@@ -2,22 +2,58 @@
 
 All emitters order their output canonically (graded-lex term order, fixed key
 order), so serialized bytes are reproducible across runs.
+
+Parsers enforce the input contract and raise FormatError otherwise: every
+real is a finite JSON number, every exponent, index, dimension, order and
+matrix entry is a JSON integer (not a float or a bool), and multiplicity
+spaces have total degree at most MAX_FACTORIAL.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence
+import math
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .apolar import DInvariantSpace
 from .filters import ExpPolySeq, Impulse
-from .mpoly import LaurentPoly
+from .mpoly import MAX_FACTORIAL, LaurentPoly
 from .spectrum import Spectrum, Zero
 from .subdivision import Dilation
 
 
 class FormatError(ValueError):
     """Malformed or inconsistent JSON payload."""
+
+
+def _real(v: Any, what: str) -> float:
+    try:
+        if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
+            return float(v)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise FormatError(f"{what} must be a finite number, got {v!r}")
+
+
+def _integer(v: Any, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise FormatError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _array(obj: Any, what: str) -> list:
+    if not isinstance(obj, list):
+        raise FormatError(f"{what} must be a JSON array")
+    return obj
+
+
+def _integers(obj: Any, what: str) -> Tuple[int, ...]:
+    return tuple(_integer(v, what) for v in _array(obj, what))
+
+
+def _parts(entry: Dict[str, Any]) -> complex:
+    """The complex number held in the "re" and "im" fields of an object."""
+    return complex(_real(entry.get("re", 0.0), "re"), _real(entry.get("im", 0.0), "im"))
 
 
 def complex_to_json(c: complex) -> Dict[str, float]:
@@ -27,7 +63,11 @@ def complex_to_json(c: complex) -> Dict[str, float]:
 def complex_from_json(obj: Any) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise FormatError(f"expected {{re, im}}, got {obj!r}")
-    return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+    return _parts(obj)
+
+
+def _thetas(obj: Any) -> Tuple[complex, ...]:
+    return tuple(complex_from_json(t) for t in _array(obj, "theta"))
 
 
 def poly_to_json(f: LaurentPoly) -> List[Dict[str, Any]]:
@@ -36,22 +76,34 @@ def poly_to_json(f: LaurentPoly) -> List[Dict[str, Any]]:
 
 
 def poly_from_json(obj: Any, dim: int | None = None) -> LaurentPoly:
-    if not isinstance(obj, list):
-        raise FormatError("polynomial must be a JSON array of terms")
     terms = {}
-    for entry in obj:
+    for entry in _array(obj, "polynomial"):
         if not isinstance(entry, dict) or "exp" not in entry:
             raise FormatError(f"bad polynomial term {entry!r}")
-        exp = tuple(int(e) for e in entry["exp"])
+        exp = _integers(entry["exp"], "exponent")
         if dim is None:
             dim = len(exp)
         elif len(exp) != dim:
             raise FormatError("inconsistent exponent dimensions")
-        c = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        terms[exp] = terms.get(exp, 0) + c
+        terms[exp] = terms.get(exp, 0) + _parts(entry)
     if dim is None:
         raise FormatError("cannot infer dimension of an empty polynomial")
+    if dim < 1:
+        raise FormatError("polynomial dimension must be positive")
     return LaurentPoly(dim, terms)
+
+
+def space_from_json(obj: Any, dim: int) -> DInvariantSpace:
+    """A D-invariant space from a JSON array of basis polynomials."""
+    basis = tuple(poly_from_json(p, dim) for p in _array(obj, "Q_basis"))
+    for p in basis:
+        if p.is_poly and p.degree() > MAX_FACTORIAL:
+            raise FormatError(f"Q_basis polynomial of total degree {p.degree()} "
+                              f"exceeds the degree guard {MAX_FACTORIAL}")
+    try:
+        return DInvariantSpace(basis)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def impulse_to_json(h: Impulse) -> Dict[str, Any]:
@@ -63,15 +115,17 @@ def impulse_to_json(h: Impulse) -> Dict[str, Any]:
 def impulse_from_json(obj: Any) -> Impulse:
     if not isinstance(obj, dict) or "dim" not in obj or "taps" not in obj:
         raise FormatError("impulse must be {dim, taps}")
-    dim = int(obj["dim"])
+    dim = _integer(obj["dim"], "dim")
+    if dim < 1:
+        raise FormatError("impulse dimension must be positive")
     taps = {}
-    for entry in obj["taps"]:
+    for entry in _array(obj["taps"], "taps"):
         if not isinstance(entry, dict) or "index" not in entry:
             raise FormatError(f"bad tap {entry!r}")
-        idx = tuple(int(i) for i in entry["index"])
+        idx = _integers(entry["index"], "tap index")
         if len(idx) != dim:
             raise FormatError("tap index has wrong dimension")
-        taps[idx] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        taps[idx] = _parts(entry)
     return Impulse(dim, taps)
 
 
@@ -82,7 +136,7 @@ def filters_to_json(H: Sequence[Impulse]) -> Dict[str, Any]:
 def filters_from_json(obj: Any) -> List[Impulse]:
     if not isinstance(obj, dict) or "filters" not in obj:
         raise FormatError("filter file must be {filters: [...]}")
-    out = [impulse_from_json(entry) for entry in obj["filters"]]
+    out = [impulse_from_json(entry) for entry in _array(obj["filters"], "filters")]
     if not out:
         raise FormatError("empty filter list")
     if len({h.dim for h in out}) != 1:
@@ -101,15 +155,19 @@ def spectrum_to_json(spec: Spectrum) -> Dict[str, Any]:
 def spectrum_from_json(obj: Any) -> Spectrum:
     if not isinstance(obj, dict) or "zeros" not in obj:
         raise FormatError("spectrum must be {dim, zeros}")
-    dim = int(obj.get("dim", 0))
+    dim = _integer(obj.get("dim", 0), "dim")
+    if dim < 0:
+        raise FormatError("spectrum dimension must be nonnegative")
     zeros = []
-    for entry in obj["zeros"]:
-        theta = tuple(complex_from_json(t) for t in entry["theta"])
+    for entry in _array(obj["zeros"], "zeros"):
+        if not isinstance(entry, dict) or not {"theta", "Q_basis"} <= set(entry):
+            raise FormatError("zero must be {theta, Q_basis}")
+        theta = _thetas(entry["theta"])
         if dim and len(theta) != dim:
             raise FormatError("theta has wrong dimension")
-        basis = tuple(poly_from_json(p, dim or len(theta)) for p in entry["Q_basis"])
+        space = space_from_json(entry["Q_basis"], dim or len(theta))
         try:
-            zeros.append(Zero(theta, DInvariantSpace(basis)))
+            zeros.append(Zero(theta, space))
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
     # duplicate theta and similar violations are mathematical preconditions,
@@ -127,8 +185,10 @@ def expseq_from_json(obj: Any) -> ExpPolySeq:
     if not isinstance(obj, dict) or "terms" not in obj:
         raise FormatError("sequence must be {terms}")
     terms = []
-    for entry in obj["terms"]:
-        theta = tuple(complex_from_json(t) for t in entry["theta"])
+    for entry in _array(obj["terms"], "terms"):
+        if not isinstance(entry, dict) or not {"theta", "p"} <= set(entry):
+            raise FormatError("sequence term must be {theta, p}")
+        theta = _thetas(entry["theta"])
         p = poly_from_json(entry["p"], len(theta))
         terms.append((theta, p))
     try:
@@ -144,9 +204,10 @@ def dilation_to_json(Xi: Dilation) -> Dict[str, Any]:
 def dilation_from_json(obj: Any) -> Dilation:
     if not isinstance(obj, dict) or "Xi" not in obj:
         raise FormatError("dilation must be {Xi}")
+    rows = tuple(_integers(row, "dilation entry") for row in _array(obj["Xi"], "Xi"))
     try:
-        return Dilation(tuple(tuple(int(v) for v in row) for row in obj["Xi"]))
-    except (TypeError, ValueError) as exc:
+        return Dilation(rows)
+    except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
@@ -154,10 +215,34 @@ def candidates_from_json(obj: Any) -> List:
     if not isinstance(obj, dict) or "candidates" not in obj:
         raise FormatError("candidates must be {candidates}")
     out = []
-    for entry in obj["candidates"]:
-        theta = tuple(complex_from_json(t) for t in entry["theta"])
-        out.append((theta, int(entry.get("order", 0))))
+    for entry in _array(obj["candidates"], "candidates"):
+        if not isinstance(entry, dict) or "theta" not in entry:
+            raise FormatError("candidate must be {theta, order}")
+        order = _integer(entry.get("order", 0), "candidate order")
+        if order < 0:
+            raise FormatError("candidate order must be nonnegative")
+        out.append((_thetas(entry["theta"]), order))
     return out
+
+
+def eigenspec_from_json(obj: Any, dim: int):
+    """(theta, lambda, alpha, Q) of an eigen spec for a filter in dim
+    variables; lambda defaults to 1, alpha to 0 and Q to the constants."""
+    if not isinstance(obj, dict) or "theta" not in obj:
+        raise FormatError("eigen spec must contain theta")
+    theta = _thetas(obj["theta"])
+    if len(theta) != dim:
+        raise FormatError("theta has wrong dimension")
+    lam = complex_from_json(obj.get("lambda", {"re": 1.0, "im": 0.0}))
+    alpha = _integers(obj.get("alpha", [0] * dim), "eigen alpha")
+    if len(alpha) != dim:
+        raise FormatError("alpha has wrong dimension")
+    basis = obj.get("Q_basis")
+    if basis:
+        Q = space_from_json(basis, dim)
+    else:
+        Q = DInvariantSpace((LaurentPoly.constant(dim, 1.0),))
+    return theta, lam, alpha, Q
 
 
 def dumps(obj: Any) -> str:

@@ -105,6 +105,11 @@ def _dual_scale(g: LaurentPoly, point: Sequence[complex]) -> float:
                      for exp, c in g.terms.items())
 
 
+def _ortho_bases(spec: Spectrum) -> List[List[LaurentPoly]]:
+    """The orthonormal homogeneous basis of every zero's space, in order."""
+    return [ortho_homog_basis(zero.mult) for zero in spec.zeros]
+
+
 def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
                     tol: float = DEFAULT_TOL) -> Dict:
     """Check q(D) h*(theta^-1) = 0 over all filters, zeros, and orthonormal
@@ -113,13 +118,14 @@ def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
     dims = {h.dim for h in H}
     if len(dims) != 1 or (spec.zeros and spec.dim not in dims):
         raise ValueError("filters and spectrum must share one dimension")
+    bases = _ortho_bases(spec)
     records = []
     ok = True
     for hi, h in enumerate(H):
         g = _normalized_symbol(h)
         for zi, zero in enumerate(spec.zeros):
             scale = _dual_scale(g, zero.point)
-            for qi, q in enumerate(ortho_homog_basis(zero.mult)):
+            for qi, q in enumerate(bases[zi]):
                 val = dual_apply(q, g, zero.point)
                 passed = abs(val) <= tol * scale
                 ok = ok and passed
@@ -129,17 +135,17 @@ def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
     return {"pass": ok, "conditions": records}
 
 
-def _collocation_matrix(spec: Spectrum, degree: int) -> Tuple[np.ndarray, list]:
-    """Rows: dual functionals (zero, q); columns: monomials of Pi_degree."""
+def _collocation_matrix(spec: Spectrum, degree: int,
+                        bases: List[List[LaurentPoly]]) -> Tuple[np.ndarray, list]:
+    """Rows: dual functionals (zero, q) with q from bases; columns: monomials
+    of Pi_degree."""
     monos = monomials_upto(spec.dim, degree)
     rows = []
-    labels = []
-    for zi, zero in enumerate(spec.zeros):
-        for qi, q in enumerate(ortho_homog_basis(zero.mult)):
+    for zero, basis in zip(spec.zeros, bases):
+        for q in basis:
             row = [dual_apply(q, LaurentPoly.monomial(spec.dim, beta), zero.point)
                    for beta in monos]
             rows.append(row)
-            labels.append((zi, qi))
     return np.array(rows, dtype=complex), monos
 
 
@@ -162,14 +168,13 @@ class FundamentalSystem:
         up to numerical error."""
         n = len(self.polys)
         out = np.zeros((n, n), dtype=complex)
-        col = 0
-        for _, _, p in self.polys:
+        bases = _ortho_bases(self.spec)
+        for col, (_, _, p) in enumerate(self.polys):
             row = 0
-            for zero in self.spec.zeros:
-                for q in ortho_homog_basis(zero.mult):
+            for zero, basis in zip(self.spec.zeros, bases):
+                for q in basis:
                     out[row, col] = dual_apply(q, p, zero.point)
                     row += 1
-            col += 1
         return out
 
 
@@ -181,8 +186,9 @@ def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
         return FundamentalSystem(spec, ())
     n = spec.total_multiplicity
     d0 = spec.max_degree()
+    bases = _ortho_bases(spec)
     for d in range(d0, d0 + n + 1):
-        V, monos = _collocation_matrix(spec, d)
+        V, monos = _collocation_matrix(spec, d, bases)
         if numerical_rank(V, RANK_TOL) == n:
             pinv = np.linalg.pinv(V, rcond=RANK_TOL)
             polys = []
@@ -201,7 +207,7 @@ def ideal_complement_filters(spec: Spectrum, count: int, max_degree: int) -> Lis
     """Filters whose symbols are annihilated by every dual functional of the
     spectrum, drawn from the nullspace of the collocation matrix over
     Pi_max_degree."""
-    V, monos = _collocation_matrix(spec, max_degree)
+    V, monos = _collocation_matrix(spec, max_degree, _ortho_bases(spec))
     if len(monos) <= spec.total_multiplicity:
         raise ValueError("max_degree leaves no room beyond the multiplicity")
     null = nullspace(V, RANK_TOL)
@@ -234,7 +240,7 @@ def kernel_basis(H: Sequence[Impulse], spec: Spectrum,
             seq = ExpPolySeq.single(zero.theta, p)
             res, _ = kernel_residual(H, seq)
             scale = max(1.0, max(h.l1() for h in H)) * max(1.0, p.norm())
-            if res > oracle_tol * scale:
+            if not res <= oracle_tol * scale:
                 raise ValueError(
                     f"kernel certificate failed at theta={zero.theta}: residual {res:.3e}")
         out.append((zero.theta, P))

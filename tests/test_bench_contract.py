@@ -1,0 +1,38 @@
+"""The benchmark under bench/ drives convkern from outside; these checks keep
+the names and the smoke run it relies on working, so that a renamed traced
+function fails here rather than in a benchmark run."""
+
+import importlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracing_targets():
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+@pytest.mark.parametrize("module, qualname",
+                         [(t[0], t[1]) for t in _tracing_targets()],
+                         ids=lambda v: v)
+def test_traced_target_resolves(module, qualname):
+    owner = importlib.import_module(module)
+    for part in qualname.split("."):
+        assert part in vars(owner), f"{module}.{qualname} is gone"
+        owner = vars(owner)[part]
+    assert callable(owner)
+
+
+def test_smoke_run_passes():
+    proc = subprocess.run([sys.executable, "bench/run.py", "--smoke"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -265,3 +265,86 @@ class TestSerializationRoundTrip:
         back = ser.dilation_from_json(
             json.loads(json.dumps(ser.dilation_to_json(Xi))))
         assert back.Xi == Xi.Xi
+
+
+def _mono(exp, re=1.0):
+    return {"exp": list(exp), "re": re, "im": 0.0}
+
+
+def _spectrum(theta, basis=None):
+    return {"dim": 1, "zeros": [{"theta": [theta],
+                                 "Q_basis": basis or [[_mono([0])]]}]}
+
+
+def _filters(index=(1,), dim=1):
+    return {"filters": [{"dim": dim, "taps": [{"index": [0] * len(index), "re": 1.0,
+                                                 "im": 0.0},
+                                                {"index": list(index), "re": -1.0,
+                                                 "im": 0.0}]}]}
+
+
+ONE = {"re": 1.0, "im": 0.0}
+NAN_ONE = {"re": float("nan"), "im": 0.0}
+INF_ONE = {"re": 1.0, "im": float("-inf")}
+CANDIDATES = {"candidates": [{"theta": [ONE], "order": 0}]}
+
+
+class TestInputContract:
+    """Malformed input exits 2 with a message, never 1 and never a traceback."""
+
+    CASES = {
+        "nan_theta": ("verify", _filters(), _spectrum(NAN_ONE)),
+        "inf_theta": ("build-kernel", _spectrum(INF_ONE)),
+        "overflowing_real": ("build-kernel", _spectrum({"re": 10 ** 400, "im": 0})),
+        "nan_tap": ("eigen", {"dim": 1, "taps": [{"index": [0], "re": float("inf")}]},
+                    {"theta": [ONE]}),
+        "nan_lambda": ("eigen", _filters()["filters"][0],
+                       {"theta": [ONE], "lambda": NAN_ONE}),
+        "float_exponent": ("build-kernel", _spectrum(ONE, [[_mono([0])], [_mono([1.5])]])),
+        "bool_exponent": ("build-kernel", _spectrum(ONE, [[_mono([True])]])),
+        "float_tap_index": ("verify", _filters(index=(1.7,)), _spectrum(ONE)),
+        "bool_tap_index": ("verify", _filters(index=(True,)), _spectrum(ONE)),
+        "float_dim": ("verify", _filters(dim=1.0), _spectrum(ONE)),
+        "bool_spectrum_dim": ("build-kernel", dict(_spectrum(ONE), dim=True)),
+        "float_order": ("subdivide", _filters()["filters"][0], {"Xi": [[2]]},
+                        {"candidates": [{"theta": [ONE], "order": 1.5}]}),
+        "bool_order": ("subdivide", _filters()["filters"][0], {"Xi": [[2]]},
+                       {"candidates": [{"theta": [ONE], "order": False}]}),
+        "float_alpha": ("eigen", _filters()["filters"][0],
+                        {"theta": [ONE], "alpha": [0.5]}),
+        "float_dilation": ("subdivide", _filters()["filters"][0], {"Xi": [[2.0]]},
+                           CANDIDATES),
+        "bool_dilation": ("subdivide", _filters()["filters"][0], {"Xi": [[True]]},
+                          CANDIDATES),
+        "degree_above_guard": ("build-kernel",
+                               _spectrum(ONE, [[_mono([k])] for k in range(22)])),
+        "eigen_degree_above_guard": ("eigen", _filters()["filters"][0],
+                                     {"theta": [ONE],
+                                      "Q_basis": [[_mono([k])] for k in range(22)]}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_message(self, case, tmp_path, capsys):
+        command, *payloads = self.CASES[case]
+        paths = []
+        for i, obj in enumerate(payloads):
+            path = tmp_path / f"in{i}.json"
+            path.write_text(json.dumps(obj))
+            paths.append(str(path))
+        code = main([command] + paths)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_degree_at_guard_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_spectrum(ONE, [[_mono([k])] for k in range(3)])))
+        assert main(["build-kernel", str(path)]) == 0
+
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        assert main(["build-kernel", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -198,3 +198,100 @@ class TestEigen:
         seq = ExpPolySeq.single((1.0,), x)
         res = eigen_residual(self.averaging(), 1.0, (0,), seq)
         assert res == pytest.approx(0.25)  # |1/2| / (1 + 1)
+
+
+def _scalar_convolve(h, c, w):
+    """Reference: one ExpPolySeq.value per (window point, tap) pair."""
+    out = {}
+    for alpha in w.points():
+        total = 0j
+        for beta, hb in h.taps.items():
+            total += hb * c.value(tuple(a - b for a, b in zip(alpha, beta)))
+        out[alpha] = total
+    return out
+
+
+def _assert_matches_scalar(h, c, w, rtol=1e-12):
+    got = convolve(h, c, w)
+    ref = _scalar_convolve(h, c, w)
+    assert list(got) == list(ref)  # same points, same order
+    scale = max([abs(v) for v in ref.values()], default=0.0)
+    for alpha, v in ref.items():
+        assert abs(got[alpha] - v) <= rtol * scale
+
+
+def _random_theta(rng, dim, radius):
+    return tuple(radius * np.exp(2j * np.pi * rng.uniform(size=dim)))
+
+
+class TestBlockConvolve:
+    """The block-vectorized closed-form path against the scalar loop."""
+
+    def test_laurent_taps_and_theta_moduli(self, rng):
+        for radius in (0.3, 3.0):
+            for _ in range(8):
+                dim = int(rng.integers(1, 4))
+                h = impulse_from_symbol(random_poly(rng, dim, 3, complex_coeffs=True,
+                                                    laurent=True))
+                seq = ExpPolySeq.single(_random_theta(rng, dim, radius),
+                                        random_poly(rng, dim, 4, complex_coeffs=True))
+                _assert_matches_scalar(h, seq, Window((-2,) * dim, (3,) * dim))
+
+    def test_negative_tap_indices(self):
+        x, y = variables(2)
+        h = Impulse(2, {(-3, 1): 1.0, (0, -2): -2.5j, (2, 2): 0.5, (-1, -1): 1 + 1j})
+        seq = ExpPolySeq.single((0.3 + 0.1j, -3.0), const(2, 1) + x * y - 2 * y * y)
+        _assert_matches_scalar(h, seq, Window((-1, 0), (4, 3)))
+
+    def test_two_term_sequence(self, rng):
+        for dim in (1, 2, 3):
+            h = impulse_from_symbol(random_poly(rng, dim, 3, complex_coeffs=True,
+                                                laurent=True))
+            seq = ExpPolySeq(((_random_theta(rng, dim, 0.3), random_poly(rng, dim, 3)),
+                              (_random_theta(rng, dim, 3.0), random_poly(rng, dim, 2))))
+            _assert_matches_scalar(h, seq, Window((0,) * dim, (3,) * dim))
+
+    def test_empty_filter(self):
+        seq = ExpPolySeq.single((2.0, 0.5), const(2, 1))
+        w = Window((-1, -1), (1, 2))
+        vals = convolve(Impulse(2, {}), seq, w)
+        assert list(vals) == list(w.points())
+        assert all(v == 0 for v in vals.values())
+
+    def test_window_spanning_several_blocks(self, rng):
+        from convkern import filters
+        h = impulse_from_symbol(random_poly(rng, 1, 4, complex_coeffs=True, laurent=True))
+        seq = ExpPolySeq.single(_random_theta(rng, 1, 1.0), random_poly(rng, 1, 3))
+        n = 3 * (filters.BLOCK_PAIRS // len(h.taps)) + 7
+        _assert_matches_scalar(h, seq, Window((-n // 2,), (n - n // 2,)))
+
+    def test_small_blocks_in_several_dimensions(self, rng, monkeypatch):
+        from convkern import filters
+        monkeypatch.setattr(filters, "BLOCK_PAIRS", 5)
+        for dim in (2, 3):
+            h = impulse_from_symbol(random_poly(rng, dim, 2, laurent=True))
+            seq = ExpPolySeq.single(_random_theta(rng, dim, 3.0), random_poly(rng, dim, 3))
+            _assert_matches_scalar(h, seq, Window((-1,) * dim, (2,) * dim))
+
+    def test_sparse_far_taps(self):
+        # the argument tables cover only the arguments that occur
+        h = Impulse(2, {(0, 0): 1.0, (10 ** 7, -10 ** 7): 2.0})
+        seq = ExpPolySeq.single((1j, -1.0), variables(2)[0] + const(2, 1))
+        _assert_matches_scalar(h, seq, Window((0, 0), (2, 2)))
+
+    def test_memory_does_not_grow_with_window_and_taps(self):
+        import tracemalloc
+        x = LaurentPoly.variable(1, 0)
+        seq = ExpPolySeq.single((np.exp(0.7j),), const(1, 1) + 0.5 * x)
+        h = Impulse(1, {(k - 8,): 1.0 / (k + 1) for k in range(16)})
+        w = Window((0,), (99_999,))
+        tracemalloc.start()
+        try:
+            vals = convolve(h, seq, w)
+            result, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(vals) == 100_000
+        # beyond the returned dict, the working memory stays far below the
+        # 25.6 MB that one array over all (point, tap) pairs would need
+        assert peak - result <= 8e6

@@ -181,3 +181,40 @@ class TestShiftMatrix:
             lhs = shift_matrix(P, a + b)
             rhs = shift_matrix(P, b) @ shift_matrix(P, a)
             assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+class TestClosedFormL:
+    """L in closed form against the difference-based Newton coefficients."""
+
+    def test_matches_newton_coeffs(self, rng):
+        for _ in range(60):
+            dim = int(rng.integers(1, 4))
+            f = random_poly(rng, dim, 6, complex_coeffs=True)
+            reference = LaurentPoly(dim, newton_coeffs(f))
+            assert (L_op(f) - reference).norm() <= 1e-12 * max(1.0, reference.norm())
+
+    def test_inverse_exact_on_integer_coefficients(self, rng):
+        # integer coefficients stay exact in floating point, so the Neumann
+        # series must reproduce f bit for bit
+        for _ in range(30):
+            dim = int(rng.integers(1, 4))
+            terms = {tuple(int(v) for v in rng.integers(0, 7, size=dim)):
+                     float(rng.integers(-9, 10)) for _ in range(5)}
+            f = LaurentPoly(dim, {e: c for e, c in terms.items() if sum(e) <= 6})
+            assert L_inv(L_op(f)) == f
+            assert L_op(L_inv(f)) == f
+
+    def test_stirling_rows_match_sympy(self):
+        from sympy.functions.combinatorial.numbers import stirling
+        from convkern.newton import stirling2_row
+        for n in range(21):
+            assert stirling2_row(n) == tuple(int(stirling(n, k)) for k in range(n + 1))
+
+    def test_touchard_univariate(self):
+        # L x^3 = x^3 + 3 x^2 + x, since x^3 = (x)_3 + 3 (x)_2 + (x)_1
+        x = LaurentPoly.variable(1, 0)
+        assert L_op(x * x * x) == x * x * x + 3 * x * x + x
+
+    def test_laurent_rejected(self):
+        with pytest.raises(ValueError):
+            L_op(LaurentPoly.monomial(1, (-1,)))

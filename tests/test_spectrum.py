@@ -263,3 +263,40 @@ class TestMultAnnihil:
                     res, _ = kernel_residual([bad], ExpPolySeq.single(theta, p))
                     worst = max(worst, res)
             assert worst >= 1e-4
+
+
+class TestOrthobasesOncePerZero:
+    """The orthonormal basis of each zero's space is computed once per call,
+    not once per filter or per fundamental."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from convkern import spectrum
+        seen = []
+        real = spectrum.ortho_homog_basis
+
+        def counting(space):
+            seen.append(space)
+            return real(space)
+
+        monkeypatch.setattr(spectrum, "ortho_homog_basis", counting)
+        return seen
+
+    def _spec(self):
+        return Spectrum((Zero((1.0, 1.0), fat_point_space(2, 1)),
+                         Zero((0.5, 2.0), fat_point_space(2, 0)),
+                         Zero((-1.0, 0.5), fat_point_space(2, 1))))
+
+    def test_verify_zero_dim(self, calls):
+        spec = self._spec()
+        H = ideal_complement_filters(spec, 3, 4)
+        calls.clear()
+        assert verify_zero_dim(H, spec)["pass"]
+        assert len(calls) == len(spec.zeros)
+
+    def test_dual_matrix(self, calls):
+        system = hermite_fundamentals(self._spec())
+        calls.clear()
+        D = system.dual_matrix()
+        assert len(calls) == 3
+        assert np.allclose(D, np.eye(D.shape[0]), atol=1e-8)
