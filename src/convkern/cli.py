@@ -112,7 +112,7 @@ def cmd_build_kernel(args) -> int:
         samples = []
         for p in P.elements:
             seq = ExpPolySeq.single(zero.theta, p)
-            w = certified_window([], seq, pad=args.window_pad)
+            w = certified_window(seq, pad=args.window_pad)
             samples.append([{"alpha": list(alpha), "value": _c(seq.value(alpha))}
                             for alpha in w.points()])
         kernel.append({"theta": [_c(t) for t in zero.theta],

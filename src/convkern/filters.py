@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .linalg import dual_rows
 from .mpoly import Exponent, LaurentPoly, grlex_key
 
 
@@ -250,7 +251,7 @@ def _window_powers(theta: Sequence[complex], w: Window) -> np.ndarray:
     return out
 
 
-def certified_window(H: Sequence[Impulse], seq: ExpPolySeq, pad: int = 0) -> Window:
+def certified_window(seq: ExpPolySeq, pad: int = 0) -> Window:
     """{0..D}^s with D the maximal polynomial degree of the sequence.
 
     Per-theta residuals of h * seq are polynomials of degree <= D times
@@ -275,7 +276,7 @@ def kernel_residual(H: Sequence[Impulse], seq: ExpPolySeq,
     per_theta: Dict[Tuple[complex, ...], float] = {}
     for theta, p in seq.terms:
         term = ExpPolySeq.single(theta, p)
-        w = certified_window(H, term, pad=pad)
+        w = certified_window(term, pad=pad)
         scale = 1.0 + np.abs(_window_powers(theta, w))
         worst = 0.0
         for h in H:
@@ -294,20 +295,21 @@ def eigen_conditions(h: Impulse, theta: Sequence[complex], Q,
     orthonormal basis element q of Q; with alpha_h = 0 this is
     h*(theta^-1) = lam plus vanishing higher dual conditions."""
     from .apolar import ortho_homog_basis
-    from .mpoly import apply_poly_diff
 
     theta = tuple(complex(t) for t in theta)
     if any(t == 0 for t in theta):
         raise ValueError("theta must lie in C_x^s")
     point = [1.0 / t for t in theta]
-    hs = symbol(h)
-    shift_mono = LaurentPoly.monomial(h.dim, tuple(int(a) for a in alpha_h))
+    basis = ortho_homog_basis(Q)
+    # the taps of h, then the shift monomial z^alpha_h
+    support = list(h.taps) + [tuple(int(a) for a in alpha_h)]
+    rows = dual_rows(basis, support, point)
+    lhs_all = rows[:, :-1] @ np.array(list(h.taps.values()), dtype=complex)
+    rhs_all = complex(lam) * rows[:, -1]
     scale = max(1.0, h.l1())
     records = []
     ok = True
-    for q in ortho_homog_basis(Q):
-        lhs = apply_poly_diff(q, hs).evaluate(point)
-        rhs = lam * apply_poly_diff(q, shift_mono).evaluate(point)
+    for q, lhs, rhs in zip(basis, lhs_all.tolist(), rhs_all.tolist()):
         res = abs(lhs - rhs)
         passed = res <= tol * scale
         ok = ok and passed
@@ -321,7 +323,7 @@ def eigen_residual(h: Impulse, lam: complex, alpha_h: Sequence[int],
     """Max over the certified window of |h*seq - lam seq(. + alpha_h)|,
     normalized pointwise like kernel_residual."""
     alpha_h = tuple(int(a) for a in alpha_h)
-    w = certified_window([h], seq, pad=pad)
+    w = certified_window(seq, pad=pad)
     worst = 0.0
     vals = convolve(h, seq, w)
     for alpha, v in vals.items():

@@ -1,4 +1,11 @@
-"""Coefficient-vector plumbing shared by the analysis modules."""
+"""Coefficient-vector plumbing shared by the analysis modules.
+
+Every derivative condition of the library is a value (q(D) g)(z).  diff_table
+tabulates the jets (D^alpha z^e)(z) of a monomial support with numpy, from
+per-coordinate tables of falling factorials and integer powers, so such a
+value is one matrix product with g's coefficients; dual_rows applies the
+coefficients of a basis of q's on the other side.
+"""
 
 from __future__ import annotations
 
@@ -39,6 +46,43 @@ def coeff_matrix(polys: Sequence[LaurentPoly],
 
 def from_coeff_vector(dim: int, vec: np.ndarray, support: Sequence[Exponent]) -> LaurentPoly:
     return LaurentPoly(dim, {exp: complex(vec[i]) for i, exp in enumerate(support)})
+
+
+def diff_table(orders: Sequence[Exponent], support: Sequence[Exponent],
+               point: Sequence[complex]) -> np.ndarray:
+    """T[i, k] = (D^orders[i] z^support[k])(point).
+
+    Per coordinate, D^a z^e = (e)_a z^(e-a) with the falling factorial
+    (e)_a = prod_{i<a} (e - i); exponents may be negative (Laurent
+    monomials), as in LaurentPoly.diff.  Powers are taken with integer
+    exponents, one per distinct exponent.
+    """
+    point = [complex(p) for p in point]
+    # float64 holds these integer exponents exactly
+    a_all = np.array(orders, dtype=float).reshape(len(orders), len(point))
+    e_all = np.array(support, dtype=float).reshape(len(support), len(point))
+    T = np.ones((len(a_all), len(e_all)), dtype=complex)
+    for j, p in enumerate(point):
+        a, e = a_all[:, j, None], e_all[None, :, j]
+        ff = np.ones(T.shape)
+        for i in range(int(a.max(initial=0))):
+            ff *= np.where(i < a, e - i, 1)
+        k = e - a
+        if p == 0 and np.any((ff != 0) & (k < 0)):
+            raise ZeroDivisionError("zero coordinate with negative exponent")
+        exps = sorted(set(k.ravel().tolist()))
+        # a zero ff masks the stand-in 0 for 0^(negative)
+        powers = np.array([p ** int(x) if p != 0 or x >= 0 else 0j for x in exps])
+        T *= ff * powers[np.searchsorted(exps, k)]
+    return T
+
+
+def dual_rows(qs: Sequence[LaurentPoly], support: Sequence[Exponent],
+              point: Sequence[complex]) -> np.ndarray:
+    """R[i, k] = (qs[i](D) z^support[k])(point); R @ g_coeffs over the same
+    support gives every (q(D) g)(point) at once."""
+    Q, orders = coeff_matrix(qs)
+    return Q.T @ diff_table(orders, support, point)
 
 
 def span_residual(f: LaurentPoly, basis: Sequence[LaurentPoly]) -> Tuple[float, np.ndarray]:

@@ -5,8 +5,9 @@ order), so serialized bytes are reproducible across runs.
 
 Parsers enforce the input contract and raise FormatError otherwise: every
 real is a finite JSON number, every exponent, index, dimension, order and
-matrix entry is a JSON integer (not a float or a bool), and multiplicity
-spaces have total degree at most MAX_FACTORIAL.
+matrix entry is a JSON integer (not a float or a bool), multiplicity spaces
+have total degree and candidates order at most MAX_FACTORIAL, and a
+dilation's coset search box holds at most MAX_COSET_SCAN points.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .apolar import DInvariantSpace
 from .filters import ExpPolySeq, Impulse
 from .mpoly import MAX_FACTORIAL, LaurentPoly
 from .spectrum import Spectrum, Zero
-from .subdivision import Dilation
+from .subdivision import MAX_COSET_SCAN, Dilation, coset_scan_size
 
 
 class FormatError(ValueError):
@@ -206,9 +207,12 @@ def dilation_from_json(obj: Any) -> Dilation:
         raise FormatError("dilation must be {Xi}")
     rows = tuple(_integers(row, "dilation entry") for row in _array(obj["Xi"], "Xi"))
     try:
-        return Dilation(rows)
+        Xi = Dilation(rows)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    if coset_scan_size(Xi) > MAX_COSET_SCAN:
+        raise FormatError(f"dilation's coset search box exceeds {MAX_COSET_SCAN} points")
+    return Xi
 
 
 def candidates_from_json(obj: Any) -> List:
@@ -219,8 +223,8 @@ def candidates_from_json(obj: Any) -> List:
         if not isinstance(entry, dict) or "theta" not in entry:
             raise FormatError("candidate must be {theta, order}")
         order = _integer(entry.get("order", 0), "candidate order")
-        if order < 0:
-            raise FormatError("candidate order must be nonnegative")
+        if not 0 <= order <= MAX_FACTORIAL:
+            raise FormatError(f"candidate order must lie in 0..{MAX_FACTORIAL}, got {order}")
         out.append((_thetas(entry["theta"]), order))
     return out
 

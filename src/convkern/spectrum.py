@@ -6,6 +6,11 @@ multiplicity spaces Q_theta.  A filter set is annihilating-compatible with a
 spectrum when every dual condition q(D) h*(theta^-1) vanishes; the kernel of
 the filter set is then assembled as the direct sum of the spaces
 P_theta e_theta and certified against the filters by the window oracle.
+
+The collocation matrix of the Hermite problem and the dual matrix of the
+fundamentals are built block by block, one block per zero, from the jet
+tables of linalg.diff_table; verify_zero_dim evaluates its conditions one by
+one through dual_apply.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .apolar import DInvariantSpace, ortho_homog_basis
 from .filters import ExpPolySeq, Impulse, kernel_residual, symbol
-from .linalg import (coeff_matrix, from_coeff_vector, monomials_upto,
+from .linalg import (coeff_matrix, dual_rows, from_coeff_vector, monomials_upto,
                      numerical_rank, nullspace)
 from .mpoly import LaurentPoly, apply_poly_diff, laurent_normalize
 
@@ -135,18 +140,22 @@ def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
     return {"pass": ok, "conditions": records}
 
 
+def _functional_rows(spec: Spectrum, bases: List[List[LaurentPoly]],
+               support: Sequence) -> np.ndarray:
+    """Rows: dual functionals (zero, q) with q from bases, one block per
+    zero; columns: the monomials of support."""
+    if not spec.zeros:
+        return np.zeros((0, len(support)), dtype=complex)
+    return np.vstack([dual_rows(basis, support, zero.point)
+                      for zero, basis in zip(spec.zeros, bases)])
+
+
 def _collocation_matrix(spec: Spectrum, degree: int,
                         bases: List[List[LaurentPoly]]) -> Tuple[np.ndarray, list]:
     """Rows: dual functionals (zero, q) with q from bases; columns: monomials
     of Pi_degree."""
     monos = monomials_upto(spec.dim, degree)
-    rows = []
-    for zero, basis in zip(spec.zeros, bases):
-        for q in basis:
-            row = [dual_apply(q, LaurentPoly.monomial(spec.dim, beta), zero.point)
-                   for beta in monos]
-            rows.append(row)
-    return np.array(rows, dtype=complex), monos
+    return _functional_rows(spec, bases, monos), monos
 
 
 @dataclass(frozen=True)
@@ -165,17 +174,10 @@ class FundamentalSystem:
 
     def dual_matrix(self) -> np.ndarray:
         """Evaluations of all dual functionals on all fundamentals; identity
-        up to numerical error."""
-        n = len(self.polys)
-        out = np.zeros((n, n), dtype=complex)
-        bases = _ortho_bases(self.spec)
-        for col, (_, _, p) in enumerate(self.polys):
-            row = 0
-            for zero, basis in zip(self.spec.zeros, bases):
-                for q in basis:
-                    out[row, col] = dual_apply(q, p, zero.point)
-                    row += 1
-        return out
+        up to numerical error.  The jets of the fundamentals' joint support
+        times their coefficient matrix."""
+        C, support = coeff_matrix([p for _, _, p in self.polys])
+        return _functional_rows(self.spec, _ortho_bases(self.spec), support) @ C
 
 
 def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:

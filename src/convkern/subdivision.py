@@ -3,12 +3,15 @@
 Coset membership is decided in exact integer arithmetic (adjugate over
 determinant), so the half-open fundamental cell [0,1)^s never suffers from
 floating boundary effects.  Kernel questions reduce to convolution kernels
-of the subsymbols, one per coset.
+of the subsymbols, one per coset.  The derivative tests (symmetric zeros at
+every modulation point, zeros of the subsymbols) take one jet table of
+linalg.diff_table per point, times the symbol's coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,8 +19,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .filters import ExpPolySeq, Impulse, Window, kernel_residual, symbol
-from .linalg import monomials_upto
+from .linalg import coeff_matrix, diff_table, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key, laurent_normalize
+
+
+# coset_reps scans the bounding box of Xi [0,1)^s point by point; the input
+# contract caps the box so that a dilation cannot make it run without bound.
+MAX_COSET_SCAN = 10 ** 5
 
 
 def _int_matrix(rows) -> Tuple[Tuple[int, ...], ...]:
@@ -92,11 +100,9 @@ def is_expanding(Xi: Dilation, margin: float = 1e-9) -> bool:
     return bool(np.min(np.abs(eigvals)) > 1.0 + margin)
 
 
-def _in_unit_cell(M: Sequence[Sequence[int]], alpha: Sequence[int]) -> bool:
+def _in_unit_cell(d: int, adj: Sequence[Sequence[int]], alpha: Sequence[int]) -> bool:
     """Exact test for M^-1 alpha in [0,1)^s: componentwise 0 <= v_i/d < 1
     with v = adj(M) alpha and d = det M."""
-    d = int_det(M)
-    adj = int_adjugate(M)
     for row in adj:
         v = sum(row[j] * alpha[j] for j in range(len(alpha)))
         if d > 0:
@@ -108,17 +114,27 @@ def _in_unit_cell(M: Sequence[Sequence[int]], alpha: Sequence[int]) -> bool:
     return True
 
 
+def _scan_box(M: Sequence[Sequence[int]]) -> List[range]:
+    """Bounding box of the parallelepiped M [0,1)^s, from the vertices M v,
+    v in {0,1}^s."""
+    n = len(M)
+    vertices = [tuple(sum(M[i][j] * v[j] for j in range(n)) for i in range(n))
+                for v in product((0, 1), repeat=n)]
+    return [range(min(v[i] for v in vertices), max(v[i] for v in vertices) + 1)
+            for i in range(n)]
+
+
+def coset_scan_size(Xi: Dilation) -> int:
+    """Points coset_reps scans, over both orientations of Xi."""
+    return max(math.prod(len(r) for r in _scan_box(M))
+               for M in (Xi.Xi, Xi.transpose()))
+
+
 def coset_reps(Xi: Dilation, transpose: bool = False) -> List[Tuple[int, ...]]:
     """E_Xi = Xi [0,1)^s cap Z^s (or the transpose variant), graded-lex sorted."""
     M = Xi.transpose() if transpose else Xi.Xi
-    n = Xi.dim
-    # Bounding box of the image parallelepiped: vertices M v, v in {0,1}^s.
-    vertices = [tuple(sum(M[i][j] * v[j] for j in range(n)) for i in range(n))
-                for v in product((0, 1), repeat=n)]
-    lo = [min(v[i] for v in vertices) for i in range(n)]
-    hi = [max(v[i] for v in vertices) for i in range(n)]
-    reps = [alpha for alpha in product(*[range(l, h + 1) for l, h in zip(lo, hi)])
-            if _in_unit_cell(M, alpha)]
+    d, adj = int_det(M), int_adjugate(M)
+    reps = [alpha for alpha in product(*_scan_box(M)) if _in_unit_cell(d, adj, alpha)]
     reps.sort(key=grlex_key)
     if len(reps) != Xi.coset_count:
         raise AssertionError(
@@ -126,14 +142,13 @@ def coset_reps(Xi: Dilation, transpose: bool = False) -> List[Tuple[int, ...]]:
     return reps
 
 
-def _coset_decompose(Xi: Dilation, alpha: Sequence[int],
+def _coset_decompose(d: int, adj: Sequence[Sequence[int]], alpha: Sequence[int],
                      reps: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Write alpha = xi + Xi beta with xi a representative; exact."""
-    d = Xi.det
-    adj = int_adjugate(Xi.Xi)
+    """Write alpha = xi + Xi beta with xi a representative, given d = det Xi
+    and adj = adj Xi; exact."""
     for xi in reps:
         diff = [a - x for a, x in zip(alpha, xi)]
-        v = [sum(row[j] * diff[j] for j in range(Xi.dim)) for row in adj]
+        v = [sum(row[j] * diff[j] for j in range(len(diff))) for row in adj]
         if all(val % d == 0 for val in v):
             beta = tuple(val // d for val in v)
             return tuple(xi), beta
@@ -145,9 +160,10 @@ def subsymbols(a: Impulse, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
     if a.dim != Xi.dim:
         raise ValueError("mask / dilation dimension mismatch")
     reps = coset_reps(Xi)
+    d, adj = Xi.det, int_adjugate(Xi.Xi)
     terms: Dict[Tuple[int, ...], Dict[Exponent, complex]] = {xi: {} for xi in reps}
     for tap, c in a.taps.items():
-        xi, beta = _coset_decompose(Xi, tap, reps)
+        xi, beta = _coset_decompose(d, adj, tap, reps)
         terms[xi][beta] = terms[xi].get(beta, 0) + c
     return {xi: LaurentPoly(a.dim, t) for xi, t in terms.items()}
 
@@ -192,13 +208,14 @@ def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
     if order < 0:
         raise ValueError("order must be nonnegative")
     g, _ = laurent_normalize(symbol(a))
+    coeffs, support = coeff_matrix([g])
+    orders = monomials_upto(a.dim, order)
     scale = max(1.0, a.l1())
     worst = 0.0
     for point in modulation_points(Xi, zeta):
         point_scale = scale * max(1.0, max(abs(v) for v in point) ** max(g.degree(), 0))
-        for beta in monomials_upto(a.dim, order):
-            val = abs(g.diff(beta).evaluate(point))
-            worst = max(worst, val / point_scale)
+        vals = np.abs(diff_table(orders, support, point) @ coeffs[:, 0])
+        worst = float(np.max(vals / point_scale, initial=worst))  # propagates NaN
     return worst <= tol, worst
 
 
@@ -277,6 +294,11 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         raise ValueError("dilation matrix is not expanding")
     subs = subsymbols(a, Xi)
     sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
+    # a monomial factor is a unit away from the origin, so normalizing
+    # each subsymbol leaves its vanishing order at theta^-1 unchanged
+    normalized = [laurent_normalize(p)[0] for p in subs.values() if not p.is_zero]
+    sub_degree = max((p.degree() for p in normalized), default=0)
+    sub_coeffs = [coeff_matrix([p]) for p in normalized]
     results = []
     overall = True
     for theta, k in candidates:
@@ -285,22 +307,17 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         zeta = canonical_zero_representative(Xi, theta)
         sym_ok, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
 
-        # a monomial factor is a unit away from the origin, so normalizing
-        # each subsymbol leaves its vanishing order at theta^-1 unchanged
-        normalized = [laurent_normalize(p)[0] for p in subs.values()
-                      if not p.is_zero]
-        scale = max(1.0, a.l1()) * max(1.0, max(abs(v) for v in point) **
-                                       max((p.degree() for p in normalized),
-                                           default=0))
+        scale = max(1.0, a.l1()) * max(1.0, max(abs(v) for v in point) ** sub_degree)
+        orders = monomials_upto(a.dim, k)
         sub_worst = 0.0
-        for p in normalized:
-            for beta in monomials_upto(a.dim, k):
-                sub_worst = max(sub_worst, abs(p.diff(beta).evaluate(point)) / scale)
+        for coeffs, support in sub_coeffs:
+            vals = np.abs(diff_table(orders, support, point) @ coeffs[:, 0])
+            sub_worst = float(np.max(vals / scale, initial=sub_worst))
         sub_ok = sub_worst <= tol
 
         oracle_worst = 0.0
         if sub_impulses:
-            for exp in monomials_upto(a.dim, k):
+            for exp in orders:
                 seq = ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
                 res, _ = kernel_residual(sub_impulses, seq)
                 oracle_worst = max(oracle_worst, res / max(1.0, a.l1()))

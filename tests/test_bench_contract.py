@@ -36,3 +36,13 @@ def test_smoke_run_passes():
     proc = subprocess.run([sys.executable, "bench/run.py", "--smoke"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_bench_suite_passes():
+    """The benchmark's own tests pin nonzero call counts on traced names
+    (EXPECTED_NONZERO); a refactor that drops one fails here, not only in a
+    benchmark run."""
+    proc = subprocess.run([sys.executable, "-m", "pytest", "bench/tests", "-q",
+                           "-p", "no:cacheprovider"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -348,3 +348,39 @@ class TestInputContract:
         path.write_bytes(b"\xff\xfe\x00garbage")
         assert main(["build-kernel", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUnboundedInputs:
+    """Inputs that used to run without bound exit 2 with a message.  Each runs
+    in a subprocess under a timeout, so a regression fails instead of
+    hanging the suite."""
+
+    CASES = {
+        "order_above_guard": (_filters()["filters"][0], {"Xi": [[2]]},
+                              {"candidates": [{"theta": [ONE], "order": 100000000}]}),
+        "coset_scan_box": (_filters(index=(1, 0), dim=2)["filters"][0],
+                           {"Xi": [[2, 1000000], [0, 2]]},
+                           {"candidates": [{"theta": [ONE, ONE], "order": 0}]}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_within_timeout(self, case, tmp_path):
+        import subprocess
+        import sys
+        paths = []
+        for i, obj in enumerate(self.CASES[case]):
+            path = tmp_path / f"in{i}.json"
+            path.write_text(json.dumps(obj))
+            paths.append(str(path))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "convkern.cli", "subdivide"] + paths,
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
+
+    def test_order_at_guard_is_accepted(self):
+        from convkern.mpoly import MAX_FACTORIAL
+        obj = {"candidates": [{"theta": [ONE], "order": MAX_FACTORIAL}]}
+        assert ser.candidates_from_json(obj)[0][1] == MAX_FACTORIAL

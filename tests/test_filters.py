@@ -92,19 +92,19 @@ class TestConvolve:
 class TestCertifiedWindow:
     def test_constants(self):
         seq = ExpPolySeq.single((1.0, 1.0), const(2, 1))
-        w = certified_window([], seq)
+        w = certified_window(seq)
         assert w.lower == (0, 0) and w.upper == (0, 0)
 
     def test_linear(self):
         x = LaurentPoly.variable(1, 0)
         seq = ExpPolySeq.single((0.5,), const(1, 1) + x)
-        w = certified_window([], seq)
+        w = certified_window(seq)
         assert w.lower == (0,) and w.upper == (1,)
 
     def test_quadratic_2d(self):
         x, y = variables(2)
         seq = ExpPolySeq.single((1.0, 2.0), (x + y) * (x + y))
-        w = certified_window([], seq)
+        w = certified_window(seq)
         assert w.upper == (2, 2)
 
     def test_soundness_outside_window(self, rng):
@@ -295,3 +295,32 @@ class TestBlockConvolve:
         # beyond the returned dict, the working memory stays far below the
         # 25.6 MB that one array over all (point, tap) pairs would need
         assert peak - result <= 8e6
+
+
+class TestEigenConditionsJets:
+    """eigen_conditions against the apply_poly_diff reference, on Laurent
+    filters, shifted eigen-monomials and |theta| away from 1."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0.3, 3.0])
+    def test_against_apply_poly_diff(self, rng, dim, radius):
+        from convkern.apolar import ortho_homog_basis
+        from convkern.mpoly import apply_poly_diff
+        Q = fat_point_space(dim, 2)
+        for _ in range(3):
+            h = impulse_from_symbol(random_poly(rng, dim, 4, complex_coeffs=True,
+                                                laurent=True))
+            theta = _random_theta(rng, dim, radius)
+            alpha = tuple(int(v) for v in rng.integers(-2, 3, size=dim))
+            lam = complex(rng.normal(), rng.normal())
+            rep = eigen_conditions(h, theta, Q, lam, alpha)
+            point = [1.0 / t for t in theta]
+            basis = ortho_homog_basis(Q)
+            assert len(rep["conditions"]) == len(basis)
+            for q, rec in zip(basis, rep["conditions"]):
+                lhs = apply_poly_diff(q, symbol(h)).evaluate(point)
+                rhs = lam * apply_poly_diff(q, LaurentPoly.monomial(dim, alpha)).evaluate(point)
+                scale = max(abs(lhs), abs(rhs), 1e-300)
+                assert abs(rec["lhs"] - lhs) <= 1e-12 * scale
+                assert abs(rec["rhs"] - rhs) <= 1e-12 * scale
+                assert rec["q_degree"] == q.degree()

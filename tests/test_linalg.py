@@ -1,0 +1,96 @@
+"""diff_table and dual_rows against the LaurentPoly reference path
+(diff, apply_poly_diff, evaluate)."""
+
+import numpy as np
+import pytest
+
+from convkern import DInvariantSpace, LaurentPoly, fat_point_space, ortho_homog_basis
+from convkern.linalg import coeff_matrix, diff_table, dual_rows, monomials_upto
+from convkern.spectrum import dual_apply
+
+from conftest import random_poly
+
+
+def _point(rng, dim, radius):
+    return tuple(radius * np.exp(2j * np.pi * rng.uniform(size=dim)))
+
+
+def _abs_jet(g, beta, point):
+    """sum_e |g_e| |(D^beta z^e)(point)|: the scale of one derivative value."""
+    return sum(abs(c) * abs(LaurentPoly.monomial(g.dim, e).diff(beta).evaluate(point))
+               for e, c in g.terms.items())
+
+
+class TestDiffTable:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0.3, 3.0])
+    def test_laurent_monomials(self, rng, dim, radius):
+        support = [tuple(int(v) for v in rng.integers(-4, 5, size=dim)) for _ in range(12)]
+        orders = monomials_upto(dim, 3)
+        point = _point(rng, dim, radius)
+        T = diff_table(orders, support, point)
+        assert T.shape == (len(orders), len(support))
+        for i, beta in enumerate(orders):
+            for k, e in enumerate(support):
+                ref = LaurentPoly.monomial(dim, e).diff(beta).evaluate(point)
+                assert abs(T[i, k] - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0.3, 3.0])
+    def test_derivatives_of_random_laurent_polys(self, rng, dim, radius):
+        orders = monomials_upto(dim, 2)
+        for _ in range(10):
+            g = random_poly(rng, dim, 5, complex_coeffs=True, laurent=True)
+            point = _point(rng, dim, radius)
+            coeffs, support = coeff_matrix([g])
+            values = diff_table(orders, support, point) @ coeffs[:, 0]
+            for beta, v in zip(orders, values):
+                ref = g.diff(beta).evaluate(point)
+                assert abs(v - ref) <= 1e-12 * _abs_jet(g, beta, point)
+
+    def test_falling_factorial_vanishes_below_the_order(self):
+        # D^3 z^2 = 0 and D^2 z^-1 = 2 z^-3
+        T = diff_table([(3,), (2,)], [(2,), (-1,)], (0.5,))
+        assert T[0, 0] == 0
+        assert T[1, 1] == pytest.approx(2 * 0.5 ** -3, rel=1e-15)
+
+    def test_zero_coordinate(self):
+        # nonnegative exponents evaluate at the origin, as LaurentPoly does
+        T = diff_table([(0, 0), (1, 0)], [(0, 2), (1, 0), (2, 1)], (0.0, 2.0))
+        assert np.array_equal(T, [[4, 0, 0], [0, 1, 0]])
+        # a dead term may carry a negative exponent at a zero coordinate ...
+        assert diff_table([(1,)], [(0,)], (0.0,))[0, 0] == 0
+        # ... a live one may not
+        with pytest.raises(ZeroDivisionError):
+            diff_table([(0,)], [(-1,)], (0.0,))
+
+    def test_empty_support_and_orders(self):
+        assert diff_table([(0, 0)], [], (1.0, 2.0)).shape == (1, 0)
+        assert diff_table([], [(1, 1)], (1.0, 2.0)).shape == (0, 1)
+
+
+class TestDualRows:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0.3, 3.0])
+    def test_against_dual_apply(self, rng, dim, radius):
+        x = [LaurentPoly.variable(dim, j) for j in range(dim)]
+        ell = sum(x[1:], x[0])
+        spaces = [fat_point_space(dim, 2),
+                  DInvariantSpace((LaurentPoly.constant(dim, 1.0), ell, ell * ell))]
+        for space in spaces:
+            basis = ortho_homog_basis(space)
+            for _ in range(5):
+                g = random_poly(rng, dim, 5, complex_coeffs=True, laurent=True)
+                point = _point(rng, dim, radius)
+                coeffs, support = coeff_matrix([g])
+                values = dual_rows(basis, support, point) @ coeffs[:, 0]
+                for q, v in zip(basis, values):
+                    ref = dual_apply(q, g, point)
+                    scale = sum(abs(c) * _abs_jet(g, alpha, point)
+                                for alpha, c in q.terms.items())
+                    assert abs(v - ref) <= 1e-12 * scale
+
+    def test_empty_basis(self):
+        R = dual_rows([], [(0, 0), (1, 2)], (1.0, 2.0))
+        assert R.shape == (0, 2)
+        assert (R @ np.ones(2)).shape == (0,)

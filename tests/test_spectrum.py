@@ -300,3 +300,44 @@ class TestOrthobasesOncePerZero:
         D = system.dual_matrix()
         assert len(calls) == 3
         assert np.allclose(D, np.eye(D.shape[0]), atol=1e-8)
+
+
+def _random_spectrum(rng, dim, nzeros, max_order):
+    thetas = []
+    while len(thetas) < nzeros:
+        t = tuple(rng.uniform(0.8, 1.25, size=dim) * np.exp(2j * np.pi * rng.uniform(size=dim)))
+        if all(max(abs(a - b) for a, b in zip(t, u)) >= 0.2 for u in thetas):
+            thetas.append(t)
+    return Spectrum(tuple(Zero(t, fat_point_space(dim, int(rng.integers(0, max_order + 1))))
+                          for t in thetas))
+
+
+class TestJetTables:
+    """The collocation and dual matrices come from linalg.diff_table; the
+    per-entry dual_apply loop is the reference."""
+
+    @pytest.mark.parametrize("dim, nzeros, max_order", [(1, 4, 2), (2, 6, 1), (3, 5, 1)])
+    def test_dual_matrix_matches_dual_apply(self, rng, dim, nzeros, max_order):
+        from convkern.apolar import ortho_homog_basis
+        spec = _random_spectrum(rng, dim, nzeros, max_order)
+        system = hermite_fundamentals(spec)
+        D = system.dual_matrix()
+        assert np.max(np.abs(D - np.eye(D.shape[0]))) <= 1e-8
+        ref = np.array([[dual_apply(q, p, zero.point) for _, _, p in system.polys]
+                        for zero in spec.zeros for q in ortho_homog_basis(zero.mult)])
+        assert np.max(np.abs(D - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_collocation_matrix_matches_dual_apply(self, rng):
+        from convkern.apolar import ortho_homog_basis
+        from convkern.linalg import monomials_upto
+        from convkern.spectrum import _collocation_matrix, _ortho_bases
+        spec = _random_spectrum(rng, 2, 4, 2)
+        V, monos = _collocation_matrix(spec, 4, _ortho_bases(spec))
+        assert monos == monomials_upto(2, 4)
+        ref = np.array([[dual_apply(q, LaurentPoly.monomial(2, beta), zero.point)
+                         for beta in monos]
+                        for zero in spec.zeros for q in ortho_homog_basis(zero.mult)])
+        assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_empty_spectrum(self):
+        assert hermite_fundamentals(Spectrum(())).dual_matrix().shape == (0, 0)

@@ -475,3 +475,118 @@ class TestOrderEquivalence:
         probe = ExpPolySeq.single((1.0,), x * x)
         vals = subdivide(a, TWO, probe, Window((-6,), (6,)))
         assert max(abs(v) for v in vals.values()) > 1e-3
+
+
+def _scalar_symmetric_zero(a, Xi, zeta, order, tol=1e-9):
+    """Reference: one g.diff(beta).evaluate(point) per (point, beta)."""
+    from convkern.linalg import monomials_upto
+    from convkern.mpoly import laurent_normalize
+    g, _ = laurent_normalize(symbol(a))
+    scale = max(1.0, a.l1())
+    worst = 0.0
+    for point in modulation_points(Xi, zeta):
+        point_scale = scale * max(1.0, max(abs(v) for v in point) ** max(g.degree(), 0))
+        for beta in monomials_upto(a.dim, order):
+            val = abs(g.diff(beta).evaluate(point))
+            worst = max(worst, val / point_scale)
+    return worst <= tol, worst
+
+
+def planted_mask(rng, Xi, theta, k):
+    """b(z) f(z^Xi) with f(w) = sum_j c_j (w_j - 1/theta_j)^(k+1): theta is
+    a symmetric zero of order exactly k."""
+    s = Xi.dim
+    f = LaurentPoly.zero(s)
+    for j in range(s):
+        wj = LaurentPoly.variable(s, j) - const(s, 1 / theta[j])
+        term = const(s, complex(rng.normal(), rng.normal()))
+        for _ in range(k + 1):
+            term = term * wj
+        f = f + term
+    cols = Xi.transpose()
+    lifted = LaurentPoly(s, {tuple(sum(cols[j][v] * exp[j] for j in range(s))
+                                   for v in range(s)): c for exp, c in f.terms.items()})
+    b = LaurentPoly(s, {e: complex(rng.normal(), rng.normal())
+                        for e in product((0, 1), repeat=s)})
+    return Impulse(s, dict((lifted * b).terms))
+
+
+class TestSymmetricZeroJets:
+    """is_symmetric_zero and the subsymbol test use linalg.diff_table; the
+    scalar diff/evaluate loop is the reference."""
+
+    DILATIONS = [dil((5, 2), (-1, 4)), QUINCUNX, DIAG_23, dil((2, 1), (0, 2)),
+                 dil((2, 0, 0), (0, 2, 0), (0, 0, 2)), TWO]
+
+    @pytest.mark.parametrize("Xi", DILATIONS, ids=lambda X: str(X.Xi))
+    def test_matches_scalar_loop(self, rng, Xi):
+        for k in (0, 1, 2):
+            theta = random_point(rng, Xi.dim)
+            a = planted_mask(rng, Xi, theta, k)
+            zeta = canonical_zero_representative(Xi, theta)
+            for order in (k, k + 1):
+                ok, worst = is_symmetric_zero(a, Xi, zeta, order)
+                ref_ok, ref_worst = _scalar_symmetric_zero(a, Xi, zeta, order)
+                assert ok == ref_ok == (order == k)
+                assert worst == pytest.approx(ref_worst, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("Xi", DILATIONS, ids=lambda X: str(X.Xi))
+    def test_subsymbol_violation_matches_scalar_loop(self, rng, Xi):
+        from convkern.linalg import monomials_upto
+        from convkern.mpoly import laurent_normalize
+        k = 1
+        theta = random_point(rng, Xi.dim)
+        a = planted_mask(rng, Xi, theta, k)
+        report = subdivision_kernel_check(a, Xi, [(theta, k), (theta, k + 1)])
+        assert [c["pass"] for c in report["candidates"]] == [True, False]
+        subs = [laurent_normalize(p)[0] for p in subsymbols(a, Xi).values()
+                if not p.is_zero]
+        point = tuple(1 / t for t in theta)
+        for cand in report["candidates"]:
+            scale = max(1.0, a.l1()) * max(1.0, max(abs(v) for v in point) **
+                                           max(p.degree() for p in subs))
+            ref = max(abs(p.diff(beta).evaluate(point)) / scale for p in subs
+                      for beta in monomials_upto(Xi.dim, cand["order"]))
+            assert cand["subsymbol_violation"] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+class TestAdjugateOncePerCall:
+    """The determinant and adjugate are computed once per coset_reps,
+    subsymbols and subdivide call, not once per scanned point or tap."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from convkern import subdivision
+        seen = []
+        real = subdivision.int_adjugate
+
+        def counting(M):
+            seen.append(M)
+            return real(M)
+
+        monkeypatch.setattr(subdivision, "int_adjugate", counting)
+        return seen
+
+    def test_coset_reps(self, calls):
+        Xi = dil((5, 2), (-1, 4))
+        assert len(coset_reps(Xi)) == 22 and len(coset_reps(Xi, transpose=True)) == 22
+        assert len(calls) == 2
+
+    def test_subsymbols(self, calls, rng):
+        subsymbols(random_mask(rng, 2), dil((5, 2), (-1, 4)))
+        assert len(calls) == 2  # coset_reps, then the tap decomposition
+
+    def test_subdivide(self, calls):
+        a = mask_1d(0.5, 1.0, 0.5)
+        seq = ExpPolySeq.single((1.0,), const(1, 1))
+        subdivide(a, TWO, seq, Window((-3,), (3,)))
+        assert len(calls) == 1
+
+
+class TestCosetScanSize:
+    def test_box_of_both_orientations(self):
+        from convkern.subdivision import coset_scan_size
+        assert coset_scan_size(TWO) == 3
+        assert coset_scan_size(dil((5, 2), (-1, 4))) == max(8 * 6, 7 * 7)
+        # expanding with det 4, yet each orientation scans 3 x 1000003 points
+        assert coset_scan_size(dil((2, 1000000), (0, 2))) == 1000003 * 3
