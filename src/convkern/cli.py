@@ -20,8 +20,7 @@ from .newton import WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS, build_p_theta
 from .serialize import FormatError
 from .spectrum import (DEFAULT_CONVENTION, DEFAULT_TOL, hermite_fundamentals,
                        verify_zero_dim)
-from .subdivision import (is_expanding, modulation_points, subdivision_kernel_check,
-                          subsymbols)
+from .subdivision import is_expanding, modulation_points, subdivision_kernel_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -164,7 +163,6 @@ def cmd_subdivide(args) -> int:
         raise FormatError("mask and dilation dimensions differ")
     if not is_expanding(Xi):
         raise FormatError("dilation matrix is not expanding")
-    subs = subsymbols(a, Xi)
     report = subdivision_kernel_check(a, Xi, candidates, tol=args.tol)
     checks = [{"name": f"candidate[theta={[_c(t) for t in rec['theta']]},k={rec['order']}]",
                "value": max(rec["symmetric_zero_violation"],
@@ -173,7 +171,7 @@ def cmd_subdivide(args) -> int:
               for rec in report["candidates"]]
     out = {"command": "subdivide", "inputs_digest": _digest(mtext, dtext, ctext),
            "subsymbols": [{"coset": list(xi), "symbol": ser.poly_to_json(p)}
-                          for xi, p in sorted(subs.items())],
+                          for xi, p in sorted(report["subsymbols"].items())],
            "candidates": [{"theta": [_c(t) for t in rec["theta"]],
                            "order": rec["order"],
                            "symmetric_zero_violation": rec["symmetric_zero_violation"],

@@ -1,10 +1,11 @@
 """Coefficient-vector plumbing shared by the analysis modules.
 
-Every derivative condition of the library is a value (q(D) g)(z).  diff_table
-tabulates the jets (D^alpha z^e)(z) of a monomial support with numpy, from
-per-coordinate tables of falling factorials and integer powers, so such a
-value is one matrix product with g's coefficients; dual_rows applies the
-coefficients of a basis of q's on the other side.
+Every derivative condition of the library is a value (q(D) g)(z).  diff_tables
+tabulates the jets (D^alpha z^e)(z) of a monomial support at a stack of
+points with numpy, from per-coordinate tables of falling factorials (shared
+by the points) and integer powers (per point), so such a value is one matrix
+product with g's coefficients; diff_table is its one-point case, and
+dual_rows applies the coefficients of a basis of q's on the other side.
 """
 
 from __future__ import annotations
@@ -50,30 +51,45 @@ def from_coeff_vector(dim: int, vec: np.ndarray, support: Sequence[Exponent]) ->
 
 def diff_table(orders: Sequence[Exponent], support: Sequence[Exponent],
                point: Sequence[complex]) -> np.ndarray:
-    """T[i, k] = (D^orders[i] z^support[k])(point).
+    """T[i, k] = (D^orders[i] z^support[k])(point): the one-point case of
+    diff_tables."""
+    return diff_tables(orders, support, [point])[0]
+
+
+def diff_tables(orders: Sequence[Exponent], support: Sequence[Exponent],
+                points: Sequence[Sequence[complex]]) -> np.ndarray:
+    """T[p, i, k] = (D^orders[i] z^support[k])(points[p]).
 
     Per coordinate, D^a z^e = (e)_a z^(e-a) with the falling factorial
     (e)_a = prod_{i<a} (e - i); exponents may be negative (Laurent
-    monomials), as in LaurentPoly.diff.  Powers are taken with integer
-    exponents, one per distinct exponent.
+    monomials), as in LaurentPoly.diff.  The falling factorials are shared
+    by all points; powers are taken with integer exponents, one per point
+    and distinct exponent.
     """
-    point = [complex(p) for p in point]
+    points = [[complex(v) for v in p] for p in points]
+    dim = len(points[0])
     # float64 holds these integer exponents exactly
-    a_all = np.array(orders, dtype=float).reshape(len(orders), len(point))
-    e_all = np.array(support, dtype=float).reshape(len(support), len(point))
-    T = np.ones((len(a_all), len(e_all)), dtype=complex)
-    for j, p in enumerate(point):
+    a_all = np.array(orders, dtype=float).reshape(len(orders), dim)
+    e_all = np.array(support, dtype=float).reshape(len(support), dim)
+    T = np.ones((len(points), len(a_all), len(e_all)), dtype=complex)
+    for j in range(dim):
         a, e = a_all[:, j, None], e_all[None, :, j]
-        ff = np.ones(T.shape)
+        ff = np.ones(T.shape[1:])
         for i in range(int(a.max(initial=0))):
             ff *= np.where(i < a, e - i, 1)
         k = e - a
-        if p == 0 and np.any((ff != 0) & (k < 0)):
+        coords = [p[j] for p in points]
+        if 0 in coords and np.any((ff != 0) & (k < 0)):
             raise ZeroDivisionError("zero coordinate with negative exponent")
         exps = sorted(set(k.ravel().tolist()))
+        ints = [int(x) for x in exps]
         # a zero ff masks the stand-in 0 for 0^(negative)
-        powers = np.array([p ** int(x) if p != 0 or x >= 0 else 0j for x in exps])
-        T *= ff * powers[np.searchsorted(exps, k)]
+        powers = np.array([[c ** x if c != 0 or x >= 0 else 0j for x in ints]
+                           for c in coords], dtype=complex).reshape(len(coords), len(ints))
+        # in place: one (points, orders, support) temporary, not two
+        factor = powers[:, np.searchsorted(exps, k)]
+        factor *= ff
+        T *= factor
     return T
 
 

@@ -2,10 +2,13 @@
 
 Coset membership is decided in exact integer arithmetic (adjugate over
 determinant), so the half-open fundamental cell [0,1)^s never suffers from
-floating boundary effects.  Kernel questions reduce to convolution kernels
-of the subsymbols, one per coset.  The derivative tests (symmetric zeros at
-every modulation point, zeros of the subsymbols) take one jet table of
-linalg.diff_table per point, times the symbol's coefficients.
+floating boundary effects; a tap splits into its coset representative and
+lattice point in closed form, beta = floor(Xi^-1 alpha).  Kernel questions
+reduce to convolution kernels of the subsymbols, one per coset.  The
+derivative tests take jet tables from linalg times the symbol's
+coefficients: one stacked table over all modulation points for a symmetric
+zero, and one table per subsymbol at theta^-1.  subdivision_kernel_check
+shares the subsymbol and oracle tests between candidates with the same theta.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .filters import ExpPolySeq, Impulse, Window, kernel_residual, symbol
-from .linalg import coeff_matrix, diff_table, monomials_upto
+from .linalg import coeff_matrix, diff_table, diff_tables, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key, laurent_normalize
 
 
@@ -142,17 +145,16 @@ def coset_reps(Xi: Dilation, transpose: bool = False) -> List[Tuple[int, ...]]:
     return reps
 
 
-def _coset_decompose(d: int, adj: Sequence[Sequence[int]], alpha: Sequence[int],
-                     reps: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Write alpha = xi + Xi beta with xi a representative, given d = det Xi
-    and adj = adj Xi; exact."""
-    for xi in reps:
-        diff = [a - x for a, x in zip(alpha, xi)]
-        v = [sum(row[j] * diff[j] for j in range(len(diff))) for row in adj]
-        if all(val % d == 0 for val in v):
-            beta = tuple(val // d for val in v)
-            return tuple(xi), beta
-    raise AssertionError(f"no coset representative matched {alpha}")
+def _coset_decompose(Xi: Dilation, d: int, adj: Sequence[Sequence[int]],
+                     alpha: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Write alpha = xi + Xi beta with xi in Xi [0,1)^s, the representative
+    coset_reps lists, given d = det Xi and adj = adj Xi; exact.
+
+    beta = floor(Xi^-1 alpha) = floor(adj alpha / d), by floor division,
+    which rounds down for either sign of d.
+    """
+    beta = tuple(sum(r * t for r, t in zip(row, alpha)) // d for row in adj)
+    return tuple(t - v for t, v in zip(alpha, Xi.apply(beta))), beta
 
 
 def subsymbols(a: Impulse, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
@@ -163,7 +165,7 @@ def subsymbols(a: Impulse, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
     d, adj = Xi.det, int_adjugate(Xi.Xi)
     terms: Dict[Tuple[int, ...], Dict[Exponent, complex]] = {xi: {} for xi in reps}
     for tap, c in a.taps.items():
-        xi, beta = _coset_decompose(d, adj, tap, reps)
+        xi, beta = _coset_decompose(Xi, d, adj, tap)
         terms[xi][beta] = terms[xi].get(beta, 0) + c
     return {xi: LaurentPoly(a.dim, t) for xi, t in terms.items()}
 
@@ -209,13 +211,12 @@ def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
         raise ValueError("order must be nonnegative")
     g, _ = laurent_normalize(symbol(a))
     coeffs, support = coeff_matrix([g])
-    orders = monomials_upto(a.dim, order)
-    scale = max(1.0, a.l1())
-    worst = 0.0
-    for point in modulation_points(Xi, zeta):
-        point_scale = scale * max(1.0, max(abs(v) for v in point) ** max(g.degree(), 0))
-        vals = np.abs(diff_table(orders, support, point) @ coeffs[:, 0])
-        worst = float(np.max(vals / point_scale, initial=worst))  # propagates NaN
+    points = modulation_points(Xi, zeta)
+    scale, degree = max(1.0, a.l1()), max(g.degree(), 0)
+    point_scales = np.array([scale * max(1.0, max(abs(v) for v in point) ** degree)
+                             for point in points])
+    vals = np.abs(diff_tables(monomials_upto(a.dim, order), support, points) @ coeffs[:, 0])
+    worst = float(np.max(vals / point_scales[:, None], initial=0.0))  # propagates NaN
     return worst <= tol, worst
 
 
@@ -289,6 +290,12 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     (ii) all subsymbols have an order-k zero at theta^-1;
     (iii) the per-coset convolution oracle certifies every monomial of Pi_k
     times e_theta.  Disagreement above tolerance raises.
+
+    Tests (ii) and (iii) are computed once per distinct theta, per monomial
+    x^beta up to the top order K requested for that theta; the graded
+    monomials of Pi_k are a prefix of those of Pi_K, so a candidate of order
+    k reads the first dim Pi_k values.  The report also carries the
+    subsymbols, keyed by coset representative.
     """
     if not is_expanding(Xi):
         raise ValueError("dilation matrix is not expanding")
@@ -299,28 +306,41 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     normalized = [laurent_normalize(p)[0] for p in subs.values() if not p.is_zero]
     sub_degree = max((p.degree() for p in normalized), default=0)
     sub_coeffs = [coeff_matrix([p]) for p in normalized]
+    l1 = max(1.0, a.l1())
+    # one theta object per candidate keys both dicts, so that even a NaN
+    # theta (hashed by identity) finds its entries
+    candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
+    top: Dict[Tuple[complex, ...], int] = {}
+    for theta, k in candidates:
+        top[theta] = max(k, top.get(theta, k))
+    # theta -> (subsymbol violation, oracle residual) per monomial of Pi_K
+    per_monomial: Dict[Tuple[complex, ...], Tuple[np.ndarray, np.ndarray]] = {}
     results = []
     overall = True
     for theta, k in candidates:
-        theta = tuple(complex(t) for t in theta)
         point = tuple(1.0 / t for t in theta)
         zeta = canonical_zero_representative(Xi, theta)
         sym_ok, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
 
-        scale = max(1.0, a.l1()) * max(1.0, max(abs(v) for v in point) ** sub_degree)
-        orders = monomials_upto(a.dim, k)
-        sub_worst = 0.0
-        for coeffs, support in sub_coeffs:
-            vals = np.abs(diff_table(orders, support, point) @ coeffs[:, 0])
-            sub_worst = float(np.max(vals / scale, initial=sub_worst))
+        if theta not in per_monomial:
+            orders = monomials_upto(a.dim, top[theta])
+            scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
+            sub_vals = np.zeros(len(orders))
+            for coeffs, support in sub_coeffs:
+                vals = np.abs(diff_table(orders, support, point) @ coeffs[:, 0])
+                sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
+            oracle_vals = np.zeros(len(orders))
+            if sub_impulses:
+                oracle_vals = np.array([
+                    kernel_residual(sub_impulses, ExpPolySeq.single(
+                        theta, LaurentPoly.monomial(a.dim, exp)))[0] / l1
+                    for exp in orders])
+            per_monomial[theta] = sub_vals, oracle_vals
+        sub_vals, oracle_vals = per_monomial[theta]
+        n = math.comb(a.dim + k, k)  # dim Pi_k
+        sub_worst = float(np.max(sub_vals[:n], initial=0.0))
         sub_ok = sub_worst <= tol
-
-        oracle_worst = 0.0
-        if sub_impulses:
-            for exp in orders:
-                seq = ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
-                res, _ = kernel_residual(sub_impulses, seq)
-                oracle_worst = max(oracle_worst, res / max(1.0, a.l1()))
+        oracle_worst = float(np.max(oracle_vals[:n], initial=0.0))  # propagates NaN
         oracle_ok = oracle_worst <= oracle_tol
 
         if len({sym_ok, sub_ok, oracle_ok}) != 1:
@@ -335,4 +355,4 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
                         "symmetric_zero_violation": sym_violation,
                         "subsymbol_violation": sub_worst,
                         "oracle_residual": oracle_worst})
-    return {"pass": overall, "candidates": results}
+    return {"pass": overall, "candidates": results, "subsymbols": subs}

@@ -4,6 +4,7 @@ function fails here rather than in a benchmark run."""
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,19 @@ def test_smoke_run_passes():
     proc = subprocess.run([sys.executable, "bench/run.py", "--smoke"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["kernel-highorder", "spectrum-manyzeros",
+                                      "subdivision-mix"])
+def test_full_cycle_passes(workload):
+    """One untraced and one traced pass over every request class of the
+    workload, through the correctness gate; the smoke run covers only the
+    first classes."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "0", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
 
 
 def test_bench_suite_passes():

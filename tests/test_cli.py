@@ -167,6 +167,24 @@ class TestSubdivide:
                       fx("dilation_nonexpanding.json"), fx("candidates_2d_k0.json"))
         assert code == 2
 
+    def test_subsymbols_computed_once(self, capsys, monkeypatch):
+        from convkern import cli, subdivision
+        calls = []
+        real = subdivision.subsymbols
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        # every binding of the name, as the CLI may import it too
+        for module in (cli, subdivision):
+            if getattr(module, "subsymbols", None) is real:
+                monkeypatch.setattr(module, "subsymbols", counting)
+        code, out = run(capsys, "subdivide", fx("mask_hat.json"),
+                        fx("dilation_2.json"), fx("candidates_1d_k0.json"))
+        assert code == 1 and len(calls) == 1
+        assert [rec["coset"] for rec in json.loads(out)["subsymbols"]] == [[0], [1]]
+
 
 class TestEigen:
     def test_averaging_constants(self, capsys):

@@ -4,8 +4,9 @@
 import numpy as np
 import pytest
 
-from convkern import DInvariantSpace, LaurentPoly, fat_point_space, ortho_homog_basis
-from convkern.linalg import coeff_matrix, diff_table, dual_rows, monomials_upto
+from convkern import (DInvariantSpace, Dilation, LaurentPoly, fat_point_space,
+                      modulation_points, ortho_homog_basis)
+from convkern.linalg import coeff_matrix, diff_table, diff_tables, dual_rows, monomials_upto
 from convkern.spectrum import dual_apply
 
 from conftest import random_poly
@@ -67,6 +68,53 @@ class TestDiffTable:
     def test_empty_support_and_orders(self):
         assert diff_table([(0, 0)], [], (1.0, 2.0)).shape == (1, 0)
         assert diff_table([], [(1, 1)], (1.0, 2.0)).shape == (0, 1)
+
+
+# the six benchmark dilations, one more with negative determinant and one
+# more in three dimensions
+STACK_DILATIONS = [((2, 0), (0, 2)), ((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((1, 1), (1, -1)),
+                   ((2, 0), (0, 3)), ((2, 1), (0, 2)), ((5, 2), (-1, 4)),
+                   ((0, 2), (3, 0)), ((0, 0, 2), (1, 0, 0), (0, 1, 0))]
+
+
+class TestDiffTables:
+    """The stacked table over the modulation points of a dilation, against
+    one diff_table per point and against diff(beta).evaluate."""
+
+    @pytest.mark.parametrize("Xi", STACK_DILATIONS, ids=str)
+    def test_modulation_points(self, rng, Xi):
+        Xi = Dilation(Xi)
+        dim = Xi.dim
+        points = modulation_points(Xi, _point(rng, dim, rng.uniform(0.5, 2.0)))
+        orders = monomials_upto(dim, 2)
+        g = random_poly(rng, dim, 4, complex_coeffs=True, laurent=True)
+        coeffs, support = coeff_matrix([g])
+        support = support + [tuple(int(v) for v in rng.integers(-4, 5, size=dim))
+                             for _ in range(6)]
+        T = diff_tables(orders, support, points)
+        assert T.shape == (len(points), len(orders), len(support))
+        values = T[:, :, :len(coeffs)] @ coeffs[:, 0]
+        for T_p, point, vals in zip(T, points, values):
+            # one code path: bit-identical to the one-point table
+            assert np.array_equal(T_p, diff_table(orders, support, point))
+            for i, beta in enumerate(orders):
+                for k, e in enumerate(support):
+                    ref = LaurentPoly.monomial(dim, e).diff(beta).evaluate(point)
+                    assert abs(T_p[i, k] - ref) <= 1e-12 * abs(ref)
+                ref = g.diff(beta).evaluate(point)
+                assert abs(vals[i] - ref) <= 1e-12 * _abs_jet(g, beta, point)
+
+    def test_zero_coordinate_in_one_point(self):
+        points = [(1.0, 2.0), (0.0, 2.0)]
+        T = diff_tables([(0, 0), (1, 0)], [(0, 2), (2, 1)], points)
+        assert np.array_equal(T[1], [[4, 0], [0, 0]])
+        with pytest.raises(ZeroDivisionError):
+            diff_tables([(0, 0)], [(-1, 0)], points)
+
+    def test_empty_support_and_orders(self):
+        points = [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+        assert diff_tables([(0, 0)], [], points).shape == (3, 1, 0)
+        assert diff_tables([], [(1, 1)], points).shape == (3, 0, 1)
 
 
 class TestDualRows:

@@ -550,6 +550,92 @@ class TestSymmetricZeroJets:
             assert cand["subsymbol_violation"] == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
+class TestSharedCandidates:
+    """subdivision_kernel_check shares the subsymbol and oracle tests between
+    candidates with the same theta; each candidate reads as if run alone."""
+
+    @pytest.mark.parametrize("Xi", [dil((5, 2), (-1, 4)), QUINCUNX, TWO],
+                             ids=lambda X: str(X.Xi))
+    def test_matches_each_candidate_alone(self, rng, Xi):
+        theta = random_point(rng, Xi.dim)
+        other = random_point(rng, Xi.dim)
+        a = planted_mask(rng, Xi, theta, 1)
+        # repeated, unsorted and duplicate candidates over two thetas
+        candidates = [(theta, 2), (other, 0), (theta, 0), (theta, 1), (theta, 0),
+                      (other, 1), (theta, 2)]
+        report = subdivision_kernel_check(a, Xi, candidates)
+        assert [c["pass"] for c in report["candidates"]] == \
+            [False, False, True, True, True, False, False]
+        for cand, rec in zip(candidates, report["candidates"]):
+            alone = subdivision_kernel_check(a, Xi, [cand])["candidates"][0]
+            assert rec["pass"] == alone["pass"] and rec["order"] == alone["order"]
+            assert rec["oracle_residual"] == alone["oracle_residual"]
+            assert rec["symmetric_zero_violation"] == pytest.approx(
+                alone["symmetric_zero_violation"], rel=1e-12, abs=1e-15)
+            assert rec["subsymbol_violation"] == pytest.approx(
+                alone["subsymbol_violation"], rel=1e-12, abs=1e-15)
+
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        from convkern import subdivision
+        seen = []
+        real = subdivision.kernel_residual
+
+        def counting(H, seq, *args, **kwargs):
+            seen.append(seq)
+            return real(H, seq, *args, **kwargs)
+
+        monkeypatch.setattr(subdivision, "kernel_residual", counting)
+        return seen
+
+    def test_one_oracle_residual_per_monomial_and_theta(self, rng, residual_calls):
+        Xi = dil((2, 1), (0, 2))
+        theta, other = random_point(rng, 2), random_point(rng, 2)
+        a = planted_mask(rng, Xi, theta, 2)
+        subdivision_kernel_check(a, Xi, [(theta, 1), (other, 0), (theta, 3), (theta, 0)])
+        # sum over theta of dim Pi_{K_theta}: dim Pi_3 + dim Pi_0 in two variables
+        assert len(residual_calls) == 10 + 1
+
+    def test_nan_oracle_residual_fails(self, rng, monkeypatch):
+        from convkern import subdivision
+        monkeypatch.setattr(subdivision, "kernel_residual",
+                            lambda H, seq, *args, **kwargs: (float("nan"), {}))
+        theta = (1.0,)
+        z = LaurentPoly.variable(1, 0)
+        a = Impulse(1, dict((const(1, 1) - z * z).terms))
+        # the other two tests pass, so a NaN oracle is a disagreement ...
+        with pytest.raises(ValueError, match="inconsistent"):
+            subdivision_kernel_check(a, TWO, [(theta, 0)])
+        # ... and where they fail, it fails with them
+        rec = subdivision_kernel_check(a, TWO, [(theta, 1)])["candidates"][0]
+        assert not rec["pass"] and np.isnan(rec["oracle_residual"])
+
+
+def _scan_decompose(d, adj, alpha, reps):
+    """Reference: alpha = xi + Xi beta found by trying every representative."""
+    for xi in reps:
+        diff = [a - x for a, x in zip(alpha, xi)]
+        v = [sum(row[j] * diff[j] for j in range(len(diff))) for row in adj]
+        if all(val % d == 0 for val in v):
+            return tuple(xi), tuple(val // d for val in v)
+    raise AssertionError(f"no coset representative matched {alpha}")
+
+
+class TestCosetDecompose:
+    @pytest.mark.parametrize("Xi", [dil((5, 2), (-1, 4)), QUINCUNX, DIAG_23,
+                                    dil((2, 1), (0, 2)), dil((0, 2), (3, 0)),
+                                    dil((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+                                    dil((0, 0, 2), (1, 0, 0), (0, 1, 0)), TWO],
+                             ids=lambda X: str(X.Xi))
+    def test_closed_form_matches_scan(self, rng, Xi):
+        from convkern.subdivision import _coset_decompose
+        reps = coset_reps(Xi)
+        d, adj = Xi.det, int_adjugate(Xi.Xi)
+        for _ in range(200):
+            alpha = tuple(int(v) for v in rng.integers(-40, 41, size=Xi.dim))
+            assert _coset_decompose(Xi, d, adj, alpha) == _scan_decompose(d, adj, alpha, reps)
+
+
 class TestAdjugateOncePerCall:
     """The determinant and adjugate are computed once per coset_reps,
     subsymbols and subdivide call, not once per scanned point or tap."""
