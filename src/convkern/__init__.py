@@ -17,8 +17,8 @@ from .mpoly import (LaurentPoly, apply_poly_diff, falling_factorial,
 from .newton import (PThetaBasis, WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS,
                      L_inv, L_op, build_p_theta, forward_difference,
                      newton_coeffs, shift_matrix)
-from .spectrum import (FundamentalSystem, Spectrum, Zero, dual_apply,
-                       hermite_fundamentals, ideal_complement_filters,
+from .spectrum import (FundamentalSystem, Spectrum, Zero, certify_kernel,
+                       dual_apply, hermite_fundamentals, ideal_complement_filters,
                        kernel_basis, quotient_dim_estimate, verify_zero_dim)
 from .subdivision import (Dilation, canonical_zero_representative, coset_reps,
                           is_expanding, is_symmetric_zero, modulation_points,
@@ -39,7 +39,7 @@ __all__ = [
     "convolve", "convolve_impulses", "certified_window", "kernel_residual",
     "eigen_conditions", "eigen_residual",
     "Zero", "Spectrum", "FundamentalSystem", "dual_apply", "verify_zero_dim",
-    "hermite_fundamentals", "ideal_complement_filters", "kernel_basis",
+    "hermite_fundamentals", "ideal_complement_filters", "certify_kernel", "kernel_basis",
     "quotient_dim_estimate",
     "Dilation", "is_expanding", "coset_reps", "subsymbols", "z_pow_Xi",
     "modulation_points", "is_symmetric_zero", "subdivide",

@@ -13,14 +13,16 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from . import serialize as ser
-from .filters import ExpPolySeq, certified_window, eigen_conditions, eigen_residual, kernel_residual, symbol
+from .filters import ORACLE_TOL, ExpPolySeq, certified_window, eigen_conditions, eigen_residual
 from .mpoly import LaurentPoly
 from .newton import WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS, build_p_theta
 from .serialize import FormatError
-from .spectrum import (DEFAULT_CONVENTION, DEFAULT_TOL, hermite_fundamentals,
-                       verify_zero_dim)
-from .subdivision import is_expanding, modulation_points, subdivision_kernel_check
+from .spectrum import (DEFAULT_CONVENTION, DEFAULT_TOL, KRONECKER_TOL, certify_kernel,
+                       hermite_fundamentals)
+from .subdivision import is_expanding, subdivision_kernel_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,38 +69,23 @@ def cmd_verify(args) -> int:
     if spec.zeros and spec.dim != H[0].dim:
         raise FormatError("filter and spectrum dimensions differ")
     convention = _resolve_convention(args.convention)
-    tol = args.tol
+    cert = certify_kernel(H, spec, convention, tol=args.tol, pad=args.window_pad)
+    checks: List[Dict[str, Any]] = [
+        {"name": f"dual[h={rec['filter']},zero={rec['zero']},q={rec['q']}]",
+         "value": rec["residual"], "tolerance": rec["tolerance"], "pass": rec["pass"]}
+        for rec in cert["conditions"]]
+    checks += [{"name": f"oracle[theta={[_c(t) for t in rec['theta']]},deg={rec['degree']}]",
+                "value": rec["residual"], "tolerance": rec["tolerance"], "pass": rec["pass"]}
+               for rec in cert["oracle"]]
+    kernel = [{"theta": [_c(t) for t in theta],
+               "P_basis": [ser.poly_to_json(p) for p in P.elements]}
+              for theta, P in cert["kernel"]]
 
-    report = verify_zero_dim(H, spec, tol=tol)
-    checks: List[Dict[str, Any]] = []
-    for rec in report["conditions"]:
-        checks.append({"name": f"dual[h={rec['filter']},zero={rec['zero']},q={rec['q']}]",
-                       "value": rec["residual"], "tolerance": rec["tolerance"],
-                       "pass": rec["pass"]})
-
-    kernel = []
-    if report["pass"]:
-        for zero in spec.zeros:
-            P = build_p_theta(zero.mult, zero.theta, convention)
-            basis_records = []
-            for p in P.elements:
-                seq = ExpPolySeq.single(zero.theta, p)
-                res, _ = kernel_residual(H, seq, pad=args.window_pad)
-                scale = max(1.0, max(h.l1() for h in H)) * max(1.0, p.norm())
-                passed = res <= max(tol, 1e-8) * scale
-                checks.append({"name": f"oracle[theta={[_c(t) for t in zero.theta]},deg={p.degree()}]",
-                               "value": res, "tolerance": max(tol, 1e-8) * scale,
-                               "pass": passed})
-                basis_records.append(ser.poly_to_json(p))
-            kernel.append({"theta": [_c(t) for t in zero.theta],
-                           "P_basis": basis_records})
-
-    overall = all(c["pass"] for c in checks)
     out = {"command": "verify", "inputs_digest": _digest(ftext, stext),
            "convention": convention, "checks": checks,
-           "kernel": kernel, "pass": overall}
+           "kernel": kernel, "pass": cert["pass"]}
     sys.stdout.write(ser.dumps(out))
-    return EXIT_PASS if overall else EXIT_FAIL
+    return EXIT_PASS if cert["pass"] else EXIT_FAIL
 
 
 def cmd_build_kernel(args) -> int:
@@ -135,18 +122,14 @@ def cmd_hermite(args) -> int:
         return EXIT_FAIL
     dual = system.dual_matrix()
     n = dual.shape[0]
-    max_off = 0.0
-    for i in range(n):
-        for j in range(n):
-            target = 1.0 if i == j else 0.0
-            max_off = max(max_off, float(abs(dual[i, j] - target)))
-    passed = bool(max_off <= 1e-8)
+    max_off = float(np.max(np.abs(dual - np.eye(n)), initial=0.0))
+    passed = max_off <= KRONECKER_TOL
     out = {"command": "hermite", "inputs_digest": _digest(stext),
            "fundamentals": [{"zero": zi, "q": qi, "poly": ser.poly_to_json(p)}
                             for zi, qi, p in system.polys],
            "dual_matrix": [[_c(dual[i, j]) for j in range(n)] for i in range(n)],
            "checks": [{"name": "kronecker_dual", "value": max_off,
-                       "tolerance": 1e-8, "pass": passed}],
+                       "tolerance": KRONECKER_TOL, "pass": passed}],
            "pass": passed}
     sys.stdout.write(ser.dumps(out))
     return EXIT_PASS if passed else EXIT_FAIL
@@ -192,13 +175,13 @@ def cmd_eigen(args) -> int:
     cond = eigen_conditions(h, theta, Q, lam, alpha_h, tol=args.tol)
     seq = ExpPolySeq.single(theta, LaurentPoly.constant(h.dim, 1.0))
     res = eigen_residual(h, lam, alpha_h, seq, pad=args.window_pad)
-    res_pass = res <= max(args.tol, 1e-8) * max(1.0, h.l1())
+    res_tol = max(args.tol, ORACLE_TOL) * max(1.0, h.l1())
+    res_pass = res <= res_tol
     checks = [{"name": f"eigen_condition[q={i}]", "value": rec["residual"],
-               "tolerance": args.tol * max(1.0, h.l1()), "pass": rec["pass"]}
+               "tolerance": rec["tolerance"], "pass": rec["pass"]}
               for i, rec in enumerate(cond["conditions"])]
     checks.append({"name": "eigen_residual[e_theta]", "value": res,
-                   "tolerance": max(args.tol, 1e-8) * max(1.0, h.l1()),
-                   "pass": res_pass})
+                   "tolerance": res_tol, "pass": res_pass})
     overall = cond["pass"] and res_pass
     out = {"command": "eigen", "inputs_digest": _digest(ftext, etext),
            "checks": checks, "pass": overall}

@@ -166,6 +166,11 @@ class Window:
 
 SequenceSamples = Mapping[Exponent, complex]
 
+# Floor of every window-oracle tolerance: an oracle check passes when its
+# residual is at most max(tol, ORACLE_TOL) times its scale, so tol moves the
+# oracle only above this floor.
+ORACLE_TOL = 1e-8
+
 # (window point, tap) pairs evaluated at once by convolve; bounds its working
 # memory independently of the window size and the number of taps.
 BLOCK_PAIRS = 1 << 13
@@ -306,15 +311,15 @@ def eigen_conditions(h: Impulse, theta: Sequence[complex], Q,
     rows = dual_rows(basis, support, point)
     lhs_all = rows[:, :-1] @ np.array(list(h.taps.values()), dtype=complex)
     rhs_all = complex(lam) * rows[:, -1]
-    scale = max(1.0, h.l1())
+    bound = tol * max(1.0, h.l1())
     records = []
     ok = True
     for q, lhs, rhs in zip(basis, lhs_all.tolist(), rhs_all.tolist()):
         res = abs(lhs - rhs)
-        passed = res <= tol * scale
+        passed = res <= bound
         ok = ok and passed
         records.append({"q_degree": q.degree(), "lhs": lhs, "rhs": rhs,
-                        "residual": res, "pass": passed})
+                        "residual": res, "tolerance": bound, "pass": passed})
     return {"pass": ok, "conditions": records}
 
 

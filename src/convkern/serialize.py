@@ -1,4 +1,5 @@
-"""JSON schemas for polynomials, impulses, spectra, sequences and dilations.
+"""JSON schemas for polynomials, impulses, filter sets, spectra, dilations,
+subdivision candidates and eigen specs.
 
 All emitters order their output canonically (graded-lex term order, fixed key
 order), so serialized bytes are reproducible across runs.
@@ -17,7 +18,7 @@ import math
 from typing import Any, Dict, List, Sequence, Tuple
 
 from .apolar import DInvariantSpace
-from .filters import ExpPolySeq, Impulse
+from .filters import Impulse
 from .mpoly import MAX_FACTORIAL, LaurentPoly
 from .spectrum import Spectrum, Zero
 from .subdivision import MAX_COSET_SCAN, Dilation, coset_scan_size
@@ -174,32 +175,6 @@ def spectrum_from_json(obj: Any) -> Spectrum:
     # duplicate theta and similar violations are mathematical preconditions,
     # not format errors, so the Spectrum constructor's ValueError propagates
     return Spectrum(tuple(zeros))
-
-
-def expseq_to_json(seq: ExpPolySeq) -> Dict[str, Any]:
-    return {"terms": [{"theta": [complex_to_json(t) for t in theta],
-                       "p": poly_to_json(p)}
-                      for theta, p in seq.terms]}
-
-
-def expseq_from_json(obj: Any) -> ExpPolySeq:
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise FormatError("sequence must be {terms}")
-    terms = []
-    for entry in _array(obj["terms"], "terms"):
-        if not isinstance(entry, dict) or not {"theta", "p"} <= set(entry):
-            raise FormatError("sequence term must be {theta, p}")
-        theta = _thetas(entry["theta"])
-        p = poly_from_json(entry["p"], len(theta))
-        terms.append((theta, p))
-    try:
-        return ExpPolySeq(tuple(terms))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-
-
-def dilation_to_json(Xi: Dilation) -> Dict[str, Any]:
-    return {"Xi": [list(row) for row in Xi.Xi]}
 
 
 def dilation_from_json(obj: Any) -> Dilation:

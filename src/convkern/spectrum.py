@@ -6,6 +6,9 @@ multiplicity spaces Q_theta.  A filter set is annihilating-compatible with a
 spectrum when every dual condition q(D) h*(theta^-1) vanishes; the kernel of
 the filter set is then assembled as the direct sum of the spaces
 P_theta e_theta and certified against the filters by the window oracle.
+certify_kernel is the one place that decides this certificate, dual
+conditions at tol and the oracle at max(tol, ORACLE_TOL); the verify command
+reports its records and kernel_basis raises on them.
 
 The collocation matrix of the Hermite problem and the dual matrix of the
 fundamentals are built block by block, one block per zero, from the jet
@@ -21,13 +24,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .apolar import DInvariantSpace, ortho_homog_basis
-from .filters import ExpPolySeq, Impulse, kernel_residual, symbol
+from .filters import ORACLE_TOL, ExpPolySeq, Impulse, kernel_residual, symbol
 from .linalg import (coeff_matrix, dual_rows, from_coeff_vector, monomials_upto,
                      numerical_rank, nullspace)
 from .mpoly import LaurentPoly, apply_poly_diff, laurent_normalize
 
 DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-10
+# The fundamentals' dual matrix must be the identity to this accuracy.
+KRONECKER_TOL = 1e-8
 
 # Fixed by the annihilation calibration on the worked triple-zero example
 # (see tests/test_calibration.py): the convention with the final sign flip
@@ -222,31 +227,52 @@ def ideal_complement_filters(spec: Spectrum, count: int, max_degree: int) -> Lis
     return out
 
 
-def kernel_basis(H: Sequence[Impulse], spec: Spectrum,
-                 convention: Optional[str] = None,
-                 tol: float = DEFAULT_TOL,
-                 oracle_tol: float = 1e-8):
-    """Assemble ker H = direct sum of P_theta e_theta and certify every basis
-    sequence against H with the window oracle before returning."""
-    from .newton import PThetaBasis, build_p_theta
+def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
+                   convention: Optional[str] = None,
+                   tol: float = DEFAULT_TOL, pad: int = 0) -> Dict:
+    """Decide ker H >= direct sum of P_theta e_theta for the spectrum.
+
+    Returns the dual-condition records of verify_zero_dim under
+    "conditions".  When they all pass, "oracle" holds one window-oracle
+    record per element p of every P_theta (theta, degree, residual,
+    tolerance, pass), checked against max(tol, ORACLE_TOL) times
+    max(1, |h|_1 over H) max(1, |p|), and "kernel" the (theta, P_theta)
+    bases; otherwise both are empty.
+    """
+    from .newton import build_p_theta
 
     convention = convention or DEFAULT_CONVENTION
     report = verify_zero_dim(H, spec, tol=tol)
-    if not report["pass"]:
-        bad = [r for r in report["conditions"] if not r["pass"]]
+    oracle, kernel = [], []
+    if report["pass"]:
+        h_scale = max(1.0, max(h.l1() for h in H))
+        for zero in spec.zeros:
+            P = build_p_theta(zero.mult, zero.theta, convention)
+            for p in P.elements:
+                res, _ = kernel_residual(H, ExpPolySeq.single(zero.theta, p), pad=pad)
+                bound = max(tol, ORACLE_TOL) * (h_scale * max(1.0, p.norm()))
+                oracle.append({"theta": zero.theta, "degree": p.degree(),
+                               "residual": res, "tolerance": bound,
+                               "pass": res <= bound})
+            kernel.append((zero.theta, P))
+    return {"pass": report["pass"] and all(r["pass"] for r in oracle),
+            "conditions": report["conditions"], "oracle": oracle, "kernel": kernel}
+
+
+def kernel_basis(H: Sequence[Impulse], spec: Spectrum,
+                 convention: Optional[str] = None,
+                 tol: float = DEFAULT_TOL):
+    """Assemble ker H = direct sum of P_theta e_theta with certify_kernel and
+    return its (theta, P_theta) bases; raises unless every check passes."""
+    cert = certify_kernel(H, spec, convention, tol)
+    bad = [r for r in cert["conditions"] if not r["pass"]]
+    if bad:
         raise ValueError(f"dual conditions fail for {len(bad)} (filter, zero, q) triples")
-    out: List[Tuple[Tuple[complex, ...], PThetaBasis]] = []
-    for zero in spec.zeros:
-        P = build_p_theta(zero.mult, zero.theta, convention)
-        for p in P.elements:
-            seq = ExpPolySeq.single(zero.theta, p)
-            res, _ = kernel_residual(H, seq)
-            scale = max(1.0, max(h.l1() for h in H)) * max(1.0, p.norm())
-            if not res <= oracle_tol * scale:
-                raise ValueError(
-                    f"kernel certificate failed at theta={zero.theta}: residual {res:.3e}")
-        out.append((zero.theta, P))
-    return out
+    for rec in cert["oracle"]:
+        if not rec["pass"]:
+            raise ValueError(f"kernel certificate failed at theta={rec['theta']}: "
+                             f"residual {rec['residual']:.3e}")
+    return cert["kernel"]
 
 
 def quotient_dim_estimate(H: Sequence[Impulse], d: int) -> int:

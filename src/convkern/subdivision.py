@@ -2,26 +2,30 @@
 
 Coset membership is decided in exact integer arithmetic (adjugate over
 determinant), so the half-open fundamental cell [0,1)^s never suffers from
-floating boundary effects; a tap splits into its coset representative and
-lattice point in closed form, beta = floor(Xi^-1 alpha).  Kernel questions
+floating boundary effects.  A Dilation computes its determinant and
+adjugate once; cosets, subsymbols, modulation points and subdivide read
+them, and the transposed variants use adj(Xi^T) = adj(Xi)^T.  A tap or an
+index difference splits into its coset representative and lattice point in
+closed form, beta = floor(Xi^-1 alpha).  Kernel questions
 reduce to convolution kernels of the subsymbols, one per coset.  The
 derivative tests take jet tables from linalg times the symbol's
 coefficients: one stacked table over all modulation points for a symmetric
 zero, and one table per subsymbol at theta^-1.  subdivision_kernel_check
-shares the subsymbol and oracle tests between candidates with the same theta.
+shares the subsymbol and oracle tests between candidates with the same theta;
+its oracle test decides at max(tol, ORACLE_TOL), like every other oracle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .filters import ExpPolySeq, Impulse, Window, kernel_residual, symbol
+from .filters import ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual, symbol
 from .linalg import coeff_matrix, diff_table, diff_tables, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key, laurent_normalize
 
@@ -69,23 +73,25 @@ def int_adjugate(M: Sequence[Sequence[int]]) -> List[List[int]]:
 @dataclass(frozen=True)
 class Dilation:
     """Integer dilation matrix; expanding means every eigenvalue has
-    modulus > 1."""
+    modulus > 1.  det and adj (Xi adj = det I) are exact and computed once;
+    Xi^T has the same determinant and the adjugate adj^T."""
 
     Xi: Tuple[Tuple[int, ...], ...]
+    det: int = field(init=False, repr=False, compare=False)
+    adj: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = _int_matrix(self.Xi)
         object.__setattr__(self, "Xi", M)
-        if int_det(M) == 0:
+        det = int_det(M)
+        if det == 0:
             raise ValueError("dilation matrix is singular")
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "adj", tuple(map(tuple, int_adjugate(M))))
 
     @property
     def dim(self) -> int:
         return len(self.Xi)
-
-    @property
-    def det(self) -> int:
-        return int_det(self.Xi)
 
     @property
     def coset_count(self) -> int:
@@ -93,6 +99,10 @@ class Dilation:
 
     def transpose(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(zip(*self.Xi))
+
+    def adj_transpose(self) -> Tuple[Tuple[int, ...], ...]:
+        """adj(Xi^T) = adj(Xi)^T."""
+        return tuple(zip(*self.adj))
 
     def apply(self, alpha: Sequence[int]) -> Tuple[int, ...]:
         return tuple(sum(row[j] * alpha[j] for j in range(self.dim)) for row in self.Xi)
@@ -135,9 +145,8 @@ def coset_scan_size(Xi: Dilation) -> int:
 
 def coset_reps(Xi: Dilation, transpose: bool = False) -> List[Tuple[int, ...]]:
     """E_Xi = Xi [0,1)^s cap Z^s (or the transpose variant), graded-lex sorted."""
-    M = Xi.transpose() if transpose else Xi.Xi
-    d, adj = int_det(M), int_adjugate(M)
-    reps = [alpha for alpha in product(*_scan_box(M)) if _in_unit_cell(d, adj, alpha)]
+    M, adj = (Xi.transpose(), Xi.adj_transpose()) if transpose else (Xi.Xi, Xi.adj)
+    reps = [alpha for alpha in product(*_scan_box(M)) if _in_unit_cell(Xi.det, adj, alpha)]
     reps.sort(key=grlex_key)
     if len(reps) != Xi.coset_count:
         raise AssertionError(
@@ -145,15 +154,15 @@ def coset_reps(Xi: Dilation, transpose: bool = False) -> List[Tuple[int, ...]]:
     return reps
 
 
-def _coset_decompose(Xi: Dilation, d: int, adj: Sequence[Sequence[int]],
+def _coset_decompose(Xi: Dilation,
                      alpha: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Write alpha = xi + Xi beta with xi in Xi [0,1)^s, the representative
-    coset_reps lists, given d = det Xi and adj = adj Xi; exact.
+    coset_reps lists; exact.
 
-    beta = floor(Xi^-1 alpha) = floor(adj alpha / d), by floor division,
-    which rounds down for either sign of d.
+    beta = floor(Xi^-1 alpha) = floor(adj alpha / det), by floor division,
+    which rounds down for either sign of det.
     """
-    beta = tuple(sum(r * t for r, t in zip(row, alpha)) // d for row in adj)
+    beta = tuple(sum(r * t for r, t in zip(row, alpha)) // Xi.det for row in Xi.adj)
     return tuple(t - v for t, v in zip(alpha, Xi.apply(beta))), beta
 
 
@@ -161,11 +170,9 @@ def subsymbols(a: Impulse, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
     """a_xi*(z) = sum_alpha a(xi + Xi alpha) z^alpha for every representative xi."""
     if a.dim != Xi.dim:
         raise ValueError("mask / dilation dimension mismatch")
-    reps = coset_reps(Xi)
-    d, adj = Xi.det, int_adjugate(Xi.Xi)
-    terms: Dict[Tuple[int, ...], Dict[Exponent, complex]] = {xi: {} for xi in reps}
+    terms: Dict[Tuple[int, ...], Dict[Exponent, complex]] = {xi: {} for xi in coset_reps(Xi)}
     for tap, c in a.taps.items():
-        xi, beta = _coset_decompose(Xi, d, adj, tap)
+        xi, beta = _coset_decompose(Xi, tap)
         terms[xi][beta] = terms[xi].get(beta, 0) + c
     return {xi: LaurentPoly(a.dim, t) for xi, t in terms.items()}
 
@@ -191,13 +198,12 @@ def modulation_points(Xi: Dilation, zeta: Sequence[complex]) -> List[Tuple[compl
     zeta = tuple(complex(v) for v in zeta)
     if any(v == 0 for v in zeta):
         raise ValueError("zeta must lie in C_x^s")
-    d = int_det(Xi.transpose())
-    adjT = int_adjugate(Xi.transpose())
+    adjT = Xi.adj_transpose()
     points = []
     for xi_p in coset_reps(Xi, transpose=True):
         # Xi^-T xi' as exact rationals adj(Xi^T) xi' / det
         w = [sum(row[j] * xi_p[j] for j in range(Xi.dim)) for row in adjT]
-        mod = tuple(cmath.exp(-2j * cmath.pi * wi / d) for wi in w)
+        mod = tuple(cmath.exp(-2j * cmath.pi * wi / Xi.det) for wi in w)
         points.append(tuple(m * zv for m, zv in zip(mod, zeta)))
     return points
 
@@ -237,18 +243,15 @@ def subdivide(a: Impulse, Xi: Dilation, c, w: Window) -> Dict[Exponent, complex]
     """(S_a c)(alpha) = sum_beta a(alpha - Xi beta) c(beta) on the window."""
     if a.dim != Xi.dim:
         raise ValueError("mask / dilation dimension mismatch")
-    d = Xi.det
-    adj = int_adjugate(Xi.Xi)
     closed_form = isinstance(c, ExpPolySeq)
     out: Dict[Exponent, complex] = {}
     for alpha in w.points():
         total = 0j
         for tap, av in a.taps.items():
-            diff = [x - t for x, t in zip(alpha, tap)]
-            v = [sum(row[j] * diff[j] for j in range(Xi.dim)) for row in adj]
-            if any(val % d != 0 for val in v):
+            # only taps with alpha - tap in Xi Z^s, the coset of 0, contribute
+            xi, beta = _coset_decompose(Xi, [x - t for x, t in zip(alpha, tap)])
+            if any(xi):
                 continue
-            beta = tuple(val // d for val in v)
             if closed_form:
                 total += av * c.value(beta)
             else:
@@ -268,28 +271,26 @@ def canonical_zero_representative(Xi: Dilation, theta: Sequence[complex]) -> Tup
     theta = [complex(t) for t in theta]
     if any(t == 0 for t in theta):
         raise ValueError("theta must lie in C_x^s")
-    d = int_det(Xi.transpose())
-    adjT = int_adjugate(Xi.transpose())
     logs = [cmath.log(t) for t in theta]
     zeta = []
-    for row in adjT:
+    for row in Xi.adj_transpose():
         # -(Xi^-T log theta)_i with the exact rational inverse
-        acc = -sum(row[j] * logs[j] for j in range(Xi.dim)) / d
+        acc = -sum(row[j] * logs[j] for j in range(Xi.dim)) / Xi.det
         zeta.append(cmath.exp(acc))
     return tuple(zeta)
 
 
 def subdivision_kernel_check(a: Impulse, Xi: Dilation,
                              candidates: Sequence[Tuple[Sequence[complex], int]],
-                             tol: float = 1e-9,
-                             oracle_tol: float = 1e-8) -> Dict:
+                             tol: float = 1e-9) -> Dict:
     """Per candidate (theta, k): three equivalent tests of
     Pi_k e_theta <= ker S_a, reported side by side.
 
     (i) the canonical representative of theta is a symmetric zero of order k;
     (ii) all subsymbols have an order-k zero at theta^-1;
     (iii) the per-coset convolution oracle certifies every monomial of Pi_k
-    times e_theta.  Disagreement above tolerance raises.
+    times e_theta, against max(tol, ORACLE_TOL).  Disagreement above
+    tolerance raises.
 
     Tests (ii) and (iii) are computed once per distinct theta, per monomial
     x^beta up to the top order K requested for that theta; the graded
@@ -341,7 +342,7 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         sub_worst = float(np.max(sub_vals[:n], initial=0.0))
         sub_ok = sub_worst <= tol
         oracle_worst = float(np.max(oracle_vals[:n], initial=0.0))  # propagates NaN
-        oracle_ok = oracle_worst <= oracle_tol
+        oracle_ok = oracle_worst <= max(tol, ORACLE_TOL)
 
         if len({sym_ok, sub_ok, oracle_ok}) != 1:
             raise ValueError(

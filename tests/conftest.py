@@ -1,3 +1,7 @@
+import os
+from contextlib import redirect_stdout
+from io import StringIO
+
 import numpy as np
 import pytest
 
@@ -46,3 +50,41 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_log:
             terminalreporter.write_line(line)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# The fixture-corpus CLI invocations (fixture file names) with their
+# documented exit codes.
+CLI_CORPUS = [
+    (("verify", "filters_diff1.json", "spectrum_theta1_const.json"), 0),
+    (("verify", "filters_kernel1d.json", "spectrum_kernel1d.json"), 0),
+    (("verify", "filters_grid.json", "spectrum_fat_point_2d.json"), 1),
+    (("verify", "malformed.json", "spectrum_theta1_const.json"), 2),
+    (("build-kernel", "spectrum_qpspaces.json"), 0),
+    (("build-kernel", "spectrum_pi2.json"), 0),
+    (("build-kernel", "spectrum_empty.json"), 0),
+    (("hermite", "spectrum_two_points.json"), 0),
+    (("hermite", "spectrum_fat_point_2d.json"), 0),
+    (("hermite", "spectrum_duplicate.json"), 1),
+    (("subdivide", "mask_diff2.json", "dilation_2.json",
+      "candidates_1d_k0.json"), 0),
+    (("subdivide", "mask_hat.json", "dilation_2.json",
+      "candidates_1d_k0.json"), 1),
+    (("subdivide", "mask_delta_2d.json", "dilation_nonexpanding.json",
+      "candidates_2d_k0.json"), 2),
+    (("eigen", "filter_avg.json", "eigen_const.json"), 0),
+    (("eigen", "filter_avg.json", "eigen_linear.json"), 1),
+    (("eigen", "filter_delta1.json", "eigen_shift.json"), 0),
+]
+
+
+def run_cli(*argv):
+    """(exit code, standard output) of one in-process CLI run; arguments
+    ending in .json name fixture files."""
+    from convkern.cli import main
+    args = [os.path.join(FIXTURES, a) if a.endswith(".json") else a for a in argv]
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = main(args)
+    return code, buf.getvalue()

@@ -8,8 +8,6 @@ import cmath
 import json
 import sys
 import time
-from contextlib import redirect_stdout
-from io import StringIO
 from itertools import product
 
 import numpy as np
@@ -29,7 +27,7 @@ from convkern.linalg import monomials_upto
 from convkern.mpoly import laurent_normalize
 from convkern.subdivision import int_adjugate, int_det
 
-from conftest import acceptance_log, const, random_poly, variables
+from conftest import CLI_CORPUS, acceptance_log, const, random_poly, run_cli, variables
 
 
 def report(num, description, passed):
@@ -420,45 +418,13 @@ def test_criterion_09_apolar_identities():
 
 
 def test_criterion_10_cli_corpus():
-    import os
-    from convkern.cli import main as cli_main
-    FX = os.path.join(os.path.dirname(__file__), "fixtures")
-
-    def run(*argv):
-        buf = StringIO()
-        with redirect_stdout(buf):
-            code = cli_main(list(argv))
-        return code, buf.getvalue()
-
-    corpus = [
-        (("verify", "filters_diff1.json", "spectrum_theta1_const.json"), 0),
-        (("verify", "filters_kernel1d.json", "spectrum_kernel1d.json"), 0),
-        (("verify", "filters_grid.json", "spectrum_fat_point_2d.json"), 1),
-        (("verify", "malformed.json", "spectrum_theta1_const.json"), 2),
-        (("build-kernel", "spectrum_qpspaces.json"), 0),
-        (("build-kernel", "spectrum_pi2.json"), 0),
-        (("build-kernel", "spectrum_empty.json"), 0),
-        (("hermite", "spectrum_two_points.json"), 0),
-        (("hermite", "spectrum_fat_point_2d.json"), 0),
-        (("hermite", "spectrum_duplicate.json"), 1),
-        (("subdivide", "mask_diff2.json", "dilation_2.json",
-          "candidates_1d_k0.json"), 0),
-        (("subdivide", "mask_hat.json", "dilation_2.json",
-          "candidates_1d_k0.json"), 1),
-        (("subdivide", "mask_delta_2d.json", "dilation_nonexpanding.json",
-          "candidates_2d_k0.json"), 2),
-        (("eigen", "filter_avg.json", "eigen_const.json"), 0),
-        (("eigen", "filter_avg.json", "eigen_linear.json"), 1),
-        (("eigen", "filter_delta1.json", "eigen_shift.json"), 0),
-    ]
     ok = True
-    for argv, expected in corpus:
-        full = [argv[0]] + [os.path.join(FX, a) for a in argv[1:]]
-        code1, out1 = run(*full)
-        code2, out2 = run(*full)
+    for argv, expected in CLI_CORPUS:
+        code1, out1 = run_cli(*argv)
+        code2, out2 = run_cli(*argv)
         ok = ok and code1 == expected and code2 == expected
         ok = ok and out1 == out2
         if expected in (0, 1) and out1:
             json.loads(out1)  # reports are valid JSON
-    report(10, f"CLI corpus of {len(corpus)} invocations: documented exit "
+    report(10, f"CLI corpus of {len(CLI_CORPUS)} invocations: documented exit "
                "codes and byte-identical reruns", ok)

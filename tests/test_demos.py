@@ -1,0 +1,23 @@
+"""Every demo script runs to completion."""
+
+import os
+import subprocess
+import sys
+from glob import glob
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_exits_0(path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, path], capture_output=True, text=True,
+                          timeout=60, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr

@@ -1,14 +1,18 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from convkern import (DInvariantSpace, ExpPolySeq, Impulse, LaurentPoly,
-                      Spectrum, Zero, dual_apply, fat_point_space,
+                      Spectrum, Zero, certify_kernel, dual_apply, fat_point_space,
                       hermite_fundamentals, ideal_complement_filters,
                       impulse_from_symbol, kernel_basis, kernel_residual,
                       lower_set_space, quotient_dim_estimate, verify_zero_dim)
+from convkern import serialize as ser
 from convkern.linalg import span_residual
 
-from conftest import const, variables
+from conftest import FIXTURES, const, run_cli, variables
 
 
 def tensor_difference():
@@ -196,6 +200,53 @@ class TestKernelBasis:
         A = np.array([[s.value((a,)) for a in window] for s in seqs])
         s = np.linalg.svd(A, compute_uv=False)
         assert np.sum(s > 1e-8 * s[0]) == 3
+
+
+def _fixture(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestCertifyKernel:
+    """certify_kernel is the one certificate behind verify and kernel_basis."""
+
+    @pytest.mark.parametrize("filters, spectrum", [
+        ("filters_diff1.json", "spectrum_theta1_const.json"),
+        ("filters_kernel1d.json", "spectrum_kernel1d.json"),
+        ("filters_grid.json", "spectrum_fat_point_2d.json")])
+    @pytest.mark.parametrize("tol, pad", [(1e-9, 0), (1e-9, 3), (1e-6, 0)])
+    def test_matches_verify_and_kernel_basis(self, filters, spectrum, tol, pad):
+        H = ser.filters_from_json(_fixture(filters))
+        spec = ser.spectrum_from_json(_fixture(spectrum))
+        cert = certify_kernel(H, spec, tol=tol, pad=pad)
+        code, out = run_cli("--tol", repr(tol), "--window-pad", str(pad), "verify",
+                            filters, spectrum)
+        report = json.loads(out)
+        assert [(c["value"], c["tolerance"], c["pass"]) for c in report["checks"]] == \
+               [(r["residual"], r["tolerance"], r["pass"])
+                for r in cert["conditions"] + cert["oracle"]]
+        assert report["pass"] == cert["pass"] and code == (0 if cert["pass"] else 1)
+        if cert["pass"]:
+            basis = [(theta, P.elements) for theta, P in kernel_basis(H, spec, tol=tol)]
+            assert basis == [(theta, P.elements) for theta, P in cert["kernel"]]
+        else:
+            assert not cert["oracle"] and not cert["kernel"]
+            with pytest.raises(ValueError, match="dual conditions fail for 2 "):
+                kernel_basis(H, spec, tol=tol)
+
+    def test_oracle_failure_raises(self, monkeypatch):
+        from convkern import spectrum
+        monkeypatch.setattr(spectrum, "kernel_residual",
+                            lambda H, seq, pad=0: (1.0, {}))
+        z = LaurentPoly.variable(1, 0)
+        h = impulse_from_symbol(const(1, 1) - z)
+        spec = Spectrum((Zero((1.0,), fat_point_space(1, 0)),))
+        cert = certify_kernel([h], spec)
+        assert all(r["pass"] for r in cert["conditions"]) and not cert["pass"]
+        assert [(r["degree"], r["pass"]) for r in cert["oracle"]] == [(0, False)]
+        with pytest.raises(ValueError, match=r"kernel certificate failed at "
+                                             r"theta=\(\(1\+0j\),\): residual 1\.000e\+00"):
+            kernel_basis([h], spec)
 
 
 class TestQuotientDimEstimate:

@@ -621,52 +621,112 @@ def _scan_decompose(d, adj, alpha, reps):
     raise AssertionError(f"no coset representative matched {alpha}")
 
 
+DECOMPOSE_DILATIONS = [dil((5, 2), (-1, 4)), QUINCUNX, DIAG_23, dil((2, 1), (0, 2)),
+                       dil((0, 2), (3, 0)), dil((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+                       dil((0, 0, 2), (1, 0, 0), (0, 1, 0)), TWO]
+
+
 class TestCosetDecompose:
-    @pytest.mark.parametrize("Xi", [dil((5, 2), (-1, 4)), QUINCUNX, DIAG_23,
-                                    dil((2, 1), (0, 2)), dil((0, 2), (3, 0)),
-                                    dil((2, 0, 0), (0, 2, 0), (0, 0, 2)),
-                                    dil((0, 0, 2), (1, 0, 0), (0, 1, 0)), TWO],
-                             ids=lambda X: str(X.Xi))
+    @pytest.mark.parametrize("Xi", DECOMPOSE_DILATIONS, ids=lambda X: str(X.Xi))
     def test_closed_form_matches_scan(self, rng, Xi):
         from convkern.subdivision import _coset_decompose
         reps = coset_reps(Xi)
-        d, adj = Xi.det, int_adjugate(Xi.Xi)
+        d, adj = int_det(Xi.Xi), int_adjugate(Xi.Xi)
         for _ in range(200):
             alpha = tuple(int(v) for v in rng.integers(-40, 41, size=Xi.dim))
-            assert _coset_decompose(Xi, d, adj, alpha) == _scan_decompose(d, adj, alpha, reps)
+            assert _coset_decompose(Xi, alpha) == _scan_decompose(d, adj, alpha, reps)
+
+    @pytest.mark.parametrize("Xi", DECOMPOSE_DILATIONS, ids=lambda X: str(X.Xi))
+    def test_stored_adjugate(self, Xi):
+        # Xi adj = det I, and Xi^T adj^T = det I for the transposed variant
+        n = Xi.dim
+        identity = [[Xi.det * (i == j) for j in range(n)] for i in range(n)]
+        for M, adj in ((Xi.Xi, Xi.adj), (Xi.transpose(), Xi.adj_transpose())):
+            assert [[sum(M[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == identity
+        assert Xi.det == int_det(Xi.Xi) == int_det(Xi.transpose())
 
 
 class TestAdjugateOncePerCall:
-    """The determinant and adjugate are computed once per coset_reps,
-    subsymbols and subdivide call, not once per scanned point or tap."""
+    """A Dilation computes its determinant and adjugate once, when it is made;
+    coset_reps, subsymbols, subdivide, modulation_points and
+    canonical_zero_representative read the stored values."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """Names of the top-level int_det and int_adjugate calls; the
+        recursion over minors inside them is not counted."""
         from convkern import subdivision
-        seen = []
-        real = subdivision.int_adjugate
+        seen, depth = [], [0]
 
-        def counting(M):
-            seen.append(M)
-            return real(M)
+        def counting(name, real):
+            def wrapper(M):
+                if not depth[0]:
+                    seen.append(name)
+                depth[0] += 1
+                try:
+                    return real(M)
+                finally:
+                    depth[0] -= 1
+            return wrapper
 
-        monkeypatch.setattr(subdivision, "int_adjugate", counting)
+        for name in ("int_det", "int_adjugate"):
+            monkeypatch.setattr(subdivision, name, counting(name, getattr(subdivision, name)))
         return seen
+
+    @pytest.mark.parametrize("rows", [((5, 2), (-1, 4)), ((0, 2), (3, 0)),
+                                      ((0, 0, 2), (1, 0, 0), (0, 1, 0)), ((2,),)])
+    def test_dilation(self, calls, rows):
+        Xi = dil(*rows)
+        assert sorted(calls) == ["int_adjugate", "int_det"]
+        assert abs(Xi.det) == Xi.coset_count and len(Xi.adj) == Xi.dim
+        assert len(calls) == 2  # reading the stored values computes nothing
 
     def test_coset_reps(self, calls):
         Xi = dil((5, 2), (-1, 4))
+        calls.clear()
         assert len(coset_reps(Xi)) == 22 and len(coset_reps(Xi, transpose=True)) == 22
-        assert len(calls) == 2
+        assert calls == []
 
     def test_subsymbols(self, calls, rng):
-        subsymbols(random_mask(rng, 2), dil((5, 2), (-1, 4)))
-        assert len(calls) == 2  # coset_reps, then the tap decomposition
+        Xi = dil((5, 2), (-1, 4))
+        calls.clear()
+        subsymbols(random_mask(rng, 2), Xi)
+        assert calls == []
 
     def test_subdivide(self, calls):
         a = mask_1d(0.5, 1.0, 0.5)
         seq = ExpPolySeq.single((1.0,), const(1, 1))
+        calls.clear()
         subdivide(a, TWO, seq, Window((-3,), (3,)))
-        assert len(calls) == 1
+        assert calls == []
+
+    def test_modulation_points(self, calls):
+        Xi = dil((5, 2), (-1, 4))
+        calls.clear()
+        zeta = canonical_zero_representative(Xi, (0.5, 2.0))
+        assert len(modulation_points(Xi, zeta)) == 22
+        assert calls == []
+
+
+class TestToleranceOverride:
+    """The oracle test decides at max(tol, ORACLE_TOL), so raising tol above
+    ORACLE_TOL moves all three tests together.  With taps {0: 1, 2: -1 +
+    2e-7} the symmetric test reads 1.0e-7 and the oracle 5.0e-8: both pass
+    at tol = 1e-6, where a fixed oracle tolerance of 1e-8 disagreed."""
+
+    MASK = Impulse(1, {(0,): 1.0, (2,): -1.0 + 2e-7})
+
+    def test_oracle_follows_tol(self):
+        report = subdivision_kernel_check(self.MASK, TWO, [((1.0,), 0)], tol=1e-6)
+        [rec] = report["candidates"]
+        assert report["pass"] and rec["pass"]
+        assert rec["symmetric_zero_violation"] == pytest.approx(1e-7, rel=1e-6)
+        assert rec["oracle_residual"] == pytest.approx(5e-8, rel=1e-6)
+
+    def test_default_tol_fails_all_three(self):
+        [rec] = subdivision_kernel_check(self.MASK, TWO, [((1.0,), 0)])["candidates"]
+        assert not rec["pass"]
 
 
 class TestCosetScanSize:
