@@ -34,8 +34,9 @@ print("== kernel basis (certified) ==")
 kb = kernel_basis(H, spec)
 for theta, P in kb:
     print(f"theta = ({theta[0]:.3g}, {theta[1]:.3g})")
-    for p in P.elements:
-        res, _ = kernel_residual(H, ExpPolySeq.single(theta, p))
+    # one stacked oracle call per theta, one residual per element of P_theta
+    residuals = kernel_residual(H, [ExpPolySeq.single(theta, p) for p in P.elements])
+    for p, (res, _) in zip(P.elements, residuals):
         print(f"   p = {p}   residual = {res:.2e}")
 
 print()

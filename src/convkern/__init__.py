@@ -20,8 +20,8 @@ from .newton import (PThetaBasis, WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS,
 from .spectrum import (FundamentalSystem, Spectrum, Zero, certify_kernel,
                        dual_apply, hermite_fundamentals, ideal_complement_filters,
                        kernel_basis, quotient_dim_estimate, verify_zero_dim)
-from .subdivision import (Dilation, canonical_zero_representative, coset_reps,
-                          is_expanding, is_symmetric_zero, modulation_points,
+from .subdivision import (Dilation, NotExpandingError, canonical_zero_representative,
+                          coset_reps, is_expanding, is_symmetric_zero, modulation_points,
                           subdivide, subdivision_kernel_check, subsymbols,
                           symmetric_zero_order,
                           z_pow_Xi)
@@ -41,7 +41,7 @@ __all__ = [
     "Zero", "Spectrum", "FundamentalSystem", "dual_apply", "verify_zero_dim",
     "hermite_fundamentals", "ideal_complement_filters", "certify_kernel", "kernel_basis",
     "quotient_dim_estimate",
-    "Dilation", "is_expanding", "coset_reps", "subsymbols", "z_pow_Xi",
+    "Dilation", "NotExpandingError", "is_expanding", "coset_reps", "subsymbols", "z_pow_Xi",
     "modulation_points", "is_symmetric_zero", "subdivide",
     "subdivision_kernel_check", "canonical_zero_representative",
     "symmetric_zero_order",

@@ -22,7 +22,7 @@ from .newton import WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS, build_p_theta
 from .serialize import FormatError
 from .spectrum import (DEFAULT_CONVENTION, DEFAULT_TOL, KRONECKER_TOL, certify_kernel,
                        hermite_fundamentals)
-from .subdivision import is_expanding, subdivision_kernel_check
+from .subdivision import NotExpandingError, subdivision_kernel_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -144,9 +144,10 @@ def cmd_subdivide(args) -> int:
     candidates = ser.candidates_from_json(cand_obj)
     if a.dim != Xi.dim:
         raise FormatError("mask and dilation dimensions differ")
-    if not is_expanding(Xi):
-        raise FormatError("dilation matrix is not expanding")
-    report = subdivision_kernel_check(a, Xi, candidates, tol=args.tol)
+    try:
+        report = subdivision_kernel_check(a, Xi, candidates, tol=args.tol)
+    except NotExpandingError as exc:
+        raise FormatError(str(exc)) from exc
     checks = [{"name": f"candidate[theta={[_c(t) for t in rec['theta']]},k={rec['order']}]",
                "value": max(rec["symmetric_zero_violation"],
                             rec["subsymbol_violation"], rec["oracle_residual"]),

@@ -9,9 +9,15 @@ into a finite check.
 Convolving an exponential-polynomial sequence evaluates it at every (window
 point, tap) pair with numpy, from per-coordinate tables of x^e theta^x, in
 blocks of at most BLOCK_PAIRS pairs so that memory does not grow with the
-window; each block is then one matrix product with the tap vector.  The
+window; each block is then one matrix product with the tap vector.
+
+The oracle evaluates a stack of sequences in one pass: convolve(h, [seq,
+...], w) builds the tables once per distinct theta and gathers once per
+block for the whole stack, and kernel_residual(H, [seq, ...]) stacks the
+terms that share theta and certified window, one convolve per filter and
+stack.  Each row gets exactly the arithmetic of its sequence alone, so the
 certificate is unchanged: the same window, the same per-theta, per-filter
-residual and the same normalization.
+residual and the same normalization, bit for bit.
 """
 
 from __future__ import annotations
@@ -187,55 +193,75 @@ def _arguments(lower: int, upper: int, shifts) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _convolve_closed_form(h: Impulse, c: ExpPolySeq, w: Window) -> np.ndarray:
-    """(h * c) at w.points(), in that order, block by block.
+def _convolve_closed_form(h: Impulse, seqs: Sequence[ExpPolySeq], w: Window) -> np.ndarray:
+    """(h * c) at w.points(), in that order, one row per sequence c of the
+    stack, block by block.
 
-    Per coordinate j the sequence factors through the tables
+    Per coordinate j a sequence factors through the tables
     G[e, i] = x_i^e theta_j^x_i over the distinct arguments x_i, so each
     (point, tap) pair costs one table lookup per coordinate and monomial.
+    The arguments depend only on h and w, so the stack shares them: per
+    distinct theta the tables are built once, up to the top degree, and per
+    block the table columns are found and gathered once.  Row e of a table
+    does not depend on how many rows it has, and each row's tap product gets
+    the same matrix as a stack of that sequence alone, so every row equals
+    its single-sequence result exactly.
     """
     sides = tuple(u - l + 1 for l, u in zip(w.lower, w.upper))
     n = math.prod(sides)
-    out = np.zeros(n, dtype=complex)
-    if not h.taps or not c.terms:
+    out = np.zeros((len(seqs), n), dtype=complex)
+    live = [(r, c) for r, c in enumerate(seqs) if c.terms]
+    if not h.taps or not live:
         return out
-    if h.dim != w.dim or c.dim != w.dim:
+    if h.dim != w.dim or any(c.dim != w.dim for _, c in live):
         raise ValueError("filter, sequence and window dimensions differ")
     taus = np.array(list(h.taps), dtype=np.int64)
     hvec = np.array(list(h.taps.values()), dtype=complex)
     axes = [_arguments(l, u, taus[:, j].tolist())
             for j, (l, u) in enumerate(zip(w.lower, w.upper))]
-    terms = []
-    for theta, p in c.terms:
-        e = np.arange(max(p.degree(), 0) + 1)[:, None]
-        tables = [axis.astype(float) ** e * np.array([t ** x for x in axis.tolist()])
-                  for t, axis in zip(theta, axes)]
-        terms.append((list(p.terms.items()), tables))
+    degree: Dict[Tuple[complex, ...], int] = {}
+    for _, c in live:
+        for theta, p in c.terms:
+            degree[theta] = max(degree.get(theta, 0), p.degree())
+    tables = {theta: [np.fromiter(map(t.__pow__, axis.tolist()), complex, len(axis))
+                      * axis.astype(float) ** np.arange(top + 1)[:, None]
+                      for t, axis in zip(theta, axes)]
+              for theta, top in degree.items()}
     step = max(1, BLOCK_PAIRS // len(taus))
     for start in range(0, n, step):
         points = np.unravel_index(np.arange(start, min(n, start + step)), sides)
         # table column of every (point, tap) pair, per coordinate
         idx = [np.searchsorted(axis, (x + l)[:, None] - taus[None, :, j])
                for j, (axis, x, l) in enumerate(zip(axes, points, w.lower))]
-        values = np.zeros((len(points[0]), len(taus)), dtype=complex)
-        for monomials, tables in terms:
-            gathered = [table[:, i] for table, i in zip(tables, idx)]
-            for exp, coeff in monomials:
-                mono = coeff * gathered[0][exp[0]]
-                for g, k in zip(gathered[1:], exp[1:]):
-                    mono *= g[k]
-                values += mono
-        out[start:start + len(points[0])] = values @ hvec
+        gathered = {theta: [table[:, i] for table, i in zip(tabs, idx)]
+                    for theta, tabs in tables.items()}
+        for r, c in live:
+            values = np.zeros((len(points[0]), len(taus)), dtype=complex)
+            for theta, p in c.terms:
+                g0, *rest = gathered[theta]
+                for exp, coeff in p.terms.items():
+                    mono = coeff * g0[exp[0]]
+                    for g, k in zip(rest, exp[1:]):
+                        mono *= g[k]
+                    values += mono
+            out[r, start:start + len(points[0])] = values @ hvec
     return out
 
 
-def convolve(h: Impulse, c: "ExpPolySeq | SequenceSamples", w: Window) -> Dict[Exponent, complex]:
+def convolve(h: Impulse, c: "ExpPolySeq | Sequence[ExpPolySeq] | SequenceSamples",
+             w: Window):
     """(h * c)(alpha) = sum_beta h(beta) c(alpha - beta) on the window.
 
-    A sampled input must cover the window dilated by the support of h.
+    An ExpPolySeq or sampled input gives a dict keyed by window point; a
+    sampled input must cover the window dilated by the support of h.  A list
+    of ExpPolySeq gives an array with one row per sequence, its columns in
+    w.points() order, each row equal to the dict values of that sequence
+    alone.
     """
     if isinstance(c, ExpPolySeq):
-        return dict(zip(w.points(), _convolve_closed_form(h, c, w).tolist()))
+        return dict(zip(w.points(), _convolve_closed_form(h, [c], w)[0].tolist()))
+    if not isinstance(c, Mapping):
+        return _convolve_closed_form(h, c, w)
     out: Dict[Exponent, complex] = {}
     for alpha in w.points():
         total = 0j
@@ -269,28 +295,47 @@ def certified_window(seq: ExpPolySeq, pad: int = 0) -> Window:
     return Window((0,) * dim, (D,) * dim)
 
 
-def kernel_residual(H: Sequence[Impulse], seq: ExpPolySeq,
-                    pad: int = 0) -> Tuple[float, Dict[Tuple[complex, ...], float]]:
-    """Normalized annihilation residual of the sequence under every h in H.
+Residual = Tuple[float, Dict[Tuple[complex, ...], float]]
+
+
+def kernel_residual(H: Sequence[Impulse], seq: "ExpPolySeq | Sequence[ExpPolySeq]",
+                    pad: int = 0) -> "Residual | List[Residual]":
+    """Normalized annihilation residual of the sequence under every h in H,
+    as (overall, per-theta); a list of sequences gives one such pair each.
 
     Each theta-term is checked separately (convolution maps p e_theta into
     e_theta-multiples, so a summed check could hide failures by
-    cancellation).  Pointwise values are normalized by 1 + |theta^alpha|.
-    A residual that overflows is reported as NaN, which passes no tolerance.
+    cancellation), over its own certified window.  Pointwise values are
+    normalized by 1 + |theta^alpha|.  A residual that overflows is reported
+    as NaN, which passes no tolerance.  The terms of a list that share theta
+    and window are convolved as one stack, one convolve per filter; each
+    result equals that of its sequence alone.
     """
-    per_theta: Dict[Tuple[complex, ...], float] = {}
-    for theta, p in seq.terms:
-        term = ExpPolySeq.single(theta, p)
-        w = certified_window(term, pad=pad)
+    if isinstance(seq, ExpPolySeq):
+        return kernel_residual(H, [seq], pad)[0]
+    # (theta, window) -> positions (sequence, term) and the terms stacked there
+    groups: Dict[Tuple[Tuple[complex, ...], Window],
+                 Tuple[List[Tuple[int, int]], List[ExpPolySeq]]] = {}
+    for r, c in enumerate(seq):
+        for i, (theta, p) in enumerate(c.terms):
+            term = ExpPolySeq.single(theta, p)
+            positions, stack = groups.setdefault((theta, certified_window(term, pad=pad)),
+                                                 ([], []))
+            positions.append((r, i))
+            stack.append(term)
+    found: Dict[Tuple[int, int], float] = {}
+    for (theta, w), (positions, stack) in groups.items():
         scale = 1.0 + np.abs(_window_powers(theta, w))
-        worst = 0.0
+        worst = np.zeros(len(stack))
         for h in H:
-            vals = convolve(h, term, w)
-            residual = np.abs(np.fromiter(vals.values(), complex, len(vals))) / scale
-            worst = np.max(residual, initial=worst)  # propagates NaN
-        per_theta[theta] = float(worst)
-    overall = float(np.max(list(per_theta.values()), initial=0.0))
-    return overall, per_theta
+            residual = np.abs(convolve(h, stack, w)) / scale
+            worst = np.maximum(worst, np.max(residual, axis=1, initial=0.0))  # propagates NaN
+        found.update(zip(positions, worst.tolist()))
+    out = []
+    for r, c in enumerate(seq):
+        per_theta = {theta: found[r, i] for i, (theta, _) in enumerate(c.terms)}
+        out.append((float(np.max(list(per_theta.values()), initial=0.0)), per_theta))
+    return out
 
 
 def eigen_conditions(h: Impulse, theta: Sequence[complex], Q,

@@ -248,8 +248,9 @@ def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
         h_scale = max(1.0, max(h.l1() for h in H))
         for zero in spec.zeros:
             P = build_p_theta(zero.mult, zero.theta, convention)
-            for p in P.elements:
-                res, _ = kernel_residual(H, ExpPolySeq.single(zero.theta, p), pad=pad)
+            residuals = kernel_residual(
+                H, [ExpPolySeq.single(zero.theta, p) for p in P.elements], pad=pad)
+            for p, (res, _) in zip(P.elements, residuals):
                 bound = max(tol, ORACLE_TOL) * (h_scale * max(1.0, p.norm()))
                 oracle.append({"theta": zero.theta, "degree": p.degree(),
                                "residual": res, "tolerance": bound,

@@ -108,6 +108,10 @@ class Dilation:
         return tuple(sum(row[j] * alpha[j] for j in range(self.dim)) for row in self.Xi)
 
 
+class NotExpandingError(ValueError):
+    """A dilation matrix with an eigenvalue of modulus at most 1."""
+
+
 def is_expanding(Xi: Dilation, margin: float = 1e-9) -> bool:
     eigvals = np.linalg.eigvals(np.array(Xi.Xi, dtype=float))
     return bool(np.min(np.abs(eigvals)) > 1.0 + margin)
@@ -289,17 +293,21 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     (i) the canonical representative of theta is a symmetric zero of order k;
     (ii) all subsymbols have an order-k zero at theta^-1;
     (iii) the per-coset convolution oracle certifies every monomial of Pi_k
-    times e_theta, against max(tol, ORACLE_TOL).  Disagreement above
-    tolerance raises.
+    times e_theta, against max(tol, ORACLE_TOL).  A candidate passes when
+    all three pass; where they disagree (numerically, inside the band
+    between tol and ORACLE_TOL for instance) it fails, with all three
+    values in its record.
 
     Tests (ii) and (iii) are computed once per distinct theta, per monomial
-    x^beta up to the top order K requested for that theta; the graded
-    monomials of Pi_k are a prefix of those of Pi_K, so a candidate of order
-    k reads the first dim Pi_k values.  The report also carries the
-    subsymbols, keyed by coset representative.
+    x^beta up to the top order K requested for that theta, the oracle as one
+    kernel_residual call over the stack of monomials; the graded monomials
+    of Pi_k are a prefix of those of Pi_K, so a candidate of order k reads
+    the first dim Pi_k values.  The report also carries the subsymbols,
+    keyed by coset representative.  A dilation that is not expanding raises
+    NotExpandingError.
     """
     if not is_expanding(Xi):
-        raise ValueError("dilation matrix is not expanding")
+        raise NotExpandingError("dilation matrix is not expanding")
     subs = subsymbols(a, Xi)
     sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
     # a monomial factor is a unit away from the origin, so normalizing
@@ -332,10 +340,10 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
                 sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
             oracle_vals = np.zeros(len(orders))
             if sub_impulses:
-                oracle_vals = np.array([
-                    kernel_residual(sub_impulses, ExpPolySeq.single(
-                        theta, LaurentPoly.monomial(a.dim, exp)))[0] / l1
+                residuals = kernel_residual(sub_impulses, [
+                    ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
                     for exp in orders])
+                oracle_vals = np.array([res / l1 for res, _ in residuals])
             per_monomial[theta] = sub_vals, oracle_vals
         sub_vals, oracle_vals = per_monomial[theta]
         n = math.comb(a.dim + k, k)  # dim Pi_k
@@ -344,13 +352,7 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         oracle_worst = float(np.max(oracle_vals[:n], initial=0.0))  # propagates NaN
         oracle_ok = oracle_worst <= max(tol, ORACLE_TOL)
 
-        if len({sym_ok, sub_ok, oracle_ok}) != 1:
-            raise ValueError(
-                f"inconsistent kernel tests for theta={theta}, k={k}: "
-                f"symmetric={sym_ok} ({sym_violation:.3e}), "
-                f"subsymbols={sub_ok} ({sub_worst:.3e}), "
-                f"oracle={oracle_ok} ({oracle_worst:.3e})")
-        passed = sym_ok
+        passed = sym_ok and sub_ok and oracle_ok
         overall = overall and passed
         results.append({"theta": theta, "order": k, "pass": passed,
                         "symmetric_zero_violation": sym_violation,

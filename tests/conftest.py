@@ -60,6 +60,7 @@ CLI_CORPUS = [
     (("verify", "filters_diff1.json", "spectrum_theta1_const.json"), 0),
     (("verify", "filters_kernel1d.json", "spectrum_kernel1d.json"), 0),
     (("verify", "filters_grid.json", "spectrum_fat_point_2d.json"), 1),
+    (("verify", "filters_fat3_2d.json", "spectrum_fat3_2d.json"), 0),
     (("verify", "malformed.json", "spectrum_theta1_const.json"), 2),
     (("build-kernel", "spectrum_qpspaces.json"), 0),
     (("build-kernel", "spectrum_pi2.json"), 0),
@@ -73,6 +74,8 @@ CLI_CORPUS = [
       "candidates_1d_k0.json"), 1),
     (("subdivide", "mask_delta_2d.json", "dilation_nonexpanding.json",
       "candidates_2d_k0.json"), 2),
+    (("subdivide", "mask_quincunx_k3.json", "dilation_quincunx.json",
+      "candidates_2d_k0to3.json"), 1),
     (("eigen", "filter_avg.json", "eigen_const.json"), 0),
     (("eigen", "filter_avg.json", "eigen_linear.json"), 1),
     (("eigen", "filter_delta1.json", "eigen_shift.json"), 0),

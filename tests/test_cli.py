@@ -167,30 +167,48 @@ class TestSubdivide:
                       fx("dilation_nonexpanding.json"), fx("candidates_2d_k0.json"))
         assert code == 2
 
-    def test_subsymbols_computed_once(self, capsys, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Calls of subdivision.<name>, through every binding of the name,
+        as the CLI may import it too."""
         from convkern import cli, subdivision
         calls = []
-        real = subdivision.subsymbols
+        real = getattr(subdivision, name)
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        # every binding of the name, as the CLI may import it too
         for module in (cli, subdivision):
-            if getattr(module, "subsymbols", None) is real:
-                monkeypatch.setattr(module, "subsymbols", counting)
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_subsymbols_computed_once(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, "subsymbols")
         code, out = run(capsys, "subdivide", fx("mask_hat.json"),
                         fx("dilation_2.json"), fx("candidates_1d_k0.json"))
         assert code == 1 and len(calls) == 1
         assert [rec["coset"] for rec in json.loads(out)["subsymbols"]] == [[0], [1]]
 
+    def test_is_expanding_called_once(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, "is_expanding")
+        code, _ = run(capsys, "subdivide", fx("mask_hat.json"),
+                      fx("dilation_2.json"), fx("candidates_1d_k0.json"))
+        assert code == 1 and len(calls) == 1
+        code = main(["subdivide", fx("mask_delta_2d.json"),
+                     fx("dilation_nonexpanding.json"), fx("candidates_2d_k0.json")])
+        assert code == 2 and len(calls) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dilation matrix is not expanding\n"
 
-    def test_tol_override_reaches_the_oracle(self, capsys, tmp_path):
-        # symmetric test 1.0e-7, oracle 5.0e-8: both pass at --tol 1e-6
+    @staticmethod
+    def one_tap_pair(tmp_path, far_tap):
+        """Mask {0: 1, 2: far_tap}, dilation 2 and the candidate (1, k=0)."""
         inputs = {"mask": {"dim": 1, "taps": [
                       {"index": [0], "re": 1.0, "im": 0.0},
-                      {"index": [2], "re": -1.0 + 2e-7, "im": 0.0}]},
+                      {"index": [2], "re": far_tap, "im": 0.0}]},
                   "dilation": {"Xi": [[2]]},
                   "candidates": {"candidates": [{"theta": [ONE], "order": 0}]}}
         paths = []
@@ -198,10 +216,29 @@ class TestSubdivide:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(obj))
             paths.append(str(path))
-        code, out = run(capsys, "--tol", "1e-6", "subdivide", *paths)
+        return paths
+
+    def test_tol_override_reaches_the_oracle(self, capsys, tmp_path):
+        # symmetric test 1.0e-7, oracle 5.0e-8: both pass at --tol 1e-6
+        code, out = run(capsys, "--tol", "1e-6", "subdivide",
+                        *self.one_tap_pair(tmp_path, -1.0 + 2e-7))
         assert code == 0
         report = json.loads(out)
         assert report["pass"] and report["candidates"][0]["oracle_residual"] > 1e-8
+
+    def test_disagreement_is_a_failed_candidate(self, capsys, tmp_path):
+        # at the default tol the symmetric and subsymbol tests read 5.0e-9 and
+        # fail, while the oracle reads 2.5e-9 and passes against ORACLE_TOL:
+        # the report still prints, with the candidate failed
+        code, out = run(capsys, "subdivide", *self.one_tap_pair(tmp_path, -1.0 + 1e-8))
+        assert code == 1
+        report = json.loads(out)
+        [rec] = report["candidates"]
+        assert not report["pass"] and not rec["pass"]
+        assert rec["symmetric_zero_violation"] == pytest.approx(5e-9, rel=1e-6)
+        assert rec["subsymbol_violation"] == pytest.approx(5e-9, rel=1e-6)
+        assert rec["oracle_residual"] == pytest.approx(2.5e-9, rel=1e-6)
+        assert [c["pass"] for c in report["checks"]] == [False]
 
 
 class TestEigen:

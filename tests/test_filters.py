@@ -297,6 +297,114 @@ class TestBlockConvolve:
         assert peak - result <= 8e6
 
 
+def _random_stack(rng, dim, radius):
+    """Sequences sharing one theta with degrees 0..4, two-term sequences that
+    share it with a second theta, and a sequence with no terms."""
+    theta, other = _random_theta(rng, dim, radius), _random_theta(rng, dim, 1 / radius)
+    stack = [ExpPolySeq.single(theta, random_poly(rng, dim, d, complex_coeffs=True))
+             for d in (2, 0, 4, 1, 3)]
+    stack += [ExpPolySeq(((other, random_poly(rng, dim, 2)),
+                          (theta, random_poly(rng, dim, 3, complex_coeffs=True)))),
+              ExpPolySeq(()),
+              ExpPolySeq(((theta, random_poly(rng, dim, 1)),
+                          (other, random_poly(rng, dim, 4, complex_coeffs=True))))]
+    return stack
+
+
+def _assert_rows_are_single_calls(h, stack, w):
+    got = convolve(h, stack, w)
+    assert got.shape == (len(stack), len(list(w.points())))
+    for row, seq in zip(got, stack):
+        assert row.tolist() == list(convolve(h, seq, w).values())  # exactly
+
+
+class TestStackedConvolve:
+    """convolve(h, [seqs], w) is one row per sequence, each exactly the
+    single-sequence result."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0.3, 3.0])
+    def test_rows_equal_single_calls(self, rng, dim, radius):
+        for _ in range(3):
+            h = impulse_from_symbol(random_poly(rng, dim, 3, complex_coeffs=True,
+                                                laurent=True))
+            _assert_rows_are_single_calls(h, _random_stack(rng, dim, radius),
+                                          Window((-2,) * dim, (3,) * dim))
+
+    def test_empty_filter(self, rng):
+        stack = _random_stack(rng, 2, 3.0)
+        w = Window((-1, -1), (1, 2))
+        vals = convolve(Impulse(2, {}), stack, w)
+        assert vals.shape == (len(stack), 12) and not vals.any()
+        assert convolve(Impulse(2, {}), [], w).shape == (0, 12)
+
+    def test_several_blocks(self, rng, monkeypatch):
+        from convkern import filters
+        h = impulse_from_symbol(random_poly(rng, 1, 4, complex_coeffs=True, laurent=True))
+        n = 3 * (filters.BLOCK_PAIRS // len(h.taps)) + 7
+        _assert_rows_are_single_calls(h, _random_stack(rng, 1, 0.3)[:5],
+                                      Window((0,), (n,)))
+        monkeypatch.setattr(filters, "BLOCK_PAIRS", 5)
+        for dim in (2, 3):
+            h = impulse_from_symbol(random_poly(rng, dim, 2, laurent=True))
+            _assert_rows_are_single_calls(h, _random_stack(rng, dim, 3.0),
+                                          Window((-1,) * dim, (2,) * dim))
+
+    def test_dimension_mismatch(self):
+        stack = [ExpPolySeq.single((2.0,), const(1, 1)), ExpPolySeq.single((2.0, 1.0), const(2, 1))]
+        with pytest.raises(ValueError, match="dimensions differ"):
+            convolve(Impulse(2, {(0, 0): 1.0}), stack, Window((0, 0), (1, 1)))
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_kernel_residual_of_a_list(self, rng, pad):
+        for dim in (1, 2, 3):
+            H = [impulse_from_symbol(random_poly(rng, dim, 3, complex_coeffs=True,
+                                                 laurent=True)) for _ in range(3)]
+            stack = _random_stack(rng, dim, 3.0)
+            stack.append(stack[0])  # a repeated sequence shares its group
+            got = kernel_residual(H, stack, pad=pad)
+            assert got == [kernel_residual(H, seq, pad=pad) for seq in stack]
+            assert [list(per) for _, per in got] == [[t for t, _ in seq.terms]
+                                                    for seq in stack]
+
+    def test_kernel_residual_one_convolve_per_filter_and_window(self, monkeypatch):
+        from convkern import filters
+        calls = []
+        real = filters.convolve
+
+        def counting(h, c, w):
+            calls.append((len(c), w.upper))
+            return real(h, c, w)
+
+        monkeypatch.setattr(filters, "convolve", counting)
+        x = LaurentPoly.variable(1, 0)
+        H = [delta_diff(), Impulse(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})]
+        stack = [ExpPolySeq.single((1.0,), p) for p in (const(1, 1), x, 2 * x, x * x)]
+        kernel_residual(H, stack)
+        # windows {0}, {0..1} and {0..2}, each stacked once per filter
+        assert calls == [(1, (0,))] * 2 + [(2, (1,))] * 2 + [(1, (2,))] * 2
+
+    def test_memory_of_a_stack(self):
+        import tracemalloc
+        x = LaurentPoly.variable(1, 0)
+        theta = (np.exp(0.7j),)
+        stack = [ExpPolySeq.single(theta, const(1, 1) + (k / 8) * x if k % 2 else const(1, k))
+                 for k in range(8)]
+        h = Impulse(1, {(k - 8,): 1.0 / (k + 1) for k in range(16)})
+        w = Window((0,), (99_999,))
+        tracemalloc.start()
+        try:
+            vals = convolve(h, stack, w)
+            result, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (8, 100_000)
+        # beyond the returned array, the working memory (one shared table
+        # per theta and one block at a time) stays far below the 8 x 25.6 MB
+        # that arrays over all (point, tap) pairs would need
+        assert peak - result <= 8e6
+
+
 class TestEigenConditionsJets:
     """eigen_conditions against the apply_poly_diff reference, on Laurent
     filters, shifted eigen-monomials and |theta| away from 1."""

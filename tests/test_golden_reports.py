@@ -1,6 +1,6 @@
 """Golden digests of the fixture-corpus CLI reports.
 
-Each of the 16 CLI_CORPUS invocations runs with the default flags, with
+Each of the 18 CLI_CORPUS invocations runs with the default flags, with
 --window-pad 3 and with --tol 1e-6; its exit code and the sha256 of its
 standard output are pinned below.  A change that alters report bytes on
 purpose updates these digests and records in CHANGES.md which reports
@@ -23,6 +23,8 @@ DIGESTS = {
         (0, "273202442ed87d58eff0ffa50a4fc9304e67c673783eb3de84b4167651fb04ee"),
     "verify filters_grid.json spectrum_fat_point_2d.json":
         (1, "bbe3afa0b0d7a658795c851ba5dd3cf67b958627f321dd9f1ba352ed4462fed0"),
+    "verify filters_fat3_2d.json spectrum_fat3_2d.json":
+        (0, "a3017df857c70f416ec75666c53fe033a68b172307da7fc72c55d7f9371774de"),
     "verify malformed.json spectrum_theta1_const.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "build-kernel spectrum_qpspaces.json":
@@ -43,6 +45,8 @@ DIGESTS = {
         (1, "efdfeb303d923f663161a18e9c4cdcd2fa16b909727f18b46c2f376b719606c2"),
     "subdivide mask_delta_2d.json dilation_nonexpanding.json candidates_2d_k0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_2d_k0to3.json":
+        (1, "8dc3906d1091f6ca008a7b5260dd40e4be1f1b0f66d991973b4581a9f62123ab"),
     "eigen filter_avg.json eigen_const.json":
         (0, "1e6f7c92f177dbb3459ea97e7ab1f378e616023f521e8d0ea5f34e1557a12efe"),
     "eigen filter_avg.json eigen_linear.json":
@@ -55,6 +59,8 @@ DIGESTS = {
         (0, "3c4eeeda2f7b431bb9ae9261f6fe48f3c2957b0c60d334b94fbfc0464ec4e353"),
     "--window-pad 3 verify filters_grid.json spectrum_fat_point_2d.json":
         (1, "bbe3afa0b0d7a658795c851ba5dd3cf67b958627f321dd9f1ba352ed4462fed0"),
+    "--window-pad 3 verify filters_fat3_2d.json spectrum_fat3_2d.json":
+        (0, "7695b610f5135d615d7d292400b9dd5454b589c0d6c3ca11d38ff52764ed3667"),
     "--window-pad 3 verify malformed.json spectrum_theta1_const.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 build-kernel spectrum_qpspaces.json":
@@ -75,6 +81,8 @@ DIGESTS = {
         (1, "efdfeb303d923f663161a18e9c4cdcd2fa16b909727f18b46c2f376b719606c2"),
     "--window-pad 3 subdivide mask_delta_2d.json dilation_nonexpanding.json candidates_2d_k0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_2d_k0to3.json":
+        (1, "8dc3906d1091f6ca008a7b5260dd40e4be1f1b0f66d991973b4581a9f62123ab"),
     "--window-pad 3 eigen filter_avg.json eigen_const.json":
         (0, "1e6f7c92f177dbb3459ea97e7ab1f378e616023f521e8d0ea5f34e1557a12efe"),
     "--window-pad 3 eigen filter_avg.json eigen_linear.json":
@@ -87,6 +95,8 @@ DIGESTS = {
         (0, "f73ed32ea61eb18cb2436f604b0a92b1c1c555bfa0421260be9a1be502b9f332"),
     "--tol 1e-6 verify filters_grid.json spectrum_fat_point_2d.json":
         (1, "3c9552264748df78f35e71f232f305e0d61e1ac2156591669ca886cae067aad4"),
+    "--tol 1e-6 verify filters_fat3_2d.json spectrum_fat3_2d.json":
+        (0, "6e61788b220fd7a3c40d1b0fe8042571339e756945ace804f47ff17be7a651f4"),
     "--tol 1e-6 verify malformed.json spectrum_theta1_const.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 build-kernel spectrum_qpspaces.json":
@@ -107,6 +117,8 @@ DIGESTS = {
         (1, "cb29be8a9312bf14d0bf63439fcbc445fcb6e8bbbb8a43afe5053c24d4fccd7a"),
     "--tol 1e-6 subdivide mask_delta_2d.json dilation_nonexpanding.json candidates_2d_k0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_2d_k0to3.json":
+        (1, "bc4056c7ad3734c9c958b2abf9fdec7be23bf95dc251c9d2b0d3d56379262313"),
     "--tol 1e-6 eigen filter_avg.json eigen_const.json":
         (0, "87f618e8d679a71be7dbece81abd55e0c3a119f6e78a0bb672284089959d19a8"),
     "--tol 1e-6 eigen filter_avg.json eigen_linear.json":

@@ -237,7 +237,7 @@ class TestCertifyKernel:
     def test_oracle_failure_raises(self, monkeypatch):
         from convkern import spectrum
         monkeypatch.setattr(spectrum, "kernel_residual",
-                            lambda H, seq, pad=0: (1.0, {}))
+                            lambda H, seqs, pad=0: [(1.0, {})] * len(seqs))
         z = LaurentPoly.variable(1, 0)
         h = impulse_from_symbol(const(1, 1) - z)
         spec = Spectrum((Zero((1.0,), fat_point_space(1, 0)),))

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from convkern import (Dilation, ExpPolySeq, Impulse, LaurentPoly, Window,
+from convkern import (Dilation, ExpPolySeq, Impulse, LaurentPoly, NotExpandingError, Window,
                       canonical_zero_representative, convolve, coset_reps,
                       is_expanding, is_symmetric_zero, modulation_points,
                       subdivide, subdivision_kernel_check, subsymbols,
@@ -371,7 +371,7 @@ class TestKernelCheck:
 
     def test_nonexpanding_rejected(self):
         a = Impulse(2, {(0, 0): 1.0})
-        with pytest.raises(ValueError):
+        with pytest.raises(NotExpandingError, match="not expanding"):
             subdivision_kernel_check(a, dil((1, 0), (0, 2)), [((1.0, 1.0), 0)])
 
 
@@ -581,9 +581,9 @@ class TestSharedCandidates:
         seen = []
         real = subdivision.kernel_residual
 
-        def counting(H, seq, *args, **kwargs):
-            seen.append(seq)
-            return real(H, seq, *args, **kwargs)
+        def counting(H, seqs, *args, **kwargs):
+            seen.append(seqs)
+            return real(H, seqs, *args, **kwargs)
 
         monkeypatch.setattr(subdivision, "kernel_residual", counting)
         return seen
@@ -593,19 +593,23 @@ class TestSharedCandidates:
         theta, other = random_point(rng, 2), random_point(rng, 2)
         a = planted_mask(rng, Xi, theta, 2)
         subdivision_kernel_check(a, Xi, [(theta, 1), (other, 0), (theta, 3), (theta, 0)])
-        # sum over theta of dim Pi_{K_theta}: dim Pi_3 + dim Pi_0 in two variables
-        assert len(residual_calls) == 10 + 1
+        # one call per distinct theta over the monomials of Pi_{K_theta}:
+        # dim Pi_3 and dim Pi_0 in two variables
+        assert [len(seqs) for seqs in residual_calls] == [10, 1]
+        assert [seq.max_degree() for seq in residual_calls[0]] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
 
     def test_nan_oracle_residual_fails(self, rng, monkeypatch):
         from convkern import subdivision
         monkeypatch.setattr(subdivision, "kernel_residual",
-                            lambda H, seq, *args, **kwargs: (float("nan"), {}))
+                            lambda H, seqs, *args, **kwargs: [(float("nan"), {})] * len(seqs))
         theta = (1.0,)
         z = LaurentPoly.variable(1, 0)
         a = Impulse(1, dict((const(1, 1) - z * z).terms))
-        # the other two tests pass, so a NaN oracle is a disagreement ...
-        with pytest.raises(ValueError, match="inconsistent"):
-            subdivision_kernel_check(a, TWO, [(theta, 0)])
+        # the other two tests pass, so a NaN oracle is a disagreement, which
+        # fails the candidate with all three values recorded ...
+        rec = subdivision_kernel_check(a, TWO, [(theta, 0)])["candidates"][0]
+        assert not rec["pass"] and np.isnan(rec["oracle_residual"])
+        assert rec["symmetric_zero_violation"] <= 1e-9 and rec["subsymbol_violation"] <= 1e-9
         # ... and where they fail, it fails with them
         rec = subdivision_kernel_check(a, TWO, [(theta, 1)])["candidates"][0]
         assert not rec["pass"] and np.isnan(rec["oracle_residual"])
