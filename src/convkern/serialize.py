@@ -9,6 +9,18 @@ real is a finite JSON number, every exponent, index, dimension, order and
 matrix entry is a JSON integer (not a float or a bool), multiplicity spaces
 have total degree and candidates order at most MAX_FACTORIAL, and a
 dilation's coset search box holds at most MAX_COSET_SCAN points.
+
+dumps writes a report as exactly the bytes of json.dumps(obj, indent=2,
+allow_nan=False) followed by a newline: 2-space indent, "," and ": "
+separators, "[]" and "{}" for empty containers, tuples as lists, strings and
+keys through json.encoder.encode_basestring_ascii, floats and ints through
+float.__repr__ and int.__repr__ (subclasses such as np.float64 included).
+json.dumps with an indent runs the pure-Python generator encoder, because the
+C encoder does not indent; a direct recursive writer that appends one
+fragment per member is about twice as fast, at no more peak memory.  A
+non-finite float cannot be written: dumps raises FormatError naming its path,
+found by a second walk only after the writer hits it.  Other types and
+non-str keys raise TypeError.
 """
 
 from __future__ import annotations
@@ -224,7 +236,118 @@ def eigenspec_from_json(obj: Any, dim: int):
     return theta, lam, alpha, Q
 
 
+_string = json.encoder.encode_basestring_ascii
+_float = float.__repr__
+_int = int.__repr__
+
+
+class _NonFinite(Exception):
+    """A float that JSON cannot hold; dumps names it in a FormatError."""
+
+
+def _scalar(v: Any) -> str | None:
+    """JSON text of a scalar, None for a container; checked as json.dumps does."""
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return _string(v)
+    if isinstance(v, int):
+        return _int(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise _NonFinite
+        return _float(v)
+    if isinstance(v, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _write(obj: Any, parts: List[str], indent: str) -> None:
+    """Append the text of a list, tuple or dict whose closing bracket sits at
+    indent (a newline and spaces).  Exact floats, strs and ints take the
+    inline paths.  Each member with a scalar value is one fragment: separate
+    separator, key and value fragments raise the peak memory above
+    json.dumps's."""
+    inner = indent + "  "
+    more = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            t = type(value)
+            if t is float:
+                if value - value:  # NaN for ±inf and NaN, 0.0 for every finite value
+                    raise _NonFinite
+                parts.append(f"{sep}{_string(key)}: {_float(value)}")
+            elif t is str:
+                parts.append(f"{sep}{_string(key)}: {_string(value)}")
+            elif t is int:
+                parts.append(f"{sep}{_string(key)}: {_int(value)}")
+            elif t is list or t is dict or (text := _scalar(value)) is None:
+                parts.append(f"{sep}{_string(key)}: ")
+                _write(value, parts, inner)
+            else:
+                parts.append(f"{sep}{_string(key)}: {text}")
+            sep = more
+        parts.append(indent + "}")
+    else:
+        if not obj:
+            parts.append("[]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            t = type(value)
+            if t is float:
+                if value - value:
+                    raise _NonFinite
+                parts.append(sep + _float(value))
+            elif t is int:
+                parts.append(sep + _int(value))
+            elif t is list or t is dict or (text := _scalar(value)) is None:
+                parts.append(sep)
+                _write(value, parts, inner)
+            else:
+                parts.append(sep + text)
+            sep = more
+        parts.append(indent + "]")
+
+
+def _non_finite(obj: Any, path: str = "") -> Tuple[str, float] | None:
+    """(path, value) of the first float in obj that is not finite, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub, value in items:
+        found = _non_finite(value, sub)
+        if found:
+            return found
+    return None
+
+
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text: fixed key order as constructed, shortest
-    round-trip float representation (Python's default)."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """The bytes of json.dumps(obj, indent=2, allow_nan=False) + "\n", written
+    directly; a non-finite float raises FormatError naming its path."""
+    try:
+        text = _scalar(obj)
+        if text is None:
+            parts: List[str] = []
+            _write(obj, parts, "\n")
+            text = "".join(parts)
+    except _NonFinite:
+        path, value = _non_finite(obj)
+        raise FormatError(f"{path or 'report'} is {value!r}: input magnitudes "
+                          "overflow double precision") from None
+    return text + "\n"

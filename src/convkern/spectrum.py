@@ -18,6 +18,7 @@ one through dual_apply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -111,7 +112,11 @@ def _normalized_symbol(h: Impulse) -> LaurentPoly:
 
 
 def _dual_scale(g: LaurentPoly, point: Sequence[complex]) -> float:
-    return 1.0 + sum(abs(c) * abs(LaurentPoly.monomial(g.dim, exp).evaluate(point))
+    """1 + Σ |c| |point^exp| over the terms of g.  Each power product starts
+    from 1 and skips zero exponents, as LaurentPoly.evaluate of the monomial
+    does, so the scale is bit-identical without building the monomial."""
+    z = [complex(v) for v in point]
+    return 1.0 + sum(abs(c) * abs(math.prod(v ** e for v, e in zip(z, exp) if e))
                      for exp, c in g.terms.items())
 
 

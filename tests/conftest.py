@@ -79,6 +79,11 @@ CLI_CORPUS = [
     (("eigen", "filter_avg.json", "eigen_const.json"), 0),
     (("eigen", "filter_avg.json", "eigen_linear.json"), 1),
     (("eigen", "filter_delta1.json", "eigen_shift.json"), 0),
+    # finite inputs whose report values overflow to inf or NaN
+    (("verify", "filters_overflow.json", "spectrum_theta1_const.json"), 2),
+    (("subdivide", "mask_overflow.json", "dilation_2.json",
+      "candidates_1d_k0.json"), 2),
+    (("eigen", "filter_overflow.json", "eigen_theta_minus1.json"), 2),
 ]
 
 

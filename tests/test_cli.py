@@ -305,6 +305,74 @@ class TestUsage:
         assert main(["--help"]) == 0
 
 
+class TestParserOnce:
+    """main builds its argparse parser once per process and reuses it."""
+
+    ARGV = ("verify", "filters_kernel1d.json", "spectrum_kernel1d.json")
+    FLAGS = [(), ("--tol", "1e-6"), ("--window-pad", "3")]
+
+    def _run(self, capsys, flags):
+        return run(capsys, *flags, self.ARGV[0], *[fx(name) for name in self.ARGV[1:]])
+
+    def test_built_once(self, capsys, monkeypatch):
+        from convkern import cli
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for flags in self.FLAGS * 2:
+                assert self._run(capsys, flags)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_alternating_flags_match_each_alone(self, capsys):
+        from convkern import cli
+        alone = {}
+        for flags in self.FLAGS:
+            cli._parser.cache_clear()
+            alone[flags] = self._run(capsys, flags)
+        assert len({out for _, out in alone.values()}) == len(self.FLAGS)
+        for flags in [self.FLAGS[i] for i in (1, 2, 0, 1, 0, 2, 2, 1)]:
+            assert self._run(capsys, flags) == alone[flags]
+
+    def test_usage_error_and_help_leave_the_parser_usable(self, capsys):
+        expected = self._run(capsys, ())
+        assert main(["--window-pad", "x", "verify"]) == 2
+        assert main(["frobnicate"]) == 2
+        assert main(["--help"]) == 0
+        assert main(["verify", "--help"]) == 0
+        capsys.readouterr()
+        assert self._run(capsys, ()) == expected
+
+
+class TestNonFiniteReport:
+    """Finite inputs whose report values overflow to inf or NaN exit 2 with an
+    empty stdout and name the first such field, instead of exiting 1."""
+
+    CASES = {
+        "verify": (("verify", "filters_overflow.json", "spectrum_theta1_const.json"),
+                   "checks[0].tolerance is inf"),
+        "subdivide": (("subdivide", "mask_overflow.json", "dilation_2.json",
+                       "candidates_1d_k0.json"),
+                      "candidates[0].symmetric_zero_violation is nan"),
+        "eigen": (("eigen", "filter_overflow.json", "eigen_theta_minus1.json"),
+                  "checks[0].tolerance is inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exits_2_naming_the_field(self, case, capsys):
+        argv, field = self.CASES[case]
+        code = main([argv[0]] + [fx(name) for name in argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: {field}: input magnitudes overflow "
+                                "double precision\n")
+
+
 class TestSerializationRoundTrip:
     def test_poly(self, rng):
         for _ in range(20):

@@ -1,6 +1,6 @@
 """Golden digests of the fixture-corpus CLI reports.
 
-Each of the 18 CLI_CORPUS invocations runs with the default flags, with
+Each of the 21 CLI_CORPUS invocations runs with the default flags, with
 --window-pad 3 and with --tol 1e-6; its exit code and the sha256 of its
 standard output are pinned below.  A change that alters report bytes on
 purpose updates these digests and records in CHANGES.md which reports
@@ -53,6 +53,12 @@ DIGESTS = {
         (1, "a438821d5afa218c2f557ba7ed13d509130ee38486f47066c7ea20cd467807e4"),
     "eigen filter_delta1.json eigen_shift.json":
         (0, "ef6518fb46240a337eb31250f7cb49b52d059db64979966128dff48327d7d06b"),
+    "verify filters_overflow.json spectrum_theta1_const.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "subdivide mask_overflow.json dilation_2.json candidates_1d_k0.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eigen filter_overflow.json eigen_theta_minus1.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "480c7bebb7f5dc793a86ccf289c10c6f9afe7fda6b70e16ada8dc385c00e616a"),
     "--window-pad 3 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -89,6 +95,12 @@ DIGESTS = {
         (1, "a438821d5afa218c2f557ba7ed13d509130ee38486f47066c7ea20cd467807e4"),
     "--window-pad 3 eigen filter_delta1.json eigen_shift.json":
         (0, "ef6518fb46240a337eb31250f7cb49b52d059db64979966128dff48327d7d06b"),
+    "--window-pad 3 verify filters_overflow.json spectrum_theta1_const.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 subdivide mask_overflow.json dilation_2.json candidates_1d_k0.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 eigen filter_overflow.json eigen_theta_minus1.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "175c5794ef4ab7dce096909bbac963cd81df9be25f4912e35e2a91ff7e1f7bab"),
     "--tol 1e-6 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -125,6 +137,12 @@ DIGESTS = {
         (1, "f2d1dd08fd348171d962820ecec5839f5d74894613843bbc504742b22ceafde6"),
     "--tol 1e-6 eigen filter_delta1.json eigen_shift.json":
         (0, "2c159b5c2a4047c5432234a674a81bad070fec4ac29aebfc25099d06a240cca7"),
+    "--tol 1e-6 verify filters_overflow.json spectrum_theta1_const.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 subdivide mask_overflow.json dilation_2.json candidates_1d_k0.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 eigen filter_overflow.json eigen_theta_minus1.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 INVOCATIONS = [flags + argv for flags in FLAGS for argv, _ in CLI_CORPUS]

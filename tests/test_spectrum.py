@@ -12,7 +12,7 @@ from convkern import (DInvariantSpace, ExpPolySeq, Impulse, LaurentPoly,
 from convkern import serialize as ser
 from convkern.linalg import span_residual
 
-from conftest import FIXTURES, const, run_cli, variables
+from conftest import FIXTURES, const, random_poly, run_cli, variables
 
 
 def tensor_difference():
@@ -71,6 +71,16 @@ class TestVerifyZeroDim:
         spec = Spectrum((Zero((1.0, 1.0), fat_point_space(2, 0)),))
         with pytest.raises(ValueError):
             verify_zero_dim([h], spec)
+
+    def test_dual_scale_matches_monomial_evaluation(self, rng):
+        from convkern.spectrum import _dual_scale
+        for _ in range(50):
+            dim = int(rng.integers(1, 4))
+            g = random_poly(rng, dim, 6, complex_coeffs=True, laurent=True)
+            point = tuple(complex(*rng.normal(size=2)) for _ in range(dim))
+            reference = 1.0 + sum(abs(c) * abs(LaurentPoly.monomial(dim, exp).evaluate(point))
+                                  for exp, c in g.terms.items())
+            assert _dual_scale(g, point) == reference
 
 
 class TestHermiteFundamentals:
