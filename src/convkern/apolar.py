@@ -5,16 +5,20 @@ multiplication adjoint to differentiation and is degree-orthogonal on
 homogeneous polynomials, which is what makes degree-graded Gram-Schmidt
 work.  On real inputs the conjugation is a no-op and the form is the usual
 bilinear one.
+
+DInvariantSpace.ortho_basis is ortho_homog_basis, computed once, on first
+use; every reader of the orthonormal basis shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import coeff_matrix, numerical_rank, span_residual
+from .linalg import coeff_matrix, monomials_upto, numerical_rank, span_residual
 from .mpoly import LaurentPoly, apply_poly_diff, multi_factorial
 
 SPAN_TOL = 1e-8
@@ -48,9 +52,8 @@ def adjoint_check(p: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> float:
     return abs(lhs - rhs)
 
 
-def is_d_invariant(basis: Sequence[LaurentPoly],
-                   tol: float = SPAN_TOL) -> Tuple[bool, Optional[Tuple[LaurentPoly, int]]]:
-    """Check closure of span(basis) under all first partials.
+def is_d_invariant(basis: Sequence[LaurentPoly]) -> Tuple[bool, Optional[Tuple[LaurentPoly, int]]]:
+    """Check closure of span(basis) under all first partials, to SPAN_TOL.
 
     Returns (True, None) on success, else (False, (q, j)) for a basis
     element q whose j-th partial leaves the span.  Requires a linearly
@@ -71,7 +74,7 @@ def is_d_invariant(basis: Sequence[LaurentPoly],
             if dq.is_zero:
                 continue
             rel, _ = span_residual(dq, basis)
-            if rel > tol:
+            if rel > SPAN_TOL:
                 return False, (q, j)
     return True, None
 
@@ -81,7 +84,6 @@ class DInvariantSpace:
     """A finite-dimensional polynomial space closed under differentiation."""
 
     basis: Tuple[LaurentPoly, ...]
-    tol: float = SPAN_TOL
     _checked: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -97,7 +99,7 @@ class DInvariantSpace:
                 raise ValueError("zero polynomial in basis")
         object.__setattr__(self, "basis", basis)
         if not self._checked:
-            ok, witness = is_d_invariant(basis, self.tol)
+            ok, witness = is_d_invariant(basis)
             if not ok:
                 q, j = witness
                 raise ValueError(f"not D-invariant: partial {j} of {q!r} leaves the span")
@@ -113,9 +115,14 @@ class DInvariantSpace:
     def degree(self) -> int:
         return max(p.degree() for p in self.basis)
 
-    def contains(self, f: LaurentPoly, tol: Optional[float] = None) -> bool:
+    def contains(self, f: LaurentPoly) -> bool:
         rel, _ = span_residual(f, self.basis)
-        return rel <= (self.tol if tol is None else tol)
+        return rel <= SPAN_TOL
+
+    @cached_property
+    def ortho_basis(self) -> Tuple[LaurentPoly, ...]:
+        """The Bombieri-orthonormal homogeneous basis, computed once."""
+        return tuple(ortho_homog_basis(self))
 
 
 def lower_set_space(dim: int, exponents: Sequence[Sequence[int]]) -> DInvariantSpace:
@@ -126,7 +133,6 @@ def lower_set_space(dim: int, exponents: Sequence[Sequence[int]]) -> DInvariantS
 
 def fat_point_space(dim: int, order: int) -> DInvariantSpace:
     """Pi_k: every polynomial of total degree <= order."""
-    from .linalg import monomials_upto
     basis = [LaurentPoly.monomial(dim, exp) for exp in monomials_upto(dim, order)]
     return DInvariantSpace(tuple(basis), _checked=True)
 
@@ -172,10 +178,9 @@ def ortho_homog_basis(space: DInvariantSpace) -> List[LaurentPoly]:
 
 def ortho_expansion_residual(space: DInvariantSpace, f: LaurentPoly) -> float:
     """Residual of the reconstruction f = sum_q (q(D)f)(0) q over the orthonormal basis."""
-    Q = ortho_homog_basis(space)
     origin = [0.0] * space.dim
     recon = LaurentPoly.zero(space.dim)
-    for q in Q:
+    for q in space.ortho_basis:
         recon = recon + q.scale(apply_poly_diff(q.conjugate(), f).evaluate(origin))
     return (recon - f).norm()
 
@@ -185,9 +190,8 @@ def taylor_identity_residual(space: DInvariantSpace, f: LaurentPoly,
     """|f(x+y) - sum_q (q(D)f)(y) q(x)| over the orthonormal basis."""
     if not space.contains(f):
         raise ValueError("f is not in the span of the space")
-    Q = ortho_homog_basis(space)
     xy = [complex(a) + complex(b) for a, b in zip(x, y)]
     total = 0j
-    for q in Q:
+    for q in space.ortho_basis:
         total += apply_poly_diff(q.conjugate(), f).evaluate(y) * q.evaluate(x)
     return abs(f.evaluate(xy) - total)

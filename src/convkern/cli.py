@@ -248,6 +248,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OverflowError, ZeroDivisionError) as exc:  # a huge or tiny |theta|
+        print(f"error: {exc}: input magnitudes overflow double precision",
+              file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

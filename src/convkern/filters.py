@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .linalg import dual_rows
-from .mpoly import Exponent, LaurentPoly, grlex_key
+from .mpoly import Exponent, LaurentPoly, grlex_key, laurent_normalize
 
 
 def _theta_pow(theta: Sequence[complex], alpha: Sequence[int]) -> complex:
@@ -62,17 +63,17 @@ class Impulse:
                 clean[idx] = c
         object.__setattr__(self, "taps", clean)
 
-    @classmethod
-    def delta(cls, dim: int, at: Sequence[int] | None = None) -> "Impulse":
-        at = tuple(at) if at is not None else (0,) * dim
-        return cls(dim, {at: 1.0})
-
     @property
     def is_zero(self) -> bool:
         return not self.taps
 
     def l1(self) -> float:
         return sum(abs(c) for c in self.taps.values())
+
+    @cached_property
+    def normalized_symbol(self) -> LaurentPoly:
+        """h*(z) without its monomial factor (laurent_normalize), computed once."""
+        return laurent_normalize(symbol(self))[0]
 
     def sorted_taps(self) -> List[Tuple[Exponent, complex]]:
         return [(idx, self.taps[idx]) for idx in sorted(self.taps, key=grlex_key)]
@@ -164,10 +165,6 @@ class Window:
     def points(self) -> Iterable[Exponent]:
         ranges = [range(l, u + 1) for l, u in zip(self.lower, self.upper)]
         return product(*ranges)
-
-    def pad(self, amount: int) -> "Window":
-        return Window(tuple(l - amount for l in self.lower),
-                      tuple(u + amount for u in self.upper))
 
 
 SequenceSamples = Mapping[Exponent, complex]
@@ -344,13 +341,11 @@ def eigen_conditions(h: Impulse, theta: Sequence[complex], Q,
     """Check q(D) h*(theta^-1) = lam (q(D) (.)^alpha_h)(theta^-1) for every
     orthonormal basis element q of Q; with alpha_h = 0 this is
     h*(theta^-1) = lam plus vanishing higher dual conditions."""
-    from .apolar import ortho_homog_basis
-
     theta = tuple(complex(t) for t in theta)
     if any(t == 0 for t in theta):
         raise ValueError("theta must lie in C_x^s")
     point = [1.0 / t for t in theta]
-    basis = ortho_homog_basis(Q)
+    basis = Q.ortho_basis
     # the taps of h, then the shift monomial z^alpha_h
     support = list(h.taps) + [tuple(int(a) for a in alpha_h)]
     rows = dual_rows(basis, support, point)

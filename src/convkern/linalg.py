@@ -17,6 +17,9 @@ import numpy as np
 
 from .mpoly import Exponent, LaurentPoly, grlex_key
 
+# Relative singular-value threshold of every numerical rank and nullspace.
+RANK_TOL = 1e-10
+
 
 def monomials_upto(dim: int, degree: int) -> List[Exponent]:
     """All exponents with |gamma| <= degree, in graded-lex order."""
@@ -114,20 +117,20 @@ def span_residual(f: LaurentPoly, basis: Sequence[LaurentPoly]) -> Tuple[float, 
     return float(rel), coeffs
 
 
-def numerical_rank(A: np.ndarray, rel_threshold: float = 1e-10) -> int:
+def numerical_rank(A: np.ndarray) -> int:
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > rel_threshold * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def nullspace(A: np.ndarray, rel_threshold: float = 1e-10) -> np.ndarray:
+def nullspace(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the (numerical) nullspace, columns."""
     if A.shape[0] == 0:
         return np.eye(A.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(A)
-    tol = rel_threshold * (s[0] if s.size else 1.0)
+    tol = RANK_TOL * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > tol))
     return vh[rank:].conj().T

@@ -126,9 +126,6 @@ class LaurentPoly:
         for exp in sorted(self.terms, key=grlex_key):
             yield exp, self.terms[exp]
 
-    def coeff(self, exp: Sequence[int]) -> Complex:
-        return self.terms.get(tuple(exp), 0.0)
-
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
         return math.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))

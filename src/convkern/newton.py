@@ -19,8 +19,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .apolar import DInvariantSpace, ortho_homog_basis
-from .linalg import coeff_matrix, from_coeff_vector, joint_support
+from .apolar import DInvariantSpace
+from .linalg import coeff_matrix, from_coeff_vector, joint_support, monomials_upto
 from .mpoly import (Exponent, LaurentPoly, falling_factorial, grlex_key,
                     multi_factorial)
 
@@ -54,7 +54,6 @@ def newton_coeffs(f: LaurentPoly) -> Dict[Exponent, complex]:
         return out
     origin = [0.0] * f.dim
     deg = f.degree()
-    from .linalg import monomials_upto
     for gamma in monomials_upto(f.dim, deg):
         val = forward_difference(f, gamma).evaluate(origin)
         if val != 0:
@@ -146,7 +145,7 @@ def build_p_theta(Q: DInvariantSpace, theta: Sequence[complex],
     if convention not in (WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS):
         raise ValueError(f"unknown convention {convention!r}")
     elements = []
-    for q in ortho_homog_basis(Q):
+    for q in Q.ortho_basis:
         p = L_inv(q.scale_vars(theta))
         if convention == WITH_SIGMA_MINUS:
             p = p.sigma_minus()

@@ -13,7 +13,9 @@ reports its records and kernel_basis raises on them.
 The collocation matrix of the Hermite problem and the dual matrix of the
 fundamentals are built block by block, one block per zero, from the jet
 tables of linalg.diff_table; verify_zero_dim evaluates its conditions one by
-one through dual_apply.
+one through dual_apply.  The dual functionals come from each zero's
+DInvariantSpace.ortho_basis and the symbols from Impulse.normalized_symbol,
+each computed once by the object that owns it.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .apolar import DInvariantSpace, ortho_homog_basis
+from .apolar import DInvariantSpace
 from .filters import ORACLE_TOL, ExpPolySeq, Impulse, kernel_residual, symbol
-from .linalg import (coeff_matrix, dual_rows, from_coeff_vector, monomials_upto,
-                     numerical_rank, nullspace)
-from .mpoly import LaurentPoly, apply_poly_diff, laurent_normalize
+from .linalg import (RANK_TOL, coeff_matrix, dual_rows, from_coeff_vector,
+                     monomials_upto, numerical_rank, nullspace)
+from .mpoly import LaurentPoly, apply_poly_diff
 
 DEFAULT_TOL = 1e-9
-RANK_TOL = 1e-10
 # The fundamentals' dual matrix must be the identity to this accuracy.
 KRONECKER_TOL = 1e-8
 
@@ -106,11 +107,6 @@ def dual_apply(q: LaurentPoly, f: LaurentPoly, point: Sequence[complex]) -> comp
     return apply_poly_diff(q, f).evaluate(point)
 
 
-def _normalized_symbol(h: Impulse) -> LaurentPoly:
-    g, _ = laurent_normalize(symbol(h))
-    return g
-
-
 def _dual_scale(g: LaurentPoly, point: Sequence[complex]) -> float:
     """1 + Σ |c| |point^exp| over the terms of g.  Each power product starts
     from 1 and skips zero exponents, as LaurentPoly.evaluate of the monomial
@@ -118,11 +114,6 @@ def _dual_scale(g: LaurentPoly, point: Sequence[complex]) -> float:
     z = [complex(v) for v in point]
     return 1.0 + sum(abs(c) * abs(math.prod(v ** e for v, e in zip(z, exp) if e))
                      for exp, c in g.terms.items())
-
-
-def _ortho_bases(spec: Spectrum) -> List[List[LaurentPoly]]:
-    """The orthonormal homogeneous basis of every zero's space, in order."""
-    return [ortho_homog_basis(zero.mult) for zero in spec.zeros]
 
 
 def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
@@ -133,14 +124,13 @@ def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
     dims = {h.dim for h in H}
     if len(dims) != 1 or (spec.zeros and spec.dim not in dims):
         raise ValueError("filters and spectrum must share one dimension")
-    bases = _ortho_bases(spec)
     records = []
     ok = True
     for hi, h in enumerate(H):
-        g = _normalized_symbol(h)
+        g = h.normalized_symbol
         for zi, zero in enumerate(spec.zeros):
             scale = _dual_scale(g, zero.point)
-            for qi, q in enumerate(bases[zi]):
+            for qi, q in enumerate(zero.mult.ortho_basis):
                 val = dual_apply(q, g, zero.point)
                 passed = abs(val) <= tol * scale
                 ok = ok and passed
@@ -150,22 +140,13 @@ def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
     return {"pass": ok, "conditions": records}
 
 
-def _functional_rows(spec: Spectrum, bases: List[List[LaurentPoly]],
-               support: Sequence) -> np.ndarray:
-    """Rows: dual functionals (zero, q) with q from bases, one block per
-    zero; columns: the monomials of support."""
+def _functional_rows(spec: Spectrum, support: Sequence) -> np.ndarray:
+    """Rows: dual functionals (zero, q) with q from the zero's ortho_basis,
+    one block per zero; columns: the monomials of support."""
     if not spec.zeros:
         return np.zeros((0, len(support)), dtype=complex)
-    return np.vstack([dual_rows(basis, support, zero.point)
-                      for zero, basis in zip(spec.zeros, bases)])
-
-
-def _collocation_matrix(spec: Spectrum, degree: int,
-                        bases: List[List[LaurentPoly]]) -> Tuple[np.ndarray, list]:
-    """Rows: dual functionals (zero, q) with q from bases; columns: monomials
-    of Pi_degree."""
-    monos = monomials_upto(spec.dim, degree)
-    return _functional_rows(spec, bases, monos), monos
+    return np.vstack([dual_rows(zero.mult.ortho_basis, support, zero.point)
+                      for zero in spec.zeros])
 
 
 @dataclass(frozen=True)
@@ -187,7 +168,7 @@ class FundamentalSystem:
         up to numerical error.  The jets of the fundamentals' joint support
         times their coefficient matrix."""
         C, support = coeff_matrix([p for _, _, p in self.polys])
-        return _functional_rows(self.spec, _ortho_bases(self.spec), support) @ C
+        return _functional_rows(self.spec, support) @ C
 
 
 def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
@@ -198,10 +179,10 @@ def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
         return FundamentalSystem(spec, ())
     n = spec.total_multiplicity
     d0 = spec.max_degree()
-    bases = _ortho_bases(spec)
     for d in range(d0, d0 + n + 1):
-        V, monos = _collocation_matrix(spec, d, bases)
-        if numerical_rank(V, RANK_TOL) == n:
+        monos = monomials_upto(spec.dim, d)
+        V = _functional_rows(spec, monos)
+        if numerical_rank(V) == n:
             pinv = np.linalg.pinv(V, rcond=RANK_TOL)
             polys = []
             idx = 0
@@ -219,10 +200,11 @@ def ideal_complement_filters(spec: Spectrum, count: int, max_degree: int) -> Lis
     """Filters whose symbols are annihilated by every dual functional of the
     spectrum, drawn from the nullspace of the collocation matrix over
     Pi_max_degree."""
-    V, monos = _collocation_matrix(spec, max_degree, _ortho_bases(spec))
+    monos = monomials_upto(spec.dim, max_degree)
+    V = _functional_rows(spec, monos)
     if len(monos) <= spec.total_multiplicity:
         raise ValueError("max_degree leaves no room beyond the multiplicity")
-    null = nullspace(V, RANK_TOL)
+    null = nullspace(V)
     if null.shape[1] < count:
         raise ValueError(f"nullspace dimension {null.shape[1]} < requested {count}")
     out = []
@@ -305,4 +287,4 @@ def quotient_dim_estimate(H: Sequence[Impulse], d: int) -> int:
         for gamma in monomials_upto(dim, room):
             products.append(LaurentPoly.monomial(dim, gamma) * g)
     A, _ = coeff_matrix(products, monos)
-    return len(monos) - numerical_rank(A, RANK_TOL)
+    return len(monos) - numerical_rank(A)

@@ -2,17 +2,18 @@
 
 Coset membership is decided in exact integer arithmetic (adjugate over
 determinant), so the half-open fundamental cell [0,1)^s never suffers from
-floating boundary effects.  A Dilation computes its determinant and
-adjugate once; cosets, subsymbols, modulation points and subdivide read
-them, and the transposed variants use adj(Xi^T) = adj(Xi)^T.  A tap or an
+floating boundary effects.  A Dilation owns its determinant, adjugate and
+(lazily, per orientation) coset representatives; subsymbols, modulation
+points and subdivide read them, with adj(Xi^T) = adj(Xi)^T.  A tap or an
 index difference splits into its coset representative and lattice point in
 closed form, beta = floor(Xi^-1 alpha).  Kernel questions
 reduce to convolution kernels of the subsymbols, one per coset.  The
 derivative tests take jet tables from linalg times the symbol's
 coefficients: one stacked table over all modulation points for a symmetric
-zero, and one table per subsymbol at theta^-1.  subdivision_kernel_check
-shares the subsymbol and oracle tests between candidates with the same theta;
-its oracle test decides at max(tol, ORACLE_TOL), like every other oracle.
+zero, and one table per subsymbol at theta^-1, each symbol taken as its
+Impulse.normalized_symbol.  subdivision_kernel_check shares the subsymbol and
+oracle tests between candidates with the same theta; its oracle test decides
+at max(tol, ORACLE_TOL), like every other oracle.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .filters import ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual, symbol
+from .filters import ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual
 from .linalg import coeff_matrix, diff_table, diff_tables, monomials_upto
-from .mpoly import Exponent, LaurentPoly, grlex_key, laurent_normalize
+from .mpoly import Exponent, LaurentPoly, grlex_key
 
 
 # coset_reps scans the bounding box of Xi [0,1)^s point by point; the input
@@ -74,7 +76,9 @@ def int_adjugate(M: Sequence[Sequence[int]]) -> List[List[int]]:
 class Dilation:
     """Integer dilation matrix; expanding means every eigenvalue has
     modulus > 1.  det and adj (Xi adj = det I) are exact and computed once;
-    Xi^T has the same determinant and the adjugate adj^T."""
+    Xi^T has the same determinant and the adjugate adj^T.  reps and
+    transposed_reps, E_Xi and E'_Xi from coset_reps, are computed on first
+    use, after serialize has bounded the coset scan."""
 
     Xi: Tuple[Tuple[int, ...], ...]
     det: int = field(init=False, repr=False, compare=False)
@@ -104,6 +108,14 @@ class Dilation:
         """adj(Xi^T) = adj(Xi)^T."""
         return tuple(zip(*self.adj))
 
+    @cached_property
+    def reps(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(coset_reps(self))
+
+    @cached_property
+    def transposed_reps(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(coset_reps(self, transpose=True))
+
     def apply(self, alpha: Sequence[int]) -> Tuple[int, ...]:
         return tuple(sum(row[j] * alpha[j] for j in range(self.dim)) for row in self.Xi)
 
@@ -112,9 +124,10 @@ class NotExpandingError(ValueError):
     """A dilation matrix with an eigenvalue of modulus at most 1."""
 
 
-def is_expanding(Xi: Dilation, margin: float = 1e-9) -> bool:
+def is_expanding(Xi: Dilation) -> bool:
+    """Every eigenvalue of Xi has modulus above 1 + 1e-9."""
     eigvals = np.linalg.eigvals(np.array(Xi.Xi, dtype=float))
-    return bool(np.min(np.abs(eigvals)) > 1.0 + margin)
+    return bool(np.min(np.abs(eigvals)) > 1.0 + 1e-9)
 
 
 def _in_unit_cell(d: int, adj: Sequence[Sequence[int]], alpha: Sequence[int]) -> bool:
@@ -174,7 +187,7 @@ def subsymbols(a: Impulse, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
     """a_xi*(z) = sum_alpha a(xi + Xi alpha) z^alpha for every representative xi."""
     if a.dim != Xi.dim:
         raise ValueError("mask / dilation dimension mismatch")
-    terms: Dict[Tuple[int, ...], Dict[Exponent, complex]] = {xi: {} for xi in coset_reps(Xi)}
+    terms: Dict[Tuple[int, ...], Dict[Exponent, complex]] = {xi: {} for xi in Xi.reps}
     for tap, c in a.taps.items():
         xi, beta = _coset_decompose(Xi, tap)
         terms[xi][beta] = terms[xi].get(beta, 0) + c
@@ -204,7 +217,7 @@ def modulation_points(Xi: Dilation, zeta: Sequence[complex]) -> List[Tuple[compl
         raise ValueError("zeta must lie in C_x^s")
     adjT = Xi.adj_transpose()
     points = []
-    for xi_p in coset_reps(Xi, transpose=True):
+    for xi_p in Xi.transposed_reps:
         # Xi^-T xi' as exact rationals adj(Xi^T) xi' / det
         w = [sum(row[j] * xi_p[j] for j in range(Xi.dim)) for row in adjT]
         mod = tuple(cmath.exp(-2j * cmath.pi * wi / Xi.det) for wi in w)
@@ -219,7 +232,7 @@ def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
     violation alongside."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    g, _ = laurent_normalize(symbol(a))
+    g = a.normalized_symbol
     coeffs, support = coeff_matrix([g])
     points = modulation_points(Xi, zeta)
     scale, degree = max(1.0, a.l1()), max(g.degree(), 0)
@@ -304,58 +317,59 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     of Pi_k are a prefix of those of Pi_K, so a candidate of order k reads
     the first dim Pi_k values.  The report also carries the subsymbols,
     keyed by coset representative.  A dilation that is not expanding raises
-    NotExpandingError.
+    NotExpandingError.  Overflowing input yields NaN values, which fail,
+    without numpy's overflow and invalid-value warnings.
     """
     if not is_expanding(Xi):
         raise NotExpandingError("dilation matrix is not expanding")
-    subs = subsymbols(a, Xi)
-    sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
-    # a monomial factor is a unit away from the origin, so normalizing
-    # each subsymbol leaves its vanishing order at theta^-1 unchanged
-    normalized = [laurent_normalize(p)[0] for p in subs.values() if not p.is_zero]
-    sub_degree = max((p.degree() for p in normalized), default=0)
-    sub_coeffs = [coeff_matrix([p]) for p in normalized]
-    l1 = max(1.0, a.l1())
-    # one theta object per candidate keys both dicts, so that even a NaN
-    # theta (hashed by identity) finds its entries
-    candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
-    top: Dict[Tuple[complex, ...], int] = {}
-    for theta, k in candidates:
-        top[theta] = max(k, top.get(theta, k))
-    # theta -> (subsymbol violation, oracle residual) per monomial of Pi_K
-    per_monomial: Dict[Tuple[complex, ...], Tuple[np.ndarray, np.ndarray]] = {}
-    results = []
-    overall = True
-    for theta, k in candidates:
-        point = tuple(1.0 / t for t in theta)
-        zeta = canonical_zero_representative(Xi, theta)
-        sym_ok, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        subs = subsymbols(a, Xi)
+        sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
+        # a monomial factor is a unit away from the origin, so normalizing
+        # each subsymbol leaves its vanishing order at theta^-1 unchanged
+        sub_degree = max((h.normalized_symbol.degree() for h in sub_impulses), default=0)
+        sub_coeffs = [coeff_matrix([h.normalized_symbol]) for h in sub_impulses]
+        l1 = max(1.0, a.l1())
+        # one theta object per candidate keys both dicts, so that even a NaN
+        # theta (hashed by identity) finds its entries
+        candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
+        top: Dict[Tuple[complex, ...], int] = {}
+        for theta, k in candidates:
+            top[theta] = max(k, top.get(theta, k))
+        # theta -> (subsymbol violation, oracle residual) per monomial of Pi_K
+        per_monomial: Dict[Tuple[complex, ...], Tuple[np.ndarray, np.ndarray]] = {}
+        results = []
+        overall = True
+        for theta, k in candidates:
+            point = tuple(1.0 / t for t in theta)
+            zeta = canonical_zero_representative(Xi, theta)
+            sym_ok, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
 
-        if theta not in per_monomial:
-            orders = monomials_upto(a.dim, top[theta])
-            scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
-            sub_vals = np.zeros(len(orders))
-            for coeffs, support in sub_coeffs:
-                vals = np.abs(diff_table(orders, support, point) @ coeffs[:, 0])
-                sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
-            oracle_vals = np.zeros(len(orders))
-            if sub_impulses:
-                residuals = kernel_residual(sub_impulses, [
-                    ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
-                    for exp in orders])
-                oracle_vals = np.array([res / l1 for res, _ in residuals])
-            per_monomial[theta] = sub_vals, oracle_vals
-        sub_vals, oracle_vals = per_monomial[theta]
-        n = math.comb(a.dim + k, k)  # dim Pi_k
-        sub_worst = float(np.max(sub_vals[:n], initial=0.0))
-        sub_ok = sub_worst <= tol
-        oracle_worst = float(np.max(oracle_vals[:n], initial=0.0))  # propagates NaN
-        oracle_ok = oracle_worst <= max(tol, ORACLE_TOL)
+            if theta not in per_monomial:
+                orders = monomials_upto(a.dim, top[theta])
+                scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
+                sub_vals = np.zeros(len(orders))
+                for coeffs, support in sub_coeffs:
+                    vals = np.abs(diff_table(orders, support, point) @ coeffs[:, 0])
+                    sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
+                oracle_vals = np.zeros(len(orders))
+                if sub_impulses:
+                    residuals = kernel_residual(sub_impulses, [
+                        ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
+                        for exp in orders])
+                    oracle_vals = np.array([res / l1 for res, _ in residuals])
+                per_monomial[theta] = sub_vals, oracle_vals
+            sub_vals, oracle_vals = per_monomial[theta]
+            n = math.comb(a.dim + k, k)  # dim Pi_k
+            sub_worst = float(np.max(sub_vals[:n], initial=0.0))
+            sub_ok = sub_worst <= tol
+            oracle_worst = float(np.max(oracle_vals[:n], initial=0.0))  # propagates NaN
+            oracle_ok = oracle_worst <= max(tol, ORACLE_TOL)
 
-        passed = sym_ok and sub_ok and oracle_ok
-        overall = overall and passed
-        results.append({"theta": theta, "order": k, "pass": passed,
-                        "symmetric_zero_violation": sym_violation,
-                        "subsymbol_violation": sub_worst,
-                        "oracle_residual": oracle_worst})
-    return {"pass": overall, "candidates": results, "subsymbols": subs}
+            passed = sym_ok and sub_ok and oracle_ok
+            overall = overall and passed
+            results.append({"theta": theta, "order": k, "pass": passed,
+                            "symmetric_zero_violation": sym_violation,
+                            "subsymbol_violation": sub_worst,
+                            "oracle_residual": oracle_worst})
+        return {"pass": overall, "candidates": results, "subsymbols": subs}

@@ -362,7 +362,6 @@ class TestNonFiniteReport:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exits_2_naming_the_field(self, case, capsys):
         argv, field = self.CASES[case]
         code = main([argv[0]] + [fx(name) for name in argv[1:]])
@@ -371,6 +370,36 @@ class TestNonFiniteReport:
         assert captured.out == ""
         assert captured.err == (f"error: {field}: input magnitudes overflow "
                                 "double precision\n")
+
+
+    @pytest.mark.parametrize("command", ["build-kernel", "hermite"])
+    def test_large_theta_exits_2(self, command, tmp_path, capsys):
+        """theta = 1e300 with Q = Pi_3: build-kernel overflows scaling Q by
+        theta, hermite divides by zero at theta^-1 = 1e-300."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_spectrum({"re": 1e300, "im": 0.0},
+                                             [[_mono([k])] for k in range(4)])))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(": input magnitudes overflow double precision\n")
+        assert captured.err.count("\n") == 1
+
+    def test_subdivide_writes_one_stderr_line(self):
+        """No numpy RuntimeWarning precedes the error line."""
+        import subprocess
+        import sys
+        argv, field = self.CASES["subdivide"]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "convkern.cli", argv[0]]
+                              + [fx(name) for name in argv[1:]],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"error: {field}: input magnitudes overflow "
+                               "double precision\n")
 
 
 class TestSerializationRoundTrip:

@@ -80,7 +80,8 @@ def test_non_finite_names_its_path():
         ser.dumps(obj)
 
 
-@pytest.mark.parametrize("bad", [{1: 2}, {None: 0}, {(1,): 0}, [1j], [{1, 2}], [object()],
+@pytest.mark.parametrize("bad", [{1: 2}, {None: 0}, {(1,): 0}, [1j], [{1, 2}],
+                                 pytest.param([object()], id="[object()]"),
                                  [b"bytes"], {"a": np.int64(1)}, np.bool_(True)],
                          ids=repr)
 def test_other_types_raise_type_error(bad):

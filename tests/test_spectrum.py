@@ -327,20 +327,20 @@ class TestMultAnnihil:
 
 
 class TestOrthobasesOncePerZero:
-    """The orthonormal basis of each zero's space is computed once per call,
-    not once per filter or per fundamental."""
+    """Each zero's space computes its orthonormal basis once, however many
+    filters, fundamentals and P_theta constructions read it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        from convkern import spectrum
+        from convkern import apolar
         seen = []
-        real = spectrum.ortho_homog_basis
+        real = apolar.ortho_homog_basis
 
         def counting(space):
             seen.append(space)
             return real(space)
 
-        monkeypatch.setattr(spectrum, "ortho_homog_basis", counting)
+        monkeypatch.setattr(apolar, "ortho_homog_basis", counting)
         return seen
 
     def _spec(self):
@@ -348,19 +348,33 @@ class TestOrthobasesOncePerZero:
                          Zero((0.5, 2.0), fat_point_space(2, 0)),
                          Zero((-1.0, 0.5), fat_point_space(2, 1))))
 
+    @staticmethod
+    def _once_per_space(calls, spec):
+        assert sorted(map(id, calls)) == sorted(id(zero.mult) for zero in spec.zeros)
+
     def test_verify_zero_dim(self, calls):
+        """Across verify_zero_dim and build_p_theta."""
+        from convkern import build_p_theta
+        H = ideal_complement_filters(self._spec(), 3, 4)
         spec = self._spec()
-        H = ideal_complement_filters(spec, 3, 4)
         calls.clear()
         assert verify_zero_dim(H, spec)["pass"]
-        assert len(calls) == len(spec.zeros)
+        for zero in spec.zeros:
+            build_p_theta(zero.mult, zero.theta)
+        self._once_per_space(calls, spec)
 
     def test_dual_matrix(self, calls):
-        system = hermite_fundamentals(self._spec())
-        calls.clear()
+        """Across hermite_fundamentals and dual_matrix."""
+        spec = self._spec()
+        system = hermite_fundamentals(spec)
         D = system.dual_matrix()
-        assert len(calls) == 3
+        self._once_per_space(calls, spec)
         assert np.allclose(D, np.eye(D.shape[0]), atol=1e-8)
+
+    def test_basis_is_an_immutable_tuple(self):
+        space = fat_point_space(2, 1)
+        assert isinstance(space.ortho_basis, tuple)
+        assert space.ortho_basis is space.ortho_basis
 
 
 def _random_spectrum(rng, dim, nzeros, max_order):
@@ -391,10 +405,10 @@ class TestJetTables:
     def test_collocation_matrix_matches_dual_apply(self, rng):
         from convkern.apolar import ortho_homog_basis
         from convkern.linalg import monomials_upto
-        from convkern.spectrum import _collocation_matrix, _ortho_bases
+        from convkern.spectrum import _functional_rows
         spec = _random_spectrum(rng, 2, 4, 2)
-        V, monos = _collocation_matrix(spec, 4, _ortho_bases(spec))
-        assert monos == monomials_upto(2, 4)
+        monos = monomials_upto(2, 4)
+        V = _functional_rows(spec, monos)
         ref = np.array([[dual_apply(q, LaurentPoly.monomial(2, beta), zero.point)
                          for beta in monos]
                         for zero in spec.zeros for q in ortho_homog_basis(zero.mult)])

@@ -713,6 +713,70 @@ class TestAdjugateOncePerCall:
         assert calls == []
 
 
+class TestDerivedDataOwned:
+    """A Dilation computes its coset representatives once per orientation,
+    an Impulse its normalized symbol once; every reader shares them."""
+
+    @pytest.fixture
+    def coset_calls(self, monkeypatch):
+        from convkern import subdivision
+        seen = []
+        real = subdivision.coset_reps
+
+        def counting(Xi, transpose=False):
+            seen.append(transpose)
+            return real(Xi, transpose)
+
+        monkeypatch.setattr(subdivision, "coset_reps", counting)
+        return seen
+
+    @pytest.fixture
+    def normalize_calls(self, monkeypatch):
+        from convkern import filters
+        seen = []
+        real = filters.laurent_normalize
+        monkeypatch.setattr(filters, "laurent_normalize", lambda f: seen.append(f) or real(f))
+        return seen
+
+    def test_coset_reps_once_per_orientation(self, coset_calls, rng):
+        Xi = dil((5, 2), (-1, 4))
+        zeta = canonical_zero_representative(Xi, (0.5, 2.0))
+        subs = subsymbols(random_mask(rng, 2), Xi)
+        points = [modulation_points(Xi, zeta) for _ in range(5)]
+        subsymbols(random_mask(rng, 2), Xi)
+        assert sorted(coset_calls) == [False, True]
+        assert list(subs) == coset_reps(Xi) and all(p == points[0] for p in points)
+        assert Xi.reps == tuple(coset_reps(Xi))
+        assert Xi.transposed_reps == tuple(coset_reps(Xi, transpose=True))
+
+    def test_kernel_check_reads_each_orientation_once(self, coset_calls, rng):
+        Xi = dil((2, 1), (0, 2))
+        theta, other = random_point(rng, 2), random_point(rng, 2)
+        a = planted_mask(rng, Xi, theta, 1)
+        subdivision_kernel_check(a, Xi, [(theta, 0), (theta, 1), (other, 0)])
+        assert sorted(coset_calls) == [False, True]
+
+    def test_normalized_symbol_once_per_impulse(self, normalize_calls, rng):
+        Xi = dil((2, 1), (0, 2))
+        theta = random_point(rng, 2)
+        a = planted_mask(rng, Xi, theta, 1)
+        zeta = canonical_zero_representative(Xi, theta)
+        assert [is_symmetric_zero(a, Xi, zeta, order=k)[0] for k in range(3)] == \
+            [True, True, False]
+        assert symmetric_zero_order(a, Xi, zeta) == 1
+        assert len(normalize_calls) == 1
+
+    def test_kernel_check_normalizes_each_symbol_once(self, normalize_calls, rng):
+        Xi = dil((2, 1), (0, 2))
+        theta, other = random_point(rng, 2), random_point(rng, 2)
+        a = planted_mask(rng, Xi, theta, 1)
+        report = subdivision_kernel_check(a, Xi, [(theta, 0), (theta, 1), (other, 0),
+                                                  (other, 1)])
+        live = sum(not p.is_zero for p in report["subsymbols"].values())
+        # the mask once, and each nonzero subsymbol once
+        assert len(normalize_calls) == 1 + live
+
+
 class TestToleranceOverride:
     """The oracle test decides at max(tol, ORACLE_TOL), so raising tol above
     ORACLE_TOL moves all three tests together.  With taps {0: 1, 2: -1 +
