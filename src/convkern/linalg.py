@@ -49,7 +49,9 @@ def coeff_matrix(polys: Sequence[LaurentPoly],
 
 
 def from_coeff_vector(dim: int, vec: np.ndarray, support: Sequence[Exponent]) -> LaurentPoly:
-    return LaurentPoly(dim, {exp: complex(vec[i]) for i, exp in enumerate(support)})
+    """The polynomial with coefficient vec[i] at support[i]; support holds
+    distinct exponents of length dim."""
+    return LaurentPoly._of(dim, {exp: complex(vec[i]) for i, exp in enumerate(support)})
 
 
 def diff_table(orders: Sequence[Exponent], support: Sequence[Exponent],

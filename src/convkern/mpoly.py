@@ -10,10 +10,21 @@ derivative conditions on Laurent symbols away from the coordinate axes.
 Terms with coefficient exactly zero are never stored, so two polynomials are
 equal iff their term maps are equal.  Tolerance-based comparisons belong to
 the verification layer, not here.
+
+Polynomials are validated once, where they enter: the public constructor
+LaurentPoly(dim, terms) converts every exponent with int(), checks its
+length, merges repeated exponents and rejects non-finite coefficients.
+Polynomials derived from valid ones (sums, products, derivatives, scalings)
+are built by the private LaurentPoly._of, which trusts that every exponent
+is a tuple of ints of length dim occurring once and every coefficient is a
+Python complex.  It still rejects a non-finite coefficient, since arithmetic
+can overflow, with the same ValueError, and still drops zero terms and turns
+-0.0 parts into +0.0, so both constructors store the same terms.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
@@ -52,6 +63,38 @@ def _check_finite(c: complex) -> complex:
     return complex(c)
 
 
+def _require_finite(values) -> None:
+    """Raise _check_finite's ValueError for the first non-finite value of a
+    re-iterable collection; one C-level pass when all are finite."""
+    if not all(map(cmath.isfinite, values)):
+        for c in values:
+            _check_finite(c)
+
+
+def _diff_terms(terms: Mapping[Exponent, Complex],
+                alpha: Exponent) -> Dict[Exponent, Complex]:
+    """The terms of D^alpha of a polynomial's terms, zeros included, each
+    coefficient 0 + the product of the falling factors taken in order.
+    D^alpha is injective on the exponents it keeps."""
+    out: Dict[Exponent, Complex] = {}
+    for exp, c in terms.items():
+        coeff = c
+        new = list(exp)
+        dead = False
+        for j, a in enumerate(alpha):
+            for k in range(a):
+                if new[j] == 0:
+                    dead = True
+                    break
+                coeff *= new[j]
+                new[j] -= 1
+            if dead:
+                break
+        if not dead:
+            out[tuple(new)] = 0 + coeff
+    return out
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in ``dim`` variables."""
 
@@ -73,6 +116,18 @@ class LaurentPoly:
                         del clean[exp]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, dim: int, terms: Mapping[Exponent, Complex]) -> "LaurentPoly":
+        """Trusted constructor for terms derived from valid polynomials of
+        this dim: each exponent a tuple of dim ints occurring once, each
+        coefficient a complex.  Keeps __init__'s finiteness check, zero
+        dropping and -0.0 normalisation (0 + c), skips the rest."""
+        _require_finite(terms.values())
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "terms", {e: 0 + c for e, c in terms.items() if c})
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -165,13 +220,13 @@ class LaurentPoly:
         out = dict(self.terms)
         for exp, c in other.terms.items():
             out[exp] = out.get(exp, 0) + c
-        return LaurentPoly(self.dim, out)
+        return LaurentPoly._of(self.dim, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.dim, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
@@ -181,7 +236,7 @@ class LaurentPoly:
                 for e2, c2 in other.terms.items():
                     e = tuple(a + b for a, b in zip(e1, e2))
                     out[e] = out.get(e, 0) + c1 * c2
-            return LaurentPoly(self.dim, out)
+            return LaurentPoly._of(self.dim, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -189,7 +244,7 @@ class LaurentPoly:
 
     def scale(self, c: Complex) -> "LaurentPoly":
         c = complex(c)
-        return LaurentPoly(self.dim, {e: c * v for e, v in self.terms.items()})
+        return LaurentPoly._of(self.dim, {e: c * v for e, v in self.terms.items()})
 
     # -- evaluation and calculus -------------------------------------------
 
@@ -220,24 +275,7 @@ class LaurentPoly:
             raise ValueError("order multi-index has wrong length")
         if min(alpha) < 0:
             raise ValueError("derivative order must be nonnegative")
-        out: Dict[Exponent, Complex] = {}
-        for exp, c in self.terms.items():
-            coeff = c
-            new = list(exp)
-            dead = False
-            for j, a in enumerate(alpha):
-                for k in range(a):
-                    if new[j] == 0:
-                        dead = True
-                        break
-                    coeff *= new[j]
-                    new[j] -= 1
-                if dead:
-                    break
-            if not dead:
-                out_exp = tuple(new)
-                out[out_exp] = out.get(out_exp, 0) + coeff
-        return LaurentPoly(self.dim, out)
+        return LaurentPoly._of(self.dim, _diff_terms(self.terms, alpha))
 
     def leading_form(self) -> "LaurentPoly":
         """Homogeneous component of top total degree."""
@@ -245,10 +283,10 @@ class LaurentPoly:
             raise ValueError("leading form of the zero polynomial")
         self._require_poly()
         d = self.degree()
-        return LaurentPoly(self.dim, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return self.homogeneous_component(d)
 
     def homogeneous_component(self, d: int) -> "LaurentPoly":
-        return LaurentPoly(self.dim, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return LaurentPoly._of(self.dim, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def scale_vars(self, theta: Sequence[Complex]) -> "LaurentPoly":
         """sigma_theta f = f(theta_1 z_1, ..., theta_s z_s); theta in C_x^s."""
@@ -262,8 +300,10 @@ class LaurentPoly:
             fac = c
             for t, e in zip(theta, exp):
                 fac *= t ** e
+            if not fac:
+                raise OverflowError(f"scaling the z^{exp} term by theta underflows to 0")
             out[exp] = fac
-        return LaurentPoly(self.dim, out)
+        return LaurentPoly._of(self.dim, out)
 
     def sigma_minus(self) -> "LaurentPoly":
         return self.scale_vars([-1.0] * self.dim)
@@ -289,7 +329,7 @@ class LaurentPoly:
         return out
 
     def conjugate(self) -> "LaurentPoly":
-        return LaurentPoly(self.dim, {e: c.conjugate() for e, c in self.terms.items()})
+        return LaurentPoly._of(self.dim, {e: c.conjugate() for e, c in self.terms.items()})
 
 
 def apply_poly_diff(q: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
@@ -297,10 +337,22 @@ def apply_poly_diff(q: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
     if q.dim != f.dim:
         raise ValueError(f"dimension mismatch: {q.dim} vs {f.dim}")
     q._require_poly()
-    out = LaurentPoly.zero(f.dim)
+    out: Dict[Exponent, Complex] = {}
     for alpha, c in q.terms.items():
-        out = out + f.diff(alpha).scale(c)
-    return out
+        # the checks, in order, of f.diff(alpha), .scale(c) and out + that
+        diffed = _diff_terms(f.terms, alpha)
+        _require_finite(diffed.values())
+        scaled = {e: c * v for e, v in diffed.items()}
+        _require_finite(scaled.values())
+        for e, v in scaled.items():
+            if v:
+                total = out.get(e, 0) + v
+                if total:
+                    out[e] = total
+                else:
+                    del out[e]
+        _require_finite(out.values())
+    return LaurentPoly._of(f.dim, out)
 
 
 def falling_factorial(gamma: Sequence[int]) -> LaurentPoly:
@@ -325,6 +377,6 @@ def laurent_normalize(f: LaurentPoly) -> Tuple[LaurentPoly, Exponent]:
     if f.is_zero:
         raise ValueError("cannot normalize the zero polynomial")
     mu = tuple(min(exp[j] for exp in f.terms) for j in range(f.dim))
-    g = LaurentPoly(f.dim, {tuple(e - m for e, m in zip(exp, mu)): c
-                            for exp, c in f.terms.items()})
+    g = LaurentPoly._of(f.dim, {tuple(e - m for e, m in zip(exp, mu)): c
+                                for exp, c in f.terms.items()})
     return g, mu

@@ -80,8 +80,8 @@ def _touchard(dim: int, j: int, n: int) -> LaurentPoly:
     for k, c in enumerate(stirling2_row(n)):
         exp = [0] * dim
         exp[j] = k
-        terms[tuple(exp)] = float(c)
-    return LaurentPoly(dim, terms)
+        terms[tuple(exp)] = complex(c)
+    return LaurentPoly._of(dim, terms)
 
 
 def L_op(f: LaurentPoly) -> LaurentPoly:
@@ -89,14 +89,15 @@ def L_op(f: LaurentPoly) -> LaurentPoly:
     sum_beta f_beta prod_j T_{beta_j}(x_j)."""
     f._require_poly()
     out: Dict[Exponent, complex] = {}
+    one = (0,) * f.dim
     for beta, c in f.terms.items():
-        image = LaurentPoly.constant(f.dim, c)
+        image = LaurentPoly._of(f.dim, {one: c})
         for j, b in enumerate(beta):
             if b:
                 image = image * _touchard(f.dim, j, b)
         for exp, v in image.terms.items():
             out[exp] = out.get(exp, 0) + v
-    return LaurentPoly(f.dim, out)
+    return LaurentPoly._of(f.dim, out)
 
 
 def L_inv(f: LaurentPoly) -> LaurentPoly:

@@ -107,17 +107,25 @@ def poly_from_json(obj: Any, dim: int | None = None) -> LaurentPoly:
     return LaurentPoly(dim, terms)
 
 
-def space_from_json(obj: Any, dim: int) -> DInvariantSpace:
-    """A D-invariant space from a JSON array of basis polynomials."""
+def _basis_from_json(obj: Any, dim: int) -> Tuple[LaurentPoly, ...]:
     basis = tuple(poly_from_json(p, dim) for p in _array(obj, "Q_basis"))
     for p in basis:
         if p.is_poly and p.degree() > MAX_FACTORIAL:
             raise FormatError(f"Q_basis polynomial of total degree {p.degree()} "
                               f"exceeds the degree guard {MAX_FACTORIAL}")
+    return basis
+
+
+def _space(basis: Tuple[LaurentPoly, ...]) -> DInvariantSpace:
     try:
         return DInvariantSpace(basis)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def space_from_json(obj: Any, dim: int) -> DInvariantSpace:
+    """A D-invariant space from a JSON array of basis polynomials."""
+    return _space(_basis_from_json(obj, dim))
 
 
 def impulse_to_json(h: Impulse) -> Dict[str, Any]:
@@ -173,13 +181,21 @@ def spectrum_from_json(obj: Any) -> Spectrum:
     if dim < 0:
         raise FormatError("spectrum dimension must be nonnegative")
     zeros = []
+    # Zeros with equal bases share one space, so its D-invariance check and
+    # orthonormal basis run once.  The key keeps each polynomial's term order,
+    # on which the floating-point sums over its terms depend.
+    spaces: Dict[Tuple, DInvariantSpace] = {}
     for entry in _array(obj["zeros"], "zeros"):
         if not isinstance(entry, dict) or not {"theta", "Q_basis"} <= set(entry):
             raise FormatError("zero must be {theta, Q_basis}")
         theta = _thetas(entry["theta"])
         if dim and len(theta) != dim:
             raise FormatError("theta has wrong dimension")
-        space = space_from_json(entry["Q_basis"], dim or len(theta))
+        basis = _basis_from_json(entry["Q_basis"], dim or len(theta))
+        key = (dim or len(theta), tuple(tuple(p.terms.items()) for p in basis))
+        if key not in spaces:
+            spaces[key] = _space(basis)
+        space = spaces[key]
         try:
             zeros.append(Zero(theta, space))
         except ValueError as exc:

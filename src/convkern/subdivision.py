@@ -191,7 +191,7 @@ def subsymbols(a: Impulse, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
     for tap, c in a.taps.items():
         xi, beta = _coset_decompose(Xi, tap)
         terms[xi][beta] = terms[xi].get(beta, 0) + c
-    return {xi: LaurentPoly(a.dim, t) for xi, t in terms.items()}
+    return {xi: LaurentPoly._of(a.dim, t) for xi, t in terms.items()}
 
 
 def z_pow_Xi(z: Sequence[complex], Xi: Dilation) -> Tuple[complex, ...]:

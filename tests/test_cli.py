@@ -387,6 +387,29 @@ class TestNonFiniteReport:
         assert captured.err.endswith(": input magnitudes overflow double precision\n")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["build-kernel", "verify"])
+    def test_tiny_theta_exits_2(self, command, tmp_path, capsys):
+        """theta = 1e-300 with Q = Pi_3: theta^2 and theta^3 underflow to 0
+        when Q is scaled by theta, which dropped half of P_theta's basis and
+        passed.  The filter z - 1e300 vanishes at theta^-1, so verify's dual
+        conditions pass and it reaches the same scaling."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_spectrum({"re": 1e-300, "im": 0.0},
+                                             [[_mono([k])] for k in range(4)])))
+        argv = [command, str(spec)]
+        if command == "verify":
+            filters = tmp_path / "filters.json"
+            filters.write_text(json.dumps({"filters": [{"dim": 1, "taps": [
+                {"index": [0], "re": -1e300, "im": 0.0},
+                {"index": [1], "re": 1.0, "im": 0.0}]}]}))
+            argv.insert(1, str(filters))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: scaling the z^(2,) term by theta underflows to 0: "
+                                "input magnitudes overflow double precision\n")
+
     def test_subdivide_writes_one_stderr_line(self):
         """No numpy RuntimeWarning precedes the error line."""
         import subprocess

@@ -377,6 +377,73 @@ class TestOrthobasesOncePerZero:
         assert space.ortho_basis is space.ortho_basis
 
 
+class TestSharedSpaces:
+    """spectrum_from_json gives zeros with equal Q_basis one DInvariantSpace,
+    so its D-invariance check and orthonormal basis run once."""
+
+    THETAS = [0.5, 0.8, 1.25, 2.0, -1.0]
+
+    @staticmethod
+    def _zero(theta, basis):
+        return {"theta": [{"re": theta, "im": 0.0}],
+                "Q_basis": [[{"exp": [e], "re": c, "im": 0.0} for e, c in p]
+                            for p in basis]}
+
+    def _obj(self, bases):
+        return {"dim": 1, "zeros": [self._zero(t, b) for t, b in zip(self.THETAS, bases)]}
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from convkern import apolar
+        seen = {"is_d_invariant": 0, "ortho_homog_basis": 0}
+        for name in seen:
+            real = getattr(apolar, name)
+
+            def counting(*args, _real=real, _name=name):
+                seen[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(apolar, name, counting)
+        return seen
+
+    def test_equal_bases_share_one_space(self, counts):
+        linear = [[(0, 1.0)], [(1, 2.0), (0, 1.0)]]
+        spec = ser.spectrum_from_json(self._obj([linear] * 5))
+        assert all(zero.mult is spec.zeros[0].mult for zero in spec.zeros)
+        H = [Impulse(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})]
+        verify_zero_dim(H, spec)
+        hermite_fundamentals(spec)
+        assert counts == {"is_d_invariant": 1, "ortho_homog_basis": 1}
+
+    def test_different_bases_stay_distinct(self):
+        const_ = [[(0, 1.0)]]
+        linear = [[(0, 1.0)], [(1, 1.0)]]
+        spec = ser.spectrum_from_json(self._obj([const_, linear, const_, linear]))
+        a, b, c, d = (zero.mult for zero in spec.zeros)
+        assert a is c and b is d and a is not b
+
+    def test_term_order_is_part_of_the_key(self):
+        """Equal polynomials written in another term order keep their own
+        space, whose sums run over the terms in that order."""
+        spec = ser.spectrum_from_json(self._obj([[[(0, 1.0)], [(1, 1.0), (0, 1.0)]],
+                                                 [[(0, 1.0)], [(0, 1.0), (1, 1.0)]]]))
+        first, second = (zero.mult for zero in spec.zeros)
+        assert first.basis == second.basis and first is not second
+
+    def test_repeated_non_invariant_basis_exits_2(self, tmp_path, capsys):
+        from convkern.cli import main
+        messages = []
+        for n in (1, 3):
+            path = tmp_path / f"spec{n}.json"
+            path.write_text(json.dumps(self._obj([[[(1, 1.0)]]] * n)))
+            assert main(["build-kernel", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            messages.append(captured.err)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("error: not D-invariant")
+
+
 def _random_spectrum(rng, dim, nzeros, max_order):
     thetas = []
     while len(thetas) < nzeros:
