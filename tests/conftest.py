@@ -84,6 +84,12 @@ CLI_CORPUS = [
     (("subdivide", "mask_overflow.json", "dilation_2.json",
       "candidates_1d_k0.json"), 2),
     (("eigen", "filter_overflow.json", "eigen_theta_minus1.json"), 2),
+    # eight dimension-2 zeros over two shared spaces (four Pi_0, four Pi_1),
+    # with filters from ideal_complement_filters: the oracle stacks several
+    # theta per window and the jet tables are shared per space
+    (("verify", "filters_manyzeros_2d.json", "spectrum_manyzeros_2d.json"), 0),
+    (("hermite", "spectrum_manyzeros_2d.json"), 0),
+    (("build-kernel", "spectrum_manyzeros_2d.json"), 0),
 ]
 
 

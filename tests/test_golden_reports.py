@@ -1,6 +1,6 @@
 """Golden digests of the fixture-corpus CLI reports.
 
-Each of the 21 CLI_CORPUS invocations runs with the default flags, with
+Each of the 24 CLI_CORPUS invocations runs with the default flags, with
 --window-pad 3 and with --tol 1e-6; its exit code and the sha256 of its
 standard output are pinned below.  A change that alters report bytes on
 purpose updates these digests and records in CHANGES.md which reports
@@ -59,6 +59,12 @@ DIGESTS = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "eigen filter_overflow.json eigen_theta_minus1.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify filters_manyzeros_2d.json spectrum_manyzeros_2d.json":
+        (0, "8b8becbf6503cf95eda80f50045ba7dc1e5c870676011eb4fae3929606c5c041"),
+    "hermite spectrum_manyzeros_2d.json":
+        (0, "bea915d3bbccd1b032827103fc2524da387cecc801b691adc945b3c794a57ea2"),
+    "build-kernel spectrum_manyzeros_2d.json":
+        (0, "c33789f824278c01ff12426f9d533fd112e91934f59e9c402aab099a582ea510"),
     "--window-pad 3 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "480c7bebb7f5dc793a86ccf289c10c6f9afe7fda6b70e16ada8dc385c00e616a"),
     "--window-pad 3 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -101,6 +107,12 @@ DIGESTS = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 eigen filter_overflow.json eigen_theta_minus1.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 verify filters_manyzeros_2d.json spectrum_manyzeros_2d.json":
+        (0, "3a72aa6b2c799032d11fb331444941bd4edd56f0d979836119cf06c5637ca83b"),
+    "--window-pad 3 hermite spectrum_manyzeros_2d.json":
+        (0, "bea915d3bbccd1b032827103fc2524da387cecc801b691adc945b3c794a57ea2"),
+    "--window-pad 3 build-kernel spectrum_manyzeros_2d.json":
+        (0, "182c0e2ae352443fdf0e1250cedfd113b7ac1b2e690d65d053779f0431fc6554"),
     "--tol 1e-6 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "175c5794ef4ab7dce096909bbac963cd81df9be25f4912e35e2a91ff7e1f7bab"),
     "--tol 1e-6 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -143,6 +155,12 @@ DIGESTS = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 eigen filter_overflow.json eigen_theta_minus1.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 verify filters_manyzeros_2d.json spectrum_manyzeros_2d.json":
+        (0, "cab9bfd6d1875f7fb808f03ec9636b1345e2c12f72ecde27c7bb483fa6faf9ff"),
+    "--tol 1e-6 hermite spectrum_manyzeros_2d.json":
+        (0, "bea915d3bbccd1b032827103fc2524da387cecc801b691adc945b3c794a57ea2"),
+    "--tol 1e-6 build-kernel spectrum_manyzeros_2d.json":
+        (0, "c33789f824278c01ff12426f9d533fd112e91934f59e9c402aab099a582ea510"),
 }
 
 INVOCATIONS = [flags + argv for flags in FLAGS for argv, _ in CLI_CORPUS]
