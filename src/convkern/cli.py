@@ -141,6 +141,8 @@ def cmd_subdivide(args) -> int:
     (dil_obj, dtext) = _read_json(args.dilation)
     (cand_obj, ctext) = _read_json(args.candidates)
     a = ser.impulse_from_json(mask_obj)
+    if a.is_zero:
+        raise FormatError("mask has no nonzero tap")
     Xi = ser.dilation_from_json(dil_obj)
     candidates = ser.candidates_from_json(cand_obj)
     if a.dim != Xi.dim:

@@ -12,10 +12,11 @@ blocks of at most BLOCK_PAIRS pairs so that memory does not grow with the
 window; each block is then one matrix product with the tap vector.
 
 The oracle evaluates a stack of sequences in one pass: convolve(h, [seq,
-...], w) builds the tables once per distinct theta and gathers once per
-block for the whole stack, and kernel_residual(H, [seq, ...]) stacks the
-terms that share theta and certified window, one convolve per filter and
-stack.  Each row gets exactly the arithmetic of its sequence alone, so the
+...], w) builds the tables once per distinct theta and, per block, gathers
+the columns of one theta at a time, and kernel_residual(H, [seq, ...])
+stacks the terms that share a certified window, whatever their theta, one
+convolve per filter and window, with one normalization row per theta.
+Each row gets exactly the arithmetic of its sequence alone, so the
 certificate is unchanged: the same window, the same per-theta, per-filter
 residual and the same normalization, bit for bit.
 """
@@ -169,6 +170,10 @@ class Window:
 
 SequenceSamples = Mapping[Exponent, complex]
 
+# Default tolerance of every check: dual conditions, eigen conditions and the
+# subdivision tests; the CLI's --tol overrides it.
+DEFAULT_TOL = 1e-9
+
 # Floor of every window-oracle tolerance: an oracle check passes when its
 # residual is at most max(tol, ORACLE_TOL) times its scale, so tol moves the
 # oracle only above this floor.
@@ -230,9 +235,15 @@ def _convolve_closed_form(h: Impulse, seqs: Sequence[ExpPolySeq], w: Window) -> 
         # table column of every (point, tap) pair, per coordinate
         idx = [np.searchsorted(axis, (x + l)[:, None] - taus[None, :, j])
                for j, (axis, x, l) in enumerate(zip(axes, points, w.lower))]
-        gathered = {theta: [table[:, i] for table, i in zip(tabs, idx)]
-                    for theta, tabs in tables.items()}
+        gathered: Dict[Tuple[complex, ...], list] = {}
         for r, c in live:
+            # only this row's theta columns stay gathered, so the working
+            # memory does not grow with the number of theta in the stack;
+            # kernel_residual stacks theta-major, so each theta is gathered
+            # once per block
+            gathered = {theta: gathered.get(theta) or [table[:, i] for table, i
+                                                        in zip(tables[theta], idx)]
+                        for theta, _ in c.terms}
             values = np.zeros((len(points[0]), len(taus)), dtype=complex)
             for theta, p in c.terms:
                 g0, *rest = gathered[theta]
@@ -304,30 +315,32 @@ def kernel_residual(H: Sequence[Impulse], seq: "ExpPolySeq | Sequence[ExpPolySeq
     e_theta-multiples, so a summed check could hide failures by
     cancellation), over its own certified window.  Pointwise values are
     normalized by 1 + |theta^alpha|.  A residual that overflows is reported
-    as NaN, which passes no tolerance.  The terms of a list that share theta
-    and window are convolved as one stack, one convolve per filter; each
-    result equals that of its sequence alone.
+    as NaN, which passes no tolerance.  The terms of a list that share a
+    window are convolved as one stack, theta-major, one convolve per filter;
+    each result equals that of its sequence alone.
     """
     if isinstance(seq, ExpPolySeq):
         return kernel_residual(H, [seq], pad)[0]
-    # (theta, window) -> positions (sequence, term) and the terms stacked there
-    groups: Dict[Tuple[Tuple[complex, ...], Window],
-                 Tuple[List[Tuple[int, int]], List[ExpPolySeq]]] = {}
+    # window -> theta -> the terms stacked there, with their (sequence, term)
+    groups: Dict[Window, Dict[Tuple[complex, ...],
+                              List[Tuple[Tuple[int, int], ExpPolySeq]]]] = {}
     for r, c in enumerate(seq):
         for i, (theta, p) in enumerate(c.terms):
             term = ExpPolySeq.single(theta, p)
-            positions, stack = groups.setdefault((theta, certified_window(term, pad=pad)),
-                                                 ([], []))
-            positions.append((r, i))
-            stack.append(term)
+            groups.setdefault(certified_window(term, pad=pad), {}) \
+                .setdefault(theta, []).append(((r, i), term))
     found: Dict[Tuple[int, int], float] = {}
-    for (theta, w), (positions, stack) in groups.items():
-        scale = 1.0 + np.abs(_window_powers(theta, w))
+    for w, by_theta in groups.items():
+        # theta-major, one normalization row per theta repeated over its terms
+        entries = [entry for same in by_theta.values() for entry in same]
+        stack = [term for _, term in entries]
+        scale = np.concatenate([np.tile(1.0 + np.abs(_window_powers(theta, w)), (len(same), 1))
+                                for theta, same in by_theta.items()])
         worst = np.zeros(len(stack))
         for h in H:
             residual = np.abs(convolve(h, stack, w)) / scale
             worst = np.maximum(worst, np.max(residual, axis=1, initial=0.0))  # propagates NaN
-        found.update(zip(positions, worst.tolist()))
+        found.update(zip((position for position, _ in entries), worst.tolist()))
     out = []
     for r, c in enumerate(seq):
         per_theta = {theta: found[r, i] for i, (theta, _) in enumerate(c.terms)}
@@ -337,7 +350,7 @@ def kernel_residual(H: Sequence[Impulse], seq: "ExpPolySeq | Sequence[ExpPolySeq
 
 def eigen_conditions(h: Impulse, theta: Sequence[complex], Q,
                      lam: complex, alpha_h: Sequence[int],
-                     tol: float = 1e-9) -> Dict:
+                     tol: float = DEFAULT_TOL) -> Dict:
     """Check q(D) h*(theta^-1) = lam (q(D) (.)^alpha_h)(theta^-1) for every
     orthonormal basis element q of Q; with alpha_h = 0 this is
     h*(theta^-1) = lam plus vanishing higher dual conditions."""

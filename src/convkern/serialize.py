@@ -6,9 +6,10 @@ order), so serialized bytes are reproducible across runs.
 
 Parsers enforce the input contract and raise FormatError otherwise: every
 real is a finite JSON number, every exponent, index, dimension, order and
-matrix entry is a JSON integer (not a float or a bool), multiplicity spaces
-have total degree and candidates order at most MAX_FACTORIAL, and a
-dilation's coset search box holds at most MAX_COSET_SCAN points.
+matrix entry is a JSON integer (not a float or a bool), every filter of a
+filter file has a nonzero tap, multiplicity spaces have total degree and
+candidates order at most MAX_FACTORIAL, and a dilation's coset search box
+holds at most MAX_COSET_SCAN points.
 
 dumps writes a report as exactly the bytes of json.dumps(obj, indent=2,
 allow_nan=False) followed by a newline: 2-space indent, "," and ": "
@@ -161,6 +162,9 @@ def filters_from_json(obj: Any) -> List[Impulse]:
     out = [impulse_from_json(entry) for entry in _array(obj["filters"], "filters")]
     if not out:
         raise FormatError("empty filter list")
+    for i, h in enumerate(out):
+        if h.is_zero:
+            raise FormatError(f"filter {i} has no nonzero tap")
     if len({h.dim for h in out}) != 1:
         raise FormatError("filters have mixed dimensions")
     return out

@@ -11,9 +11,12 @@ conditions at tol and the oracle at max(tol, ORACLE_TOL); the verify command
 reports its records and kernel_basis raises on them.
 
 The collocation matrix of the Hermite problem and the dual matrix of the
-fundamentals are built block by block, one block per zero, from the jet
-tables of linalg.diff_table; verify_zero_dim evaluates its conditions one by
-one through dual_apply.  The dual functionals come from each zero's
+fundamentals are built block by block, one block per zero, from one jet
+table (linalg.diff_tables) per distinct multiplicity space over the points
+of its zeros; the Hermite degree search starts at the first degree with
+enough monomials.  verify_zero_dim evaluates its conditions one by one
+through dual_apply, and certify_kernel checks the P_theta of every zero in
+one oracle call.  The dual functionals come from each zero's
 DInvariantSpace.ortho_basis and the symbols from Impulse.normalized_symbol,
 each computed once by the object that owns it.
 """
@@ -27,12 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .apolar import DInvariantSpace
-from .filters import ORACLE_TOL, ExpPolySeq, Impulse, kernel_residual, symbol
-from .linalg import (RANK_TOL, coeff_matrix, dual_rows, from_coeff_vector,
+from .filters import DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, kernel_residual, symbol
+from .linalg import (RANK_TOL, coeff_matrix, diff_tables, from_coeff_vector,
                      monomials_upto, numerical_rank, nullspace)
 from .mpoly import LaurentPoly, apply_poly_diff
 
-DEFAULT_TOL = 1e-9
 # The fundamentals' dual matrix must be the identity to this accuracy.
 KRONECKER_TOL = 1e-8
 
@@ -142,11 +144,24 @@ def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
 
 def _functional_rows(spec: Spectrum, support: Sequence) -> np.ndarray:
     """Rows: dual functionals (zero, q) with q from the zero's ortho_basis,
-    one block per zero; columns: the monomials of support."""
+    one block per zero, in zero order; columns: the monomials of support.
+
+    Zeros that share a DInvariantSpace share one jet table over their
+    points; each block is the 2-D product Q^T T[point], exactly the
+    dual_rows of its zero alone."""
     if not spec.zeros:
         return np.zeros((0, len(support)), dtype=complex)
-    return np.vstack([dual_rows(zero.mult.ortho_basis, support, zero.point)
-                      for zero in spec.zeros])
+    # id(space) -> (space, indices of its zeros), in first-occurrence order
+    shared: Dict[int, Tuple[DInvariantSpace, List[int]]] = {}
+    for zi, zero in enumerate(spec.zeros):
+        shared.setdefault(id(zero.mult), (zero.mult, []))[1].append(zi)
+    blocks: List[np.ndarray] = [None] * len(spec.zeros)
+    for space, indices in shared.values():
+        Q, orders = coeff_matrix(space.ortho_basis)
+        T = diff_tables(orders, support, [spec.zeros[zi].point for zi in indices])
+        for zi, table in zip(indices, T):
+            blocks[zi] = Q.T @ table
+    return np.vstack(blocks)
 
 
 @dataclass(frozen=True)
@@ -174,12 +189,18 @@ class FundamentalSystem:
 def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
     """Minimal-degree fundamentals via the collocation matrix, increasing the
     degree until the dual functionals become independent; minimum-norm
-    solutions break ties."""
+    solutions break ties.  The search starts at the first degree d >= max
+    deg Q_theta with dim Pi_d >= n, the total multiplicity."""
     if not spec.zeros:
         return FundamentalSystem(spec, ())
     n = spec.total_multiplicity
     d0 = spec.max_degree()
-    for d in range(d0, d0 + n + 1):
+    # rank V <= dim Pi_d = comb(d + s, s), so no degree below the first with
+    # at least n monomials can reach rank n
+    start = d0
+    while math.comb(start + spec.dim, spec.dim) < n:
+        start += 1
+    for d in range(start, d0 + n + 1):
         monos = monomials_upto(spec.dim, d)
         V = _functional_rows(spec, monos)
         if numerical_rank(V) == n:
@@ -233,16 +254,16 @@ def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
     oracle, kernel = [], []
     if report["pass"]:
         h_scale = max(1.0, max(h.l1() for h in H))
-        for zero in spec.zeros:
-            P = build_p_theta(zero.mult, zero.theta, convention)
-            residuals = kernel_residual(
-                H, [ExpPolySeq.single(zero.theta, p) for p in P.elements], pad=pad)
-            for p, (res, _) in zip(P.elements, residuals):
-                bound = max(tol, ORACLE_TOL) * (h_scale * max(1.0, p.norm()))
-                oracle.append({"theta": zero.theta, "degree": p.degree(),
-                               "residual": res, "tolerance": bound,
-                               "pass": res <= bound})
-            kernel.append((zero.theta, P))
+        kernel = [(zero.theta, build_p_theta(zero.mult, zero.theta, convention))
+                  for zero in spec.zeros]
+        # one oracle stack over the elements of every zero's P_theta
+        elements = [(theta, p) for theta, P in kernel for p in P.elements]
+        residuals = kernel_residual(H, [ExpPolySeq.single(theta, p) for theta, p in elements],
+                                    pad=pad)
+        for (theta, p), (res, _) in zip(elements, residuals):
+            bound = max(tol, ORACLE_TOL) * (h_scale * max(1.0, p.norm()))
+            oracle.append({"theta": theta, "degree": p.degree(),
+                           "residual": res, "tolerance": bound, "pass": res <= bound})
     return {"pass": report["pass"] and all(r["pass"] for r in oracle),
             "conditions": report["conditions"], "oracle": oracle, "kernel": kernel}
 

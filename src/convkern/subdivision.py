@@ -12,8 +12,9 @@ derivative tests take jet tables from linalg times the symbol's
 coefficients: one stacked table over all modulation points for a symmetric
 zero, and one table per subsymbol at theta^-1, each symbol taken as its
 Impulse.normalized_symbol.  subdivision_kernel_check shares the subsymbol and
-oracle tests between candidates with the same theta; its oracle test decides
-at max(tol, ORACLE_TOL), like every other oracle.
+oracle tests between candidates with the same theta, and makes one oracle
+call for all of its theta; its oracle test decides at max(tol, ORACLE_TOL),
+like every other oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .filters import ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual
+from .filters import DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual
 from .linalg import coeff_matrix, diff_table, diff_tables, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key
 
@@ -226,7 +227,7 @@ def modulation_points(Xi: Dilation, zeta: Sequence[complex]) -> List[Tuple[compl
 
 
 def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
-                      order: int = 0, tol: float = 1e-9) -> Tuple[bool, float]:
+                      order: int = 0, tol: float = DEFAULT_TOL) -> Tuple[bool, float]:
     """True iff every derivative D^beta a*, |beta| <= order, vanishes at all
     modulation translates of zeta.  Returns the maximal normalized
     violation alongside."""
@@ -244,7 +245,7 @@ def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
 
 
 def symmetric_zero_order(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
-                         max_order: int = 10, tol: float = 1e-9) -> int:
+                         max_order: int = 10, tol: float = DEFAULT_TOL) -> int:
     """Largest k <= max_order such that zeta is a symmetric zero of order k;
     -1 if not even a symmetric zero of order 0."""
     best = -1
@@ -299,7 +300,7 @@ def canonical_zero_representative(Xi: Dilation, theta: Sequence[complex]) -> Tup
 
 def subdivision_kernel_check(a: Impulse, Xi: Dilation,
                              candidates: Sequence[Tuple[Sequence[complex], int]],
-                             tol: float = 1e-9) -> Dict:
+                             tol: float = DEFAULT_TOL) -> Dict:
     """Per candidate (theta, k): three equivalent tests of
     Pi_k e_theta <= ker S_a, reported side by side.
 
@@ -312,11 +313,11 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     values in its record.
 
     Tests (ii) and (iii) are computed once per distinct theta, per monomial
-    x^beta up to the top order K requested for that theta, the oracle as one
-    kernel_residual call over the stack of monomials; the graded monomials
-    of Pi_k are a prefix of those of Pi_K, so a candidate of order k reads
-    the first dim Pi_k values.  The report also carries the subsymbols,
-    keyed by coset representative.  A dilation that is not expanding raises
+    x^beta up to the top order K requested for that theta; the oracle is one
+    kernel_residual call over the monomials of every theta, theta-major.
+    The graded monomials of Pi_k are a prefix of those of Pi_K, so a
+    candidate of order k reads the first dim Pi_k values.  The report also
+    carries the subsymbols, keyed by coset representative.  A dilation that is not expanding raises
     NotExpandingError.  Overflowing input yields NaN values, which fail,
     without numpy's overflow and invalid-value warnings.
     """
@@ -330,40 +331,42 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         sub_degree = max((h.normalized_symbol.degree() for h in sub_impulses), default=0)
         sub_coeffs = [coeff_matrix([h.normalized_symbol]) for h in sub_impulses]
         l1 = max(1.0, a.l1())
-        # one theta object per candidate keys both dicts, so that even a NaN
-        # theta (hashed by identity) finds its entries
+        # one theta object per candidate keys the dicts below, so that even
+        # a NaN theta (hashed by identity) finds its entries
         candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
         top: Dict[Tuple[complex, ...], int] = {}
         for theta, k in candidates:
             top[theta] = max(k, top.get(theta, k))
-        # theta -> (subsymbol violation, oracle residual) per monomial of Pi_K
-        per_monomial: Dict[Tuple[complex, ...], Tuple[np.ndarray, np.ndarray]] = {}
+        orders = {theta: monomials_upto(a.dim, K) for theta, K in top.items()}
+        # theta -> subsymbol violation and oracle residual per monomial of
+        # Pi_{K_theta}; the oracle is one stack over every theta, theta-major
+        sub_violation: Dict[Tuple[complex, ...], np.ndarray] = {}
+        oracle: Dict[Tuple[complex, ...], np.ndarray] = {}
+        for theta, exps in orders.items():
+            point = tuple(1.0 / t for t in theta)
+            scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
+            sub_vals = np.zeros(len(exps))
+            for coeffs, support in sub_coeffs:
+                vals = np.abs(diff_table(exps, support, point) @ coeffs[:, 0])
+                sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
+            sub_violation[theta] = sub_vals
+            oracle[theta] = np.zeros(len(exps))
+        if sub_impulses:
+            residuals = iter(kernel_residual(sub_impulses, [
+                ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
+                for theta, exps in orders.items() for exp in exps]))
+            for theta, exps in orders.items():
+                oracle[theta] = np.array([next(residuals)[0] / l1 for _ in exps])
         results = []
         overall = True
         for theta, k in candidates:
-            point = tuple(1.0 / t for t in theta)
             zeta = canonical_zero_representative(Xi, theta)
             sym_ok, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
 
-            if theta not in per_monomial:
-                orders = monomials_upto(a.dim, top[theta])
-                scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
-                sub_vals = np.zeros(len(orders))
-                for coeffs, support in sub_coeffs:
-                    vals = np.abs(diff_table(orders, support, point) @ coeffs[:, 0])
-                    sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
-                oracle_vals = np.zeros(len(orders))
-                if sub_impulses:
-                    residuals = kernel_residual(sub_impulses, [
-                        ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
-                        for exp in orders])
-                    oracle_vals = np.array([res / l1 for res, _ in residuals])
-                per_monomial[theta] = sub_vals, oracle_vals
-            sub_vals, oracle_vals = per_monomial[theta]
             n = math.comb(a.dim + k, k)  # dim Pi_k
-            sub_worst = float(np.max(sub_vals[:n], initial=0.0))
+            sub_worst = float(np.max(sub_violation[theta][:n], initial=0.0))
             sub_ok = sub_worst <= tol
-            oracle_worst = float(np.max(oracle_vals[:n], initial=0.0))  # propagates NaN
+            oracle_worst = float(np.max(oracle[theta][:n], initial=0.0))  # propagates NaN
             oracle_ok = oracle_worst <= max(tol, ORACLE_TOL)
 
             passed = sym_ok and sub_ok and oracle_ok

@@ -506,10 +506,16 @@ class TestInputContract:
         "eigen_degree_above_guard": ("eigen", _filters()["filters"][0],
                                      {"theta": [ONE],
                                       "Q_basis": [[_mono([k])] for k in range(22)]}),
+        "filter_without_taps": ("verify", {"filters": [{"dim": 1, "taps": []}]},
+                                _spectrum(ONE)),
+        "filter_with_zero_tap": ("verify",
+                                 {"filters": [_filters()["filters"][0],
+                                              {"dim": 1, "taps": [{"index": [0], "re": 0.0}]}]},
+                                 _spectrum(ONE)),
+        "mask_without_taps": ("subdivide", {"dim": 1, "taps": []}, {"Xi": [[2]]}, CANDIDATES),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exits_2_with_message(self, case, tmp_path, capsys):
+    def _run(self, case, tmp_path, capsys):
         command, *payloads = self.CASES[case]
         paths = []
         for i, obj in enumerate(payloads):
@@ -517,11 +523,32 @@ class TestInputContract:
             path.write_text(json.dumps(obj))
             paths.append(str(path))
         code = main([command] + paths)
-        captured = capsys.readouterr()
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_message(self, case, tmp_path, capsys):
+        code, captured = self._run(case, tmp_path, capsys)
         assert code == 2
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("case, message", [
+        ("filter_without_taps", "filter 0 has no nonzero tap"),
+        ("filter_with_zero_tap", "filter 1 has no nonzero tap"),
+        ("mask_without_taps", "mask has no nonzero tap")])
+    def test_zero_filter_is_named(self, case, message, tmp_path, capsys):
+        assert self._run(case, tmp_path, capsys)[1].err == f"error: {message}\n"
+
+    def test_eigen_reports_a_zero_filter(self, tmp_path, capsys):
+        """eigen takes one filter, not a filter set: a zero filter fails its
+        checks with a report."""
+        paths = [tmp_path / "filter.json", tmp_path / "eigen.json"]
+        paths[0].write_text(json.dumps({"dim": 1, "taps": []}))
+        paths[1].write_text(json.dumps({"theta": [ONE]}))
+        assert main(["eigen"] + [str(p) for p in paths]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["pass"] and not report["checks"][0]["pass"]
 
     def test_degree_at_guard_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convkern import (DInvariantSpace, ExpPolySeq, Impulse, LaurentPoly,
                       Window, certified_window, convolve, convolve_impulses,
@@ -432,3 +434,87 @@ class TestEigenConditionsJets:
                 assert abs(rec["lhs"] - lhs) <= 1e-12 * scale
                 assert abs(rec["rhs"] - rhs) <= 1e-12 * scale
                 assert rec["q_degree"] == q.degree()
+
+
+def _same(a, b):
+    """Equal floats, NaN equal to NaN."""
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestResidualAcrossTheta:
+    """kernel_residual stacks the terms of every theta that share a window;
+    each result is exactly that of the per-theta call."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
+           pad=st.integers(0, 2), nan_theta=st.booleans())
+    def test_equals_per_theta_calls(self, seed, dim, pad, nan_theta):
+        rng = np.random.default_rng(seed)
+        thetas = [tuple(complex(t) for t in rng.uniform(0.3, 3.0, size=dim)
+                        * np.exp(2j * np.pi * rng.uniform(size=dim)))
+                  for _ in range(int(rng.integers(1, 5)))]
+        if nan_theta:
+            # a NaN theta is keyed by identity: every term reuses its component objects
+            thetas[-1] = (complex(float("nan"), 0.0),) + thetas[-1][1:]
+        H = [impulse_from_symbol(random_poly(rng, dim, 2, complex_coeffs=True, laurent=True))
+             for _ in range(int(rng.integers(1, 3)))]
+        stack = []
+        for _ in range(int(rng.integers(1, 7))):
+            picks = rng.choice(len(thetas), size=min(len(thetas), int(rng.integers(1, 3))),
+                               replace=False)
+            stack.append(ExpPolySeq(tuple(
+                (thetas[i], random_poly(rng, dim, int(rng.integers(0, 5)), complex_coeffs=True))
+                for i in picks)))
+        stack.append(ExpPolySeq.single(thetas[-1], random_poly(rng, dim, 3)))
+        got = kernel_residual(H, stack, pad=pad)
+        # one call per theta over its terms, as a reference
+        alone = {}
+        for theta in thetas:
+            terms = [(r, t) for r, seq in enumerate(stack)
+                     for t, (th, _) in enumerate(seq.terms) if th == theta]
+            singles = [ExpPolySeq.single(theta, stack[r].terms[t][1]) for r, t in terms]
+            for (r, t), (res, per) in zip(terms, kernel_residual(H, singles, pad=pad)):
+                assert list(per) == [theta]
+                alone[r, t] = res
+        for r, (overall, per) in enumerate(got):
+            assert len(per) == len(stack[r].terms)
+            for t, value in enumerate(per.values()):
+                assert _same(value, alone[r, t])
+            assert _same(overall, float(np.max([alone[r, t] for t in range(len(per))])))
+
+    def test_memory_across_theta(self):
+        """Twelve theta stacked on the windows of Pi_4 need at most 3x the
+        working memory of the largest single-theta stack: per block, only the
+        table columns of one theta stay gathered."""
+        import tracemalloc
+        from convkern.linalg import monomials_upto
+        rng = np.random.default_rng(7)
+        h = Impulse(3, {exp: complex(rng.normal(), rng.normal())
+                        for exp in monomials_upto(3, 5)})
+        assert len(h.taps) == 56
+        thetas = [tuple(rng.uniform(0.8, 1.25, size=3)
+                        * np.exp(2j * np.pi * rng.uniform(size=3))) for _ in range(12)]
+        per_theta = [[ExpPolySeq.single(theta, LaurentPoly.monomial(3, exp))
+                      for exp in monomials_upto(3, 4)] for theta in thetas]
+
+        def peak(seqs):
+            tracemalloc.start()
+            try:
+                kernel_residual([h], seqs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = max(peak(seqs) for seqs in per_theta)
+        stacked = peak([seq for seqs in per_theta for seq in seqs])
+        assert stacked <= 3 * single, (stacked, single)
+
+
+def test_every_check_defaults_to_one_tolerance():
+    import inspect
+    from convkern import filters, spectrum, subdivision
+    for check in (filters.eigen_conditions, spectrum.verify_zero_dim, spectrum.certify_kernel,
+                  spectrum.kernel_basis, subdivision.is_symmetric_zero,
+                  subdivision.symmetric_zero_order, subdivision.subdivision_kernel_check):
+        assert inspect.signature(check).parameters["tol"].default is filters.DEFAULT_TOL
+    assert spectrum.DEFAULT_TOL is filters.DEFAULT_TOL == 1e-9

@@ -483,3 +483,114 @@ class TestJetTables:
 
     def test_empty_spectrum(self):
         assert hermite_fundamentals(Spectrum(())).dual_matrix().shape == (0, 0)
+
+
+def _hermite_from_d0(spec):
+    """The Hermite search as it was before it started at its first feasible
+    degree: every degree from max deg Q_theta up, polynomials in zero order."""
+    from convkern.linalg import RANK_TOL, from_coeff_vector, monomials_upto, numerical_rank
+    from convkern.spectrum import _functional_rows
+    n = spec.total_multiplicity
+    d0 = spec.max_degree()
+    for d in range(d0, d0 + n + 1):
+        monos = monomials_upto(spec.dim, d)
+        V = _functional_rows(spec, monos)
+        if numerical_rank(V) == n:
+            pinv = np.linalg.pinv(V, rcond=RANK_TOL)
+            return [from_coeff_vector(spec.dim, pinv[:, i], monos) for i in range(n)]
+    raise AssertionError("no full-rank degree")
+
+
+class TestSharedAcrossZeros:
+    """Work shared by the zeros of a spectrum: one oracle stack in
+    certify_kernel, one jet table per distinct space, and the Hermite search
+    from its first feasible degree; each result is exactly the per-zero one."""
+
+    @pytest.fixture
+    def manyzeros(self):
+        return (ser.filters_from_json(_fixture("filters_manyzeros_2d.json")),
+                ser.spectrum_from_json(_fixture("spectrum_manyzeros_2d.json")))
+
+    def test_certify_kernel_one_convolve_per_filter_and_window(self, manyzeros,
+                                                               monkeypatch):
+        from convkern import filters, spectrum
+        from convkern.filters import certified_window
+        H, spec = manyzeros
+        residual_calls, convolve_calls = [], []
+        real_residual, real_convolve = spectrum.kernel_residual, filters.convolve
+
+        def counting_residual(H, seqs, pad=0):
+            residual_calls.append(len(seqs))
+            return real_residual(H, seqs, pad)
+
+        def counting_convolve(h, c, w):
+            convolve_calls.append((H.index(h), w))
+            return real_convolve(h, c, w)
+
+        monkeypatch.setattr(spectrum, "kernel_residual", counting_residual)
+        monkeypatch.setattr(filters, "convolve", counting_convolve)
+        cert = certify_kernel(H, spec)
+        assert cert["pass"]
+        seqs = [ExpPolySeq.single(theta, p) for theta, P in cert["kernel"] for p in P.elements]
+        windows = {certified_window(seq) for seq in seqs}
+        assert residual_calls == [len(seqs)] == [4 * 1 + 4 * 3]
+        assert len(windows) == 2
+        assert sorted(convolve_calls, key=repr) == sorted(
+            ((hi, w) for hi in range(len(H)) for w in windows), key=repr)
+        # the residuals are those of one call per zero, exactly
+        monkeypatch.undo()
+        alone = []
+        for theta, P in cert["kernel"]:
+            alone += [res for res, _ in kernel_residual(
+                H, [ExpPolySeq.single(theta, p) for p in P.elements])]
+        assert [rec["residual"] for rec in cert["oracle"]] == alone
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    def test_one_jet_table_per_space(self, rng, monkeypatch, shared):
+        from convkern import spectrum
+        from convkern.linalg import dual_rows, monomials_upto
+        spaces = [fat_point_space(2, 0), fat_point_space(2, 1)]
+        thetas = [tuple(complex(t) for t in rng.uniform(0.8, 1.25, size=2)
+                        * np.exp(2j * np.pi * rng.uniform(size=2))) for _ in range(8)]
+        spec = Spectrum(tuple(
+            Zero(theta, spaces[i % 2] if shared else fat_point_space(2, i % 2))
+            for i, theta in enumerate(thetas)))
+        calls = []
+        real = spectrum.diff_tables
+
+        def counting(orders, support, points):
+            calls.append(len(points))
+            return real(orders, support, points)
+
+        monkeypatch.setattr(spectrum, "diff_tables", counting)
+        support = monomials_upto(2, 4) + [(-1, 2), (3, -2)]
+        V = spectrum._functional_rows(spec, support)
+        assert calls == ([4, 4] if shared else [1] * 8)
+        ref = np.vstack([dual_rows(zero.mult.ortho_basis, support, zero.point)
+                         for zero in spec.zeros])
+        assert np.array_equal(V, ref)
+
+    @pytest.mark.parametrize("dim, nzeros, max_order", [(1, 4, 2), (2, 6, 1), (3, 5, 1),
+                                                        (2, 3, 3)])
+    def test_hermite_search_starts_at_its_bound(self, rng, monkeypatch, dim, nzeros,
+                                                max_order):
+        from convkern import spectrum
+        for _ in range(3):
+            spec = _random_spectrum(rng, dim, nzeros, max_order)
+            ref = _hermite_from_d0(spec)
+            columns = []
+            real = spectrum.numerical_rank
+
+            def recording(V, _real=real):
+                columns.append(V.shape[1])
+                return _real(V)
+
+            monkeypatch.setattr(spectrum, "numerical_rank", recording)
+            system = hermite_fundamentals(spec)
+            monkeypatch.undo()
+            n = spec.total_multiplicity
+            assert columns and min(columns) >= n
+            assert [(zi, qi) for zi, qi, _ in system.polys] == \
+                [(zi, qi) for zi, zero in enumerate(spec.zeros) for qi in range(zero.mult.size)]
+            assert [list(p.terms.items()) for _, _, p in system.polys] == \
+                [list(p.terms.items()) for p in ref]

@@ -588,15 +588,18 @@ class TestSharedCandidates:
         monkeypatch.setattr(subdivision, "kernel_residual", counting)
         return seen
 
-    def test_one_oracle_residual_per_monomial_and_theta(self, rng, residual_calls):
+    def test_one_oracle_residual_per_check(self, rng, residual_calls):
         Xi = dil((2, 1), (0, 2))
         theta, other = random_point(rng, 2), random_point(rng, 2)
         a = planted_mask(rng, Xi, theta, 2)
         subdivision_kernel_check(a, Xi, [(theta, 1), (other, 0), (theta, 3), (theta, 0)])
-        # one call per distinct theta over the monomials of Pi_{K_theta}:
-        # dim Pi_3 and dim Pi_0 in two variables
-        assert [len(seqs) for seqs in residual_calls] == [10, 1]
-        assert [seq.max_degree() for seq in residual_calls[0]] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
+        # one call over the monomials of Pi_{K_theta} for every theta,
+        # theta-major: dim Pi_3 and dim Pi_0 in two variables
+        [seqs] = residual_calls
+        assert len(seqs) == 10 + 1
+        assert [seq.terms[0][0] for seq in seqs] == \
+            [tuple(complex(t) for t in theta)] * 10 + [tuple(complex(t) for t in other)]
+        assert [seq.max_degree() for seq in seqs] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 0]
 
     def test_nan_oracle_residual_fails(self, rng, monkeypatch):
         from convkern import subdivision
