@@ -90,6 +90,13 @@ CLI_CORPUS = [
     (("verify", "filters_manyzeros_2d.json", "spectrum_manyzeros_2d.json"), 0),
     (("hermite", "spectrum_manyzeros_2d.json"), 0),
     (("build-kernel", "spectrum_manyzeros_2d.json"), 0),
+    # masks with a symmetric zero of order exactly 1 over a sheared dilation
+    # (|det| 4 in a box of 24 points) and one of determinant -6: the reports
+    # pin the order of the coset representatives and subsymbols
+    (("subdivide", "mask_shear25_k1.json", "dilation_shear25.json",
+      "candidates_2d_k0to2.json"), 1),
+    (("subdivide", "mask_det_minus6_k1.json", "dilation_det_minus6.json",
+      "candidates_2d_k0to2.json"), 1),
 ]
 
 

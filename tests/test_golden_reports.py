@@ -1,6 +1,6 @@
 """Golden digests of the fixture-corpus CLI reports.
 
-Each of the 24 CLI_CORPUS invocations runs with the default flags, with
+Each of the 26 CLI_CORPUS invocations runs with the default flags, with
 --window-pad 3 and with --tol 1e-6; its exit code and the sha256 of its
 standard output are pinned below.  A change that alters report bytes on
 purpose updates these digests and records in CHANGES.md which reports
@@ -65,6 +65,10 @@ DIGESTS = {
         (0, "bea915d3bbccd1b032827103fc2524da387cecc801b691adc945b3c794a57ea2"),
     "build-kernel spectrum_manyzeros_2d.json":
         (0, "c33789f824278c01ff12426f9d533fd112e91934f59e9c402aab099a582ea510"),
+    "subdivide mask_shear25_k1.json dilation_shear25.json candidates_2d_k0to2.json":
+        (1, "0aea870768571aa9d24bff20129cf4798bfbf721b9ff2f958a360939ef59b279"),
+    "subdivide mask_det_minus6_k1.json dilation_det_minus6.json candidates_2d_k0to2.json":
+        (1, "1927c2c14bdfc5e82ee24b319a71cf26a7c17124076d6871f5df7995ba1e21e6"),
     "--window-pad 3 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "480c7bebb7f5dc793a86ccf289c10c6f9afe7fda6b70e16ada8dc385c00e616a"),
     "--window-pad 3 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -113,6 +117,10 @@ DIGESTS = {
         (0, "bea915d3bbccd1b032827103fc2524da387cecc801b691adc945b3c794a57ea2"),
     "--window-pad 3 build-kernel spectrum_manyzeros_2d.json":
         (0, "182c0e2ae352443fdf0e1250cedfd113b7ac1b2e690d65d053779f0431fc6554"),
+    "--window-pad 3 subdivide mask_shear25_k1.json dilation_shear25.json candidates_2d_k0to2.json":
+        (1, "0aea870768571aa9d24bff20129cf4798bfbf721b9ff2f958a360939ef59b279"),
+    "--window-pad 3 subdivide mask_det_minus6_k1.json dilation_det_minus6.json candidates_2d_k0to2.json":
+        (1, "1927c2c14bdfc5e82ee24b319a71cf26a7c17124076d6871f5df7995ba1e21e6"),
     "--tol 1e-6 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "175c5794ef4ab7dce096909bbac963cd81df9be25f4912e35e2a91ff7e1f7bab"),
     "--tol 1e-6 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -161,6 +169,10 @@ DIGESTS = {
         (0, "bea915d3bbccd1b032827103fc2524da387cecc801b691adc945b3c794a57ea2"),
     "--tol 1e-6 build-kernel spectrum_manyzeros_2d.json":
         (0, "c33789f824278c01ff12426f9d533fd112e91934f59e9c402aab099a582ea510"),
+    "--tol 1e-6 subdivide mask_shear25_k1.json dilation_shear25.json candidates_2d_k0to2.json":
+        (1, "9df74d3161315ccdccec066cccb42c86cc5df9d275fcbfdac2f01c6a4e0c82d5"),
+    "--tol 1e-6 subdivide mask_det_minus6_k1.json dilation_det_minus6.json candidates_2d_k0to2.json":
+        (1, "427a27890fb5c4f3c824479a0fe125077bad3288fe93b2aadf0aeef296daa725"),
 }
 
 INVOCATIONS = [flags + argv for flags in FLAGS for argv, _ in CLI_CORPUS]
