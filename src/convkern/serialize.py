@@ -6,10 +6,10 @@ order), so serialized bytes are reproducible across runs.
 
 Parsers enforce the input contract and raise FormatError otherwise: every
 real is a finite JSON number, every exponent, index, dimension, order and
-matrix entry is a JSON integer (not a float or a bool), every filter of a
-filter file has a nonzero tap, multiplicity spaces have total degree and
-candidates order at most MAX_FACTORIAL, and a dilation's coset search box
-holds at most MAX_COSET_SCAN points.
+matrix entry is a JSON integer (not a float or a bool), every theta lies in
+C_x^s (no zero component), every filter of a filter file has a nonzero tap,
+multiplicity spaces have total degree and candidates order at most
+MAX_FACTORIAL, and a dilation has at most MAX_COSETS cosets, |det Xi|.
 
 dumps writes a report as exactly the bytes of json.dumps(obj, indent=2,
 allow_nan=False) followed by a newline: 2-space indent, "," and ": "
@@ -34,7 +34,9 @@ from .apolar import DInvariantSpace
 from .filters import Impulse
 from .mpoly import MAX_FACTORIAL, LaurentPoly
 from .spectrum import Spectrum, Zero
-from .subdivision import MAX_COSET_SCAN, Dilation, coset_scan_size
+from .subdivision import Dilation
+
+MAX_COSETS = 10 ** 5  # cosets of Z^s / Xi Z^s, |det Xi|, that a dilation may have
 
 
 class FormatError(ValueError):
@@ -82,7 +84,10 @@ def complex_from_json(obj: Any) -> complex:
 
 
 def _thetas(obj: Any) -> Tuple[complex, ...]:
-    return tuple(complex_from_json(t) for t in _array(obj, "theta"))
+    theta = tuple(complex_from_json(t) for t in _array(obj, "theta"))
+    if 0 in theta:
+        raise FormatError("theta must lie in C_x^s")
+    return theta
 
 
 def poly_to_json(f: LaurentPoly) -> List[Dict[str, Any]]:
@@ -217,8 +222,9 @@ def dilation_from_json(obj: Any) -> Dilation:
         Xi = Dilation(rows)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    if coset_scan_size(Xi) > MAX_COSET_SCAN:
-        raise FormatError(f"dilation's coset search box exceeds {MAX_COSET_SCAN} points")
+    if Xi.coset_count > MAX_COSETS:
+        raise FormatError(f"dilation has |det Xi| = {Xi.coset_count} cosets, "
+                          f"above the limit of {MAX_COSETS}")
     return Xi
 
 

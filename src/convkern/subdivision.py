@@ -1,14 +1,13 @@
 """Stationary subdivision operators with expanding integer dilation matrices.
 
-Coset membership is decided in exact integer arithmetic (adjugate over
-determinant), so the half-open fundamental cell [0,1)^s never suffers from
-floating boundary effects.  A Dilation owns its determinant, adjugate and
-(lazily, per orientation) coset representatives; subsymbols, modulation
-points and subdivide read them, with adj(Xi^T) = adj(Xi)^T.  A tap or an
-index difference splits into its coset representative and lattice point in
-closed form, beta = floor(Xi^-1 alpha).  Kernel questions
-reduce to convolution kernels of the subsymbols, one per coset.  The
-derivative tests take jet tables from linalg times the symbol's
+Coset membership has one rule, the exact integer floor map
+rho(alpha) = alpha - M floor(adj alpha / det) onto M [0,1)^s, M = Xi or Xi^T.
+A Dilation owns its determinant and adjugate, from O(s^3) exact elimination,
+and (lazily, per orientation) its coset representatives, the closure of {0}
+under alpha -> rho(alpha + e_j); subsymbols, modulation points and subdivide
+read them, with adj(Xi^T) = adj(Xi)^T, and split a tap by the same map.
+Kernel questions reduce to convolution kernels of the subsymbols, one per
+coset.  The derivative tests take jet tables from linalg times the symbol's
 coefficients: one stacked table over all modulation points for a symmetric
 zero, and one table per subsymbol at theta^-1, each symbol taken as its
 Impulse.normalized_symbol.  subdivision_kernel_check shares the subsymbol and
@@ -22,9 +21,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,44 +33,56 @@ from .linalg import coeff_matrix, diff_table, diff_tables, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key
 
 
-# coset_reps scans the bounding box of Xi [0,1)^s point by point; the input
-# contract caps the box so that a dilation cannot make it run without bound.
-MAX_COSET_SCAN = 10 ** 5
-
-
 def _int_matrix(rows) -> Tuple[Tuple[int, ...], ...]:
     out = tuple(tuple(int(v) for v in row) for row in rows)
-    n = len(out)
-    if any(len(row) != n for row in out):
-        raise ValueError("dilation matrix must be square")
+    if not out or any(len(row) != len(out) for row in out):
+        raise ValueError("dilation matrix must be square and nonempty")
     return out
 
 
+def _matvec(M: Sequence[Sequence[int]], v: Sequence[int]) -> Tuple[int, ...]:
+    return tuple([sum(map(mul, row, v)) for row in M])
+
+
 def int_det(M: Sequence[Sequence[int]]) -> int:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = 0
-    for j in range(n):
-        if M[0][j] == 0:
-            continue
-        minor = [[M[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * M[0][j] * int_det(minor)
-    return total
+    """det(M) by Bareiss's fraction-free elimination: O(s^3) operations on
+    integers, each division exact."""
+    A = [list(row) for row in M]
+    n, sign, prev = len(A), 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                return 0
+            A[k], A[swap], sign = A[swap], A[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1]
 
 
 def int_adjugate(M: Sequence[Sequence[int]]) -> List[List[int]]:
-    """adj(M) with M @ adj(M) = det(M) I, exact over the integers."""
+    """adj(M) = det(M) M^-1 of a nonsingular M, with M @ adj(M) = det(M) I:
+    Gauss-Jordan elimination over the rationals, O(s^3) exact operations."""
     n = len(M)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[M[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * int_det(minor)
-    return adj
+    A = [[Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(M)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if A[i][k]), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        if p != k:
+            A[k], A[p], det = A[p], A[k], -det
+        pivot = A[k][k]
+        det *= pivot
+        A[k] = [v / pivot for v in A[k]]
+        for i in range(n):
+            if i != k and A[i][k]:
+                f = A[i][k]
+                A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+    return [[int(det * v) for v in row[n:]] for row in A]
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,7 @@ class Dilation:
     modulus > 1.  det and adj (Xi adj = det I) are exact and computed once;
     Xi^T has the same determinant and the adjugate adj^T.  reps and
     transposed_reps, E_Xi and E'_Xi from coset_reps, are computed on first
-    use, after serialize has bounded the coset scan."""
+    use; serialize caps their number, |det|."""
 
     Xi: Tuple[Tuple[int, ...], ...]
     det: int = field(init=False, repr=False, compare=False)
@@ -118,7 +130,7 @@ class Dilation:
         return tuple(coset_reps(self, transpose=True))
 
     def apply(self, alpha: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(sum(row[j] * alpha[j] for j in range(self.dim)) for row in self.Xi)
+        return _matvec(self.Xi, alpha)
 
 
 class NotExpandingError(ValueError):
@@ -131,57 +143,36 @@ def is_expanding(Xi: Dilation) -> bool:
     return bool(np.min(np.abs(eigvals)) > 1.0 + 1e-9)
 
 
-def _in_unit_cell(d: int, adj: Sequence[Sequence[int]], alpha: Sequence[int]) -> bool:
-    """Exact test for M^-1 alpha in [0,1)^s: componentwise 0 <= v_i/d < 1
-    with v = adj(M) alpha and d = det M."""
-    for row in adj:
-        v = sum(row[j] * alpha[j] for j in range(len(alpha)))
-        if d > 0:
-            if not (0 <= v < d):
-                return False
-        else:
-            if not (d < v <= 0):
-                return False
-    return True
+def _coset_decompose(Xi: Dilation, alpha: Sequence[int], transpose: bool = False
+                     ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Write alpha = xi + M beta with xi = rho(alpha) in M [0,1)^s, the
+    representative coset_reps lists, for M = Xi (or Xi^T); exact.
 
-
-def _scan_box(M: Sequence[Sequence[int]]) -> List[range]:
-    """Bounding box of the parallelepiped M [0,1)^s, from the vertices M v,
-    v in {0,1}^s."""
-    n = len(M)
-    vertices = [tuple(sum(M[i][j] * v[j] for j in range(n)) for i in range(n))
-                for v in product((0, 1), repeat=n)]
-    return [range(min(v[i] for v in vertices), max(v[i] for v in vertices) + 1)
-            for i in range(n)]
-
-
-def coset_scan_size(Xi: Dilation) -> int:
-    """Points coset_reps scans, over both orientations of Xi."""
-    return max(math.prod(len(r) for r in _scan_box(M))
-               for M in (Xi.Xi, Xi.transpose()))
+    beta = floor(M^-1 alpha) = floor(adj alpha / det), by floor division,
+    which rounds down for either sign of det.
+    """
+    M, adj = (Xi.transpose(), Xi.adj_transpose()) if transpose else (Xi.Xi, Xi.adj)
+    beta = tuple(v // Xi.det for v in _matvec(adj, alpha))
+    return tuple(t - v for t, v in zip(alpha, _matvec(M, beta))), beta
 
 
 def coset_reps(Xi: Dilation, transpose: bool = False) -> List[Tuple[int, ...]]:
-    """E_Xi = Xi [0,1)^s cap Z^s (or the transpose variant), graded-lex sorted."""
+    """E_Xi = Xi [0,1)^s cap Z^s (or the transpose variant), graded-lex sorted:
+    the closure of {0} under alpha -> rho(alpha + e_j), rho the floor map of
+    _coset_decompose, since the e_j generate Z^s / M Z^s.  Each xi is carried
+    as adj xi, where rho reads adj rho(xi + e_j) = (adj xi + adj e_j) mod det,
+    so |det| s steps cost O(s) each; xi = M (adj xi) / det at the end."""
     M, adj = (Xi.transpose(), Xi.adj_transpose()) if transpose else (Xi.Xi, Xi.adj)
-    reps = [alpha for alpha in product(*_scan_box(M)) if _in_unit_cell(Xi.det, adj, alpha)]
-    reps.sort(key=grlex_key)
-    if len(reps) != Xi.coset_count:
-        raise AssertionError(
-            f"found {len(reps)} coset representatives, expected {Xi.coset_count}")
-    return reps
-
-
-def _coset_decompose(Xi: Dilation,
-                     alpha: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Write alpha = xi + Xi beta with xi in Xi [0,1)^s, the representative
-    coset_reps lists; exact.
-
-    beta = floor(Xi^-1 alpha) = floor(adj alpha / det), by floor division,
-    which rounds down for either sign of det.
-    """
-    beta = tuple(sum(r * t for r, t in zip(row, alpha)) // Xi.det for row in Xi.adj)
-    return tuple(t - v for t, v in zip(alpha, Xi.apply(beta))), beta
+    d, steps, origin = Xi.det, list(zip(*adj)), (0,) * Xi.dim  # steps: adj e_j
+    seen, found = {origin}, [origin]
+    for v in found:  # breadth first; the loop reaches what it appends
+        for step in steps:
+            w = tuple([(x + y) % d for x, y in zip(v, step)])
+            if w not in seen:
+                seen.add(w)
+                found.append(w)
+    return sorted([tuple([sum(map(mul, row, v)) // d for row in M]) for v in found],
+                  key=grlex_key)
 
 
 def subsymbols(a: Impulse, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
@@ -220,8 +211,7 @@ def modulation_points(Xi: Dilation, zeta: Sequence[complex]) -> List[Tuple[compl
     points = []
     for xi_p in Xi.transposed_reps:
         # Xi^-T xi' as exact rationals adj(Xi^T) xi' / det
-        w = [sum(row[j] * xi_p[j] for j in range(Xi.dim)) for row in adjT]
-        mod = tuple(cmath.exp(-2j * cmath.pi * wi / Xi.det) for wi in w)
+        mod = tuple(cmath.exp(-2j * cmath.pi * wi / Xi.det) for wi in _matvec(adjT, xi_p))
         points.append(tuple(m * zv for m, zv in zip(mod, zeta)))
     return points
 
@@ -290,12 +280,8 @@ def canonical_zero_representative(Xi: Dilation, theta: Sequence[complex]) -> Tup
     if any(t == 0 for t in theta):
         raise ValueError("theta must lie in C_x^s")
     logs = [cmath.log(t) for t in theta]
-    zeta = []
-    for row in Xi.adj_transpose():
-        # -(Xi^-T log theta)_i with the exact rational inverse
-        acc = -sum(row[j] * logs[j] for j in range(Xi.dim)) / Xi.det
-        zeta.append(cmath.exp(acc))
-    return tuple(zeta)
+    # -(Xi^-T log theta)_i with the exact rational inverse
+    return tuple(cmath.exp(-acc / Xi.det) for acc in _matvec(Xi.adj_transpose(), logs))
 
 
 def subdivision_kernel_check(a: Impulse, Xi: Dilation,

@@ -469,6 +469,7 @@ def _filters(index=(1,), dim=1):
 
 
 ONE = {"re": 1.0, "im": 0.0}
+ZERO = {"re": 0.0, "im": 0.0}
 NAN_ONE = {"re": float("nan"), "im": 0.0}
 INF_ONE = {"re": 1.0, "im": float("-inf")}
 CANDIDATES = {"candidates": [{"theta": [ONE], "order": 0}]}
@@ -513,6 +514,11 @@ class TestInputContract:
                                               {"dim": 1, "taps": [{"index": [0], "re": 0.0}]}]},
                                  _spectrum(ONE)),
         "mask_without_taps": ("subdivide", {"dim": 1, "taps": []}, {"Xi": [[2]]}, CANDIDATES),
+        "zero_theta_spectrum": ("verify", _filters(), _spectrum(ZERO)),
+        "zero_theta_candidate": ("subdivide", _filters(index=(1, 0), dim=2)["filters"][0],
+                                 {"Xi": [[2, 0], [0, 2]]},
+                                 {"candidates": [{"theta": [ZERO, ONE], "order": 0}]}),
+        "zero_theta_eigen": ("eigen", _filters()["filters"][0], {"theta": [ZERO]}),
     }
 
     def _run(self, case, tmp_path, capsys):
@@ -540,6 +546,11 @@ class TestInputContract:
     def test_zero_filter_is_named(self, case, message, tmp_path, capsys):
         assert self._run(case, tmp_path, capsys)[1].err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("case", ["zero_theta_spectrum", "zero_theta_candidate",
+                                      "zero_theta_eigen"])
+    def test_zero_theta_is_named(self, case, tmp_path, capsys):
+        assert self._run(case, tmp_path, capsys)[1].err == "error: theta must lie in C_x^s\n"
+
     def test_eigen_reports_a_zero_filter(self, tmp_path, capsys):
         """eigen takes one filter, not a filter set: a zero filter fails its
         checks with a report."""
@@ -562,6 +573,11 @@ class TestInputContract:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def _dense_dilation(n):
+    """5 on the diagonal and 1 elsewhere: |det| = 4^(n-1) (n + 4)."""
+    return {"Xi": [[5 if i == j else 1 for j in range(n)] for i in range(n)]}
+
+
 class TestUnboundedInputs:
     """Inputs that used to run without bound exit 2 with a message.  Each runs
     in a subprocess under a timeout, so a regression fails instead of
@@ -570,27 +586,56 @@ class TestUnboundedInputs:
     CASES = {
         "order_above_guard": (_filters()["filters"][0], {"Xi": [[2]]},
                               {"candidates": [{"theta": [ONE], "order": 100000000}]}),
-        "coset_scan_box": (_filters(index=(1, 0), dim=2)["filters"][0],
-                           {"Xi": [[2, 1000000], [0, 2]]},
-                           {"candidates": [{"theta": [ONE, ONE], "order": 0}]}),
+        "det_above_cap": (_filters(index=(1, 0), dim=2)["filters"][0],
+                          {"Xi": [[400, 0], [0, 400]]},
+                          {"candidates": [{"theta": [ONE, ONE], "order": 0}]}),
+        "dilation_12x12": (_filters(index=(1,) + (0,) * 11, dim=12)["filters"][0],
+                           _dense_dilation(12),
+                           {"candidates": [{"theta": [ONE] * 12, "order": 0}]}),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exits_2_within_timeout(self, case, tmp_path):
+    @staticmethod
+    def _subdivide(payloads, tmp_path):
         import subprocess
         import sys
         paths = []
-        for i, obj in enumerate(self.CASES[case]):
+        for i, obj in enumerate(payloads):
             path = tmp_path / f"in{i}.json"
             path.write_text(json.dumps(obj))
             paths.append(str(path))
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "convkern.cli", "subdivide"] + paths,
+        return subprocess.run([sys.executable, "-m", "convkern.cli", "subdivide"] + paths,
                               capture_output=True, text=True, timeout=60, env=env)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_within_timeout(self, case, tmp_path):
+        proc = self._subdivide(self.CASES[case], tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("case, det", [("det_above_cap", 160000),
+                                           ("dilation_12x12", 4 ** 11 * 16)])
+    def test_det_cap_is_named(self, case, det, tmp_path):
+        proc = self._subdivide(self.CASES[case], tmp_path)
+        assert proc.stderr == (f"error: dilation has |det Xi| = {det} cosets, "
+                               "above the limit of 100000\n")
+
+    def test_sheared_dilation_with_small_det_runs(self, tmp_path):
+        """|det| 4, in a bounding box of 3 x 1000003 points."""
+        proc = self._subdivide((_filters(index=(1, 0), dim=2)["filters"][0],
+                                {"Xi": [[2, 1000000], [0, 2]]},
+                                {"candidates": [{"theta": [ONE, ONE], "order": 0}]}),
+                               tmp_path)
+        assert proc.returncode in (0, 1), proc.stderr
+        assert [rec["coset"] for rec in json.loads(proc.stdout)["subsymbols"]] == \
+            [[0, 0], [1, 0], [500000, 1], [500001, 1]]
+
+    def test_det_at_cap_is_accepted(self):
+        assert ser.dilation_from_json({"Xi": [[100000]]}).coset_count == ser.MAX_COSETS
+        with pytest.raises(ser.FormatError, match=r"\|det Xi\| = 100001 cosets"):
+            ser.dilation_from_json({"Xi": [[-100001]]})
 
     def test_order_at_guard_is_accepted(self):
         from convkern.mpoly import MAX_FACTORIAL

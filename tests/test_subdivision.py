@@ -3,13 +3,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from convkern import (Dilation, ExpPolySeq, Impulse, LaurentPoly, NotExpandingError, Window,
                       canonical_zero_representative, convolve, coset_reps,
                       is_expanding, is_symmetric_zero, modulation_points,
                       subdivide, subdivision_kernel_check, subsymbols,
                       symbol, symmetric_zero_order, z_pow_Xi)
-from convkern.subdivision import int_adjugate, int_det
+from convkern.mpoly import grlex_key
+from convkern.subdivision import _coset_decompose, int_adjugate, int_det
 
 from conftest import const, variables
 
@@ -52,6 +55,47 @@ def random_point(rng, dim):
                  for _ in range(dim))
 
 
+def laplace_det(M):
+    """Reference: det by Laplace expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * laplace_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def laplace_adjugate(M):
+    """Reference: adj(M)[j][i] = (-1)^(i+j) times the (i, j) minor."""
+    n = len(M)
+    if n == 1:
+        return [[1]]
+    return [[(-1) ** (i + j) * laplace_det([row[:j] + row[j + 1:]
+                                            for r, row in enumerate(M) if r != i])
+             for i in range(n)] for j in range(n)]
+
+
+def scan_coset_reps(Xi, transpose=False):
+    """Reference: every point of the bounding box of M [0,1)^s (from the
+    vertices M v, v in {0,1}^s) whose M^-1 alpha = adj alpha / det lies in
+    [0,1)^s, graded-lex sorted; M = Xi or Xi^T."""
+    M, adj = (Xi.transpose(), Xi.adj_transpose()) if transpose else (Xi.Xi, Xi.adj)
+    n, d = len(M), Xi.det
+    vertices = [[sum(M[i][j] * v[j] for j in range(n)) for i in range(n)]
+                for v in product((0, 1), repeat=n)]
+    box = [range(min(v[i] for v in vertices), max(v[i] for v in vertices) + 1)
+           for i in range(n)]
+
+    def in_cell(alpha):
+        values = [sum(r * a for r, a in zip(row, alpha)) for row in adj]
+        return all(0 <= v < d if d > 0 else d < v <= 0 for v in values)
+
+    return sorted((alpha for alpha in product(*box) if in_cell(alpha)), key=grlex_key)
+
+
+def square_matrices(max_dim, lo, hi):
+    return st.integers(1, max_dim).flatmap(lambda n: st.lists(
+        st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
 class TestExpanding:
     def test_two_i(self):
         assert is_expanding(TWO_I)
@@ -67,12 +111,41 @@ class TestExpanding:
         with pytest.raises(ValueError):
             dil((1, 1), (1, 1))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            dil()
+
+
+class TestExactElimination:
+    """int_det (Bareiss) and int_adjugate (Gauss-Jordan over the rationals)
+    equal the Laplace expansions exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices(5, -6, 6))
+    def test_matches_laplace(self, M):
+        det = int_det(M)
+        assert det == laplace_det(M)
+        if det:
+            adj = int_adjugate(M)
+            assert adj == laplace_adjugate(M)
+            n = len(M)
+            assert [[sum(M[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+    def test_singular_adjugate_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            int_adjugate([[1, 2], [2, 4]])
+
+    def test_large_entries(self):
+        M = [[10 ** 20, 1], [3, 10 ** 20 + 7]]
+        assert int_det(M) == laplace_det(M)
+        assert int_adjugate(M) == laplace_adjugate(M)
+
 
 class TestCosetReps:
     def test_two_i(self):
         reps = coset_reps(TWO_I)
         assert set(reps) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-        from convkern.mpoly import grlex_key
         assert reps == sorted(reps, key=grlex_key)
 
     def test_quincunx(self):
@@ -101,6 +174,21 @@ class TestCosetReps:
     def test_transpose_variant(self):
         reps = coset_reps(QUINCUNX, transpose=True)
         assert len(reps) == 2 and (0, 0) in reps
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices(3, -4, 4), st.booleans())
+    def test_closure_matches_scan(self, rows, transpose):
+        try:
+            Xi = Dilation(rows)
+        except ValueError:
+            assume(False)  # singular
+        assert coset_reps(Xi, transpose) == scan_coset_reps(Xi, transpose)
+
+    def test_shear_needs_no_box(self):
+        # |det| 4, in a bounding box of 3 x 1000003 points
+        Xi = dil((2, 1000000), (0, 2))
+        assert coset_reps(Xi) == [(0, 0), (1, 0), (500000, 1), (500001, 1)]
+        assert coset_reps(Xi, transpose=True) == [(0, 0), (0, 1), (1, 500000), (1, 500001)]
 
 
 class TestSubsymbols:
@@ -636,12 +724,14 @@ DECOMPOSE_DILATIONS = [dil((5, 2), (-1, 4)), QUINCUNX, DIAG_23, dil((2, 1), (0, 
 class TestCosetDecompose:
     @pytest.mark.parametrize("Xi", DECOMPOSE_DILATIONS, ids=lambda X: str(X.Xi))
     def test_closed_form_matches_scan(self, rng, Xi):
-        from convkern.subdivision import _coset_decompose
-        reps = coset_reps(Xi)
-        d, adj = int_det(Xi.Xi), int_adjugate(Xi.Xi)
-        for _ in range(200):
-            alpha = tuple(int(v) for v in rng.integers(-40, 41, size=Xi.dim))
-            assert _coset_decompose(Xi, alpha) == _scan_decompose(d, adj, alpha, reps)
+        for transpose in (False, True):
+            M = Xi.transpose() if transpose else Xi.Xi
+            reps = scan_coset_reps(Xi, transpose)
+            d, adj = int_det(M), int_adjugate(M)
+            for _ in range(200):
+                alpha = tuple(int(v) for v in rng.integers(-40, 41, size=Xi.dim))
+                assert _coset_decompose(Xi, alpha, transpose) == \
+                    _scan_decompose(d, adj, alpha, reps)
 
     @pytest.mark.parametrize("Xi", DECOMPOSE_DILATIONS, ids=lambda X: str(X.Xi))
     def test_stored_adjugate(self, Xi):
@@ -661,20 +751,14 @@ class TestAdjugateOncePerCall:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Names of the top-level int_det and int_adjugate calls; the
-        recursion over minors inside them is not counted."""
+        """Names of the int_det and int_adjugate calls."""
         from convkern import subdivision
-        seen, depth = [], [0]
+        seen = []
 
         def counting(name, real):
             def wrapper(M):
-                if not depth[0]:
-                    seen.append(name)
-                depth[0] += 1
-                try:
-                    return real(M)
-                finally:
-                    depth[0] -= 1
+                seen.append(name)
+                return real(M)
             return wrapper
 
         for name in ("int_det", "int_adjugate"):
@@ -798,12 +882,3 @@ class TestToleranceOverride:
     def test_default_tol_fails_all_three(self):
         [rec] = subdivision_kernel_check(self.MASK, TWO, [((1.0,), 0)])["candidates"]
         assert not rec["pass"]
-
-
-class TestCosetScanSize:
-    def test_box_of_both_orientations(self):
-        from convkern.subdivision import coset_scan_size
-        assert coset_scan_size(TWO) == 3
-        assert coset_scan_size(dil((5, 2), (-1, 4))) == max(8 * 6, 7 * 7)
-        # expanding with det 4, yet each orientation scans 3 x 1000003 points
-        assert coset_scan_size(dil((2, 1000000), (0, 2))) == 1000003 * 3
