@@ -1,6 +1,6 @@
 """Golden digests of the fixture-corpus CLI reports.
 
-Each of the 26 CLI_CORPUS invocations runs with the default flags, with
+Each of the 27 CLI_CORPUS invocations runs with the default flags, with
 --window-pad 3 and with --tol 1e-6; its exit code and the sha256 of its
 standard output are pinned below.  A change that alters report bytes on
 purpose updates these digests and records in CHANGES.md which reports
@@ -69,6 +69,8 @@ DIGESTS = {
         (1, "0aea870768571aa9d24bff20129cf4798bfbf721b9ff2f958a360939ef59b279"),
     "subdivide mask_det_minus6_k1.json dilation_det_minus6.json candidates_2d_k0to2.json":
         (1, "1927c2c14bdfc5e82ee24b319a71cf26a7c17124076d6871f5df7995ba1e21e6"),
+    "subdivide mask_quarter_band.json dilation_2.json candidates_1d_quarter.json":
+        (0, "2585d55a049b02188580e63fa0e6b747bf2b8f86244dcc2231ac013064cbe377"),
     "--window-pad 3 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "480c7bebb7f5dc793a86ccf289c10c6f9afe7fda6b70e16ada8dc385c00e616a"),
     "--window-pad 3 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -121,6 +123,8 @@ DIGESTS = {
         (1, "0aea870768571aa9d24bff20129cf4798bfbf721b9ff2f958a360939ef59b279"),
     "--window-pad 3 subdivide mask_det_minus6_k1.json dilation_det_minus6.json candidates_2d_k0to2.json":
         (1, "1927c2c14bdfc5e82ee24b319a71cf26a7c17124076d6871f5df7995ba1e21e6"),
+    "--window-pad 3 subdivide mask_quarter_band.json dilation_2.json candidates_1d_quarter.json":
+        (0, "2585d55a049b02188580e63fa0e6b747bf2b8f86244dcc2231ac013064cbe377"),
     "--tol 1e-6 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "175c5794ef4ab7dce096909bbac963cd81df9be25f4912e35e2a91ff7e1f7bab"),
     "--tol 1e-6 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -173,6 +177,8 @@ DIGESTS = {
         (1, "9df74d3161315ccdccec066cccb42c86cc5df9d275fcbfdac2f01c6a4e0c82d5"),
     "--tol 1e-6 subdivide mask_det_minus6_k1.json dilation_det_minus6.json candidates_2d_k0to2.json":
         (1, "427a27890fb5c4f3c824479a0fe125077bad3288fe93b2aadf0aeef296daa725"),
+    "--tol 1e-6 subdivide mask_quarter_band.json dilation_2.json candidates_1d_quarter.json":
+        (0, "4d4c5fa5a31df4a5e1e69c3fff6f26456aef62cca4d187bc083ba7a7fc9acb1a"),
 }
 
 INVOCATIONS = [flags + argv for flags in FLAGS for argv, _ in CLI_CORPUS]
