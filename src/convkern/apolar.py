@@ -23,6 +23,10 @@ from .mpoly import LaurentPoly, apply_poly_diff, multi_factorial
 
 SPAN_TOL = 1e-8
 
+# ortho_homog_basis drops a candidate whose re-orthogonalized Bombieri norm is
+# at most ORTHO_DROP_TOL max(1, its own norm): it lies in the span so far.
+ORTHO_DROP_TOL = 1e-12
+
 
 def bombieri(f: LaurentPoly, g: LaurentPoly) -> complex:
     """(f, g) = sum_alpha alpha! f_alpha conj(g_alpha)."""
@@ -168,7 +172,7 @@ def ortho_homog_basis(space: DInvariantSpace) -> List[LaurentPoly]:
                 for e in block:
                     q = q - e.scale(bombieri(q, e))
             nrm = bombieri_norm(q)
-            if nrm > 1e-12 * max(1.0, bombieri_norm(cand)):
+            if nrm > ORTHO_DROP_TOL * max(1.0, bombieri_norm(cand)):
                 block.append(q.scale(1.0 / nrm))
         out.extend(block)
     if len(out) != space.size:

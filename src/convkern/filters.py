@@ -19,6 +19,13 @@ convolve per filter and window, with one normalization row per theta.
 Each row gets exactly the arithmetic of its sequence alone, so the
 certificate is unchanged: the same window, the same per-theta, per-filter
 residual and the same normalization, bit for bit.
+
+kernel_residual is the library's one window oracle.  An eigen-sequence c of
+h with eigenvalue lam and shift alpha_h is a kernel element of the impulse
+h - lam delta_{-alpha_h}, so eigen_residual is that impulse's
+kernel_residual, and certify_eigen, spectrum.certify_kernel and
+subdivision.subdivision_kernel_check all decide their oracle checks
+through it, each at max(tol, ORACLE_TOL) times its scale.
 """
 
 from __future__ import annotations
@@ -33,17 +40,6 @@ import numpy as np
 
 from .linalg import dual_rows
 from .mpoly import Exponent, LaurentPoly, grlex_key, laurent_normalize
-
-
-def _theta_pow(theta: Sequence[complex], alpha: Sequence[int]) -> complex:
-    out = 1 + 0j
-    for t, a in zip(theta, alpha):
-        if a == 0:
-            continue
-        if t == 0:
-            raise ZeroDivisionError("exponential base with zero component")
-        out *= t ** a
-    return out
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,8 @@ class ExpPolySeq:
 
     def value(self, alpha: Sequence[int]) -> complex:
         alpha = tuple(int(a) for a in alpha)
-        return sum(p.evaluate(alpha) * _theta_pow(theta, alpha)
+        return sum(p.evaluate(alpha) * math.prod((t ** a for t, a in zip(theta, alpha) if a),
+                                                 start=1 + 0j)
                    for theta, p in self.terms)
 
     def max_degree(self) -> int:
@@ -315,7 +312,8 @@ def kernel_residual(H: Sequence[Impulse], seq: "ExpPolySeq | Sequence[ExpPolySeq
     e_theta-multiples, so a summed check could hide failures by
     cancellation), over its own certified window.  Pointwise values are
     normalized by 1 + |theta^alpha|.  A residual that overflows is reported
-    as NaN, which passes no tolerance.  The terms of a list that share a
+    as NaN, which passes no tolerance, without numpy's overflow and
+    invalid-value warnings.  The terms of a list that share a
     window are convolved as one stack, theta-major, one convolve per filter;
     each result equals that of its sequence alone.
     """
@@ -330,17 +328,19 @@ def kernel_residual(H: Sequence[Impulse], seq: "ExpPolySeq | Sequence[ExpPolySeq
             groups.setdefault(certified_window(term, pad=pad), {}) \
                 .setdefault(theta, []).append(((r, i), term))
     found: Dict[Tuple[int, int], float] = {}
-    for w, by_theta in groups.items():
-        # theta-major, one normalization row per theta repeated over its terms
-        entries = [entry for same in by_theta.values() for entry in same]
-        stack = [term for _, term in entries]
-        scale = np.concatenate([np.tile(1.0 + np.abs(_window_powers(theta, w)), (len(same), 1))
-                                for theta, same in by_theta.items()])
-        worst = np.zeros(len(stack))
-        for h in H:
-            residual = np.abs(convolve(h, stack, w)) / scale
-            worst = np.maximum(worst, np.max(residual, axis=1, initial=0.0))  # propagates NaN
-        found.update(zip((position for position, _ in entries), worst.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, by_theta in groups.items():
+            # theta-major, one normalization row per theta repeated over its terms
+            entries = [entry for same in by_theta.values() for entry in same]
+            stack = [term for _, term in entries]
+            scale = np.concatenate([np.tile(1.0 + np.abs(_window_powers(theta, w)),
+                                            (len(same), 1))
+                                    for theta, same in by_theta.items()])
+            worst = np.zeros(len(stack))
+            for h in H:
+                residual = np.abs(convolve(h, stack, w)) / scale
+                worst = np.maximum(worst, np.max(residual, axis=1, initial=0.0))  # propagates NaN
+            found.update(zip((position for position, _ in entries), worst.tolist()))
     out = []
     for r, c in enumerate(seq):
         per_theta = {theta: found[r, i] for i, (theta, _) in enumerate(c.terms)}
@@ -378,14 +378,29 @@ def eigen_conditions(h: Impulse, theta: Sequence[complex], Q,
 
 def eigen_residual(h: Impulse, lam: complex, alpha_h: Sequence[int],
                    seq: ExpPolySeq, pad: int = 0) -> float:
-    """Max over the certified window of |h*seq - lam seq(. + alpha_h)|,
-    normalized pointwise like kernel_residual."""
-    alpha_h = tuple(int(a) for a in alpha_h)
-    w = certified_window(seq, pad=pad)
-    worst = 0.0
-    vals = convolve(h, seq, w)
-    for alpha, v in vals.items():
-        shifted = seq.value(tuple(a + b for a, b in zip(alpha, alpha_h)))
-        scale = 1.0 + sum(abs(_theta_pow(theta, alpha)) for theta, _ in seq.terms)
-        worst = max(worst, abs(v - lam * shifted) / scale)
-    return worst
+    """Max over the certified windows of |h*seq - lam seq(. + alpha_h)|: the
+    kernel_residual of the impulse h - lam delta_{-alpha_h}, whose
+    convolution with seq is exactly that difference, normalized the same way
+    and NaN when it overflows."""
+    shift = tuple(-int(a) for a in alpha_h)
+    taps = dict(h.taps)
+    taps[shift] = taps.get(shift, 0) - complex(lam)
+    return kernel_residual([Impulse(h.dim, taps)], seq, pad)[0]
+
+
+def certify_eigen(h: Impulse, theta: Sequence[complex], Q, lam: complex,
+                  alpha_h: Sequence[int], tol: float = DEFAULT_TOL, pad: int = 0) -> Dict:
+    """Decide that e_theta is an eigen-sequence of h with eigenvalue lam and
+    shift alpha_h.
+
+    Returns the eigen_conditions records under "conditions" and one oracle
+    record under "oracle": the eigen_residual of e_theta (residual,
+    tolerance, pass), checked against max(tol, ORACLE_TOL) max(1, |h|_1).
+    """
+    cond = eigen_conditions(h, theta, Q, lam, alpha_h, tol=tol)
+    seq = ExpPolySeq.single(theta, LaurentPoly.constant(h.dim, 1.0))
+    res = eigen_residual(h, lam, alpha_h, seq, pad=pad)
+    bound = max(tol, ORACLE_TOL) * max(1.0, h.l1())
+    oracle = {"residual": res, "tolerance": bound, "pass": res <= bound}
+    return {"pass": cond["pass"] and oracle["pass"],
+            "conditions": cond["conditions"], "oracle": oracle}

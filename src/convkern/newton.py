@@ -27,6 +27,10 @@ from .mpoly import (Exponent, LaurentPoly, falling_factorial, grlex_key,
 WITH_SIGMA_MINUS = "with_sigma_minus"
 WITHOUT_SIGMA_MINUS = "without_sigma_minus"
 
+# shift_matrix rejects a P_theta basis whose coefficient matrix has a smallest
+# singular value at most DEPENDENCE_TOL times its largest.
+DEPENDENCE_TOL = 1e-12
+
 
 def forward_difference(f: LaurentPoly, gamma: Sequence[int]) -> LaurentPoly:
     """Delta^gamma f via repeated f(. + e_j) - f."""
@@ -164,7 +168,7 @@ def shift_matrix(P: PThetaBasis, y: Sequence[complex]) -> np.ndarray:
     A, _ = coeff_matrix(polys, support)
     B, _ = coeff_matrix(shifted, support)
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
+    if sv.size == 0 or sv[-1] <= DEPENDENCE_TOL * sv[0]:
         raise ValueError("P_theta basis is numerically dependent")
     G, *_ = np.linalg.lstsq(A, B, rcond=None)
     return G.T

@@ -8,7 +8,9 @@ the filter set is then assembled as the direct sum of the spaces
 P_theta e_theta and certified against the filters by the window oracle.
 certify_kernel is the one place that decides this certificate, dual
 conditions at tol and the oracle at max(tol, ORACLE_TOL); the verify command
-reports its records and kernel_basis raises on them.
+reports its records and kernel_basis raises on them.  certify_hermite
+likewise decides the Kronecker check of the Hermite fundamentals, at
+KRONECKER_TOL, for the hermite command.
 
 The collocation matrix of the Hermite problem and the dual matrix of the
 fundamentals are built block by block, one block per zero, from one jet
@@ -37,6 +39,10 @@ from .mpoly import LaurentPoly, apply_poly_diff
 
 # The fundamentals' dual matrix must be the identity to this accuracy.
 KRONECKER_TOL = 1e-8
+
+# Two zeros of a Spectrum whose theta differ by at most this much in every
+# component are duplicates.
+DUPLICATE_THETA_TOL = 1e-12
 
 # Fixed by the annihilation calibration on the worked triple-zero example
 # (see tests/test_calibration.py): the convention with the final sign flip
@@ -86,7 +92,7 @@ class Spectrum:
         for i in range(len(zeros)):
             for j in range(i + 1, len(zeros)):
                 dist = max(abs(a - b) for a, b in zip(zeros[i].theta, zeros[j].theta))
-                if dist <= 1e-12:
+                if dist <= DUPLICATE_THETA_TOL:
                     raise ValueError(f"duplicate theta at positions {i} and {j}")
         object.__setattr__(self, "zeros", zeros)
 
@@ -215,6 +221,26 @@ def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
             return FundamentalSystem(spec, tuple(polys))
     raise ValueError("dual functionals never reached full rank; "
                      "spectrum is inconsistent (duplicate or degenerate zeros)")
+
+
+def certify_hermite(spec: Spectrum) -> Dict:
+    """Decide that the Hermite fundamentals of the spectrum are dual to its
+    conditions: the largest entry of |dual_matrix - I| against
+    KRONECKER_TOL.
+
+    Returns the FundamentalSystem under "system", its dual matrix under
+    "dual" and one record (residual, tolerance, pass) under "kronecker";
+    when hermite_fundamentals raises ValueError, only "error", its message,
+    and "pass", False.
+    """
+    try:
+        system = hermite_fundamentals(spec)
+    except ValueError as exc:
+        return {"pass": False, "error": str(exc)}
+    dual = system.dual_matrix()
+    worst = float(np.max(np.abs(dual - np.eye(dual.shape[0])), initial=0.0))
+    kronecker = {"residual": worst, "tolerance": KRONECKER_TOL, "pass": worst <= KRONECKER_TOL}
+    return {"pass": kronecker["pass"], "system": system, "dual": dual, "kronecker": kronecker}
 
 
 def ideal_complement_filters(spec: Spectrum, count: int, max_degree: int) -> List[Impulse]:

@@ -13,7 +13,8 @@ zero, and one table per subsymbol at theta^-1, each symbol taken as its
 Impulse.normalized_symbol.  subdivision_kernel_check shares the subsymbol and
 oracle tests between candidates with the same theta, and makes one oracle
 call for all of its theta; its oracle test decides at max(tol, ORACLE_TOL),
-like every other oracle.
+like every other oracle.  Each candidate record carries the residual and
+tolerance of the test that decides it, which the subdivide command prints.
 """
 
 from __future__ import annotations
@@ -133,14 +134,18 @@ class Dilation:
         return _matvec(self.Xi, alpha)
 
 
+# is_expanding asks every eigenvalue modulus to exceed 1 + EXPANDING_MARGIN.
+EXPANDING_MARGIN = 1e-9
+
+
 class NotExpandingError(ValueError):
     """A dilation matrix with an eigenvalue of modulus at most 1."""
 
 
 def is_expanding(Xi: Dilation) -> bool:
-    """Every eigenvalue of Xi has modulus above 1 + 1e-9."""
+    """Every eigenvalue of Xi has modulus above 1 + EXPANDING_MARGIN."""
     eigvals = np.linalg.eigvals(np.array(Xi.Xi, dtype=float))
-    return bool(np.min(np.abs(eigvals)) > 1.0 + 1e-9)
+    return bool(np.min(np.abs(eigvals)) > 1.0 + EXPANDING_MARGIN)
 
 
 def _coset_decompose(Xi: Dilation, alpha: Sequence[int], transpose: bool = False
@@ -296,7 +301,10 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     times e_theta, against max(tol, ORACLE_TOL).  A candidate passes when
     all three pass; where they disagree (numerically, inside the band
     between tol and ORACLE_TOL for instance) it fails, with all three
-    values in its record.
+    values in its record.  The record's "residual" and "tolerance" are those
+    of the test that decides it: the first failed test in the order (i),
+    (ii), (iii), or when all pass the one with the largest value/tolerance,
+    so that residual <= tolerance exactly when the candidate passes.
 
     Tests (ii) and (iii) are computed once per distinct theta, per monomial
     x^beta up to the top order K requested for that theta; the oracle is one
@@ -347,18 +355,25 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         overall = True
         for theta, k in candidates:
             zeta = canonical_zero_representative(Xi, theta)
-            sym_ok, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
+            _, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
 
             n = math.comb(a.dim + k, k)  # dim Pi_k
             sub_worst = float(np.max(sub_violation[theta][:n], initial=0.0))
-            sub_ok = sub_worst <= tol
             oracle_worst = float(np.max(oracle[theta][:n], initial=0.0))  # propagates NaN
-            oracle_ok = oracle_worst <= max(tol, ORACLE_TOL)
+            # (value, tolerance) of the three tests, in report order
+            tests = [(sym_violation, tol), (sub_worst, tol),
+                     (oracle_worst, max(tol, ORACLE_TOL))]
+            failed = [test for test in tests if not test[0] <= test[1]]
+            # the first failed test, else the one nearest its tolerance; a
+            # test at tolerance 0 passes only at value 0
+            value, bound = failed[0] if failed else max(
+                tests, key=lambda test: test[0] / test[1] if test[1] else 0.0)
 
-            passed = sym_ok and sub_ok and oracle_ok
+            passed = not failed
             overall = overall and passed
             results.append({"theta": theta, "order": k, "pass": passed,
                             "symmetric_zero_violation": sym_violation,
                             "subsymbol_violation": sub_worst,
-                            "oracle_residual": oracle_worst})
+                            "oracle_residual": oracle_worst,
+                            "residual": value, "tolerance": bound})
         return {"pass": overall, "candidates": results, "subsymbols": subs}

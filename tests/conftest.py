@@ -102,6 +102,10 @@ CLI_CORPUS = [
     # ORACLE_TOL, so all three pass with the largest value above tol
     (("subdivide", "mask_quarter_band.json", "dilation_2.json",
       "candidates_1d_quarter.json"), 0),
+    # h = 4e306 z - 1e306 z^-1 at theta = 2, lambda = 0: from window point 7
+    # on, the oracle's tap products overflow to inf - inf = NaN
+    (("--window-pad", "8", "eigen", "filter_eigen_overflow.json",
+      "eigen_theta2_lambda0.json"), 2),
 ]
 
 

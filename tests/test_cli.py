@@ -304,6 +304,21 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "inf"),
+                                             ("--tol", "nan"), ("--window-pad", "-5")])
+    def test_out_of_range_flag_is_a_usage_error(self, capsys, flag, value):
+        """A negative or non-finite --tol and a negative --window-pad exit 2
+        at parse time, with a usage message naming the flag."""
+        code = main([flag, value, "eigen", fx("filter_avg.json"), fx("eigen_const.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: convkern")
+        assert f"error: argument {flag}: must be a finite nonnegative" in captured.err
+        assert captured.err.endswith(f"got '{value}'\n")
+
+    def test_zero_tol_is_accepted(self, capsys):
+        assert main(["--tol", "0", "eigen", fx("filter_avg.json"), fx("eigen_const.json")]) == 0
+
 
 class TestParserOnce:
     """main builds its argparse parser once per process and reuses it."""
@@ -359,12 +374,21 @@ class TestNonFiniteReport:
                       "candidates[0].symmetric_zero_violation is nan"),
         "eigen": (("eigen", "filter_overflow.json", "eigen_theta_minus1.json"),
                   "checks[0].tolerance is inf"),
+        # the oracle's tap products overflow to inf - inf from window point 7
+        "eigen_oracle": (("--window-pad", "8", "eigen", "filter_eigen_overflow.json",
+                          "eigen_theta2_lambda0.json"),
+                         "checks[1].value is nan"),
     }
+
+    @staticmethod
+    def argv(case):
+        argv, field = TestNonFiniteReport.CASES[case]
+        return [fx(a) if a.endswith(".json") else a for a in argv], field
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exits_2_naming_the_field(self, case, capsys):
-        argv, field = self.CASES[case]
-        code = main([argv[0]] + [fx(name) for name in argv[1:]])
+        argv, field = self.argv(case)
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -412,13 +436,18 @@ class TestNonFiniteReport:
 
     def test_subdivide_writes_one_stderr_line(self):
         """No numpy RuntimeWarning precedes the error line."""
+        self.assert_one_stderr_line("subdivide")
+
+    def test_eigen_oracle_writes_one_stderr_line(self):
+        self.assert_one_stderr_line("eigen_oracle")
+
+    def assert_one_stderr_line(self, case):
         import subprocess
         import sys
-        argv, field = self.CASES["subdivide"]
+        argv, field = self.argv(case)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "convkern.cli", argv[0]]
-                              + [fx(name) for name in argv[1:]],
+        proc = subprocess.run([sys.executable, "-m", "convkern.cli"] + argv,
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == (f"error: {field}: input magnitudes overflow "

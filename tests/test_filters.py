@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convkern import (DInvariantSpace, ExpPolySeq, Impulse, LaurentPoly,
-                      Window, certified_window, convolve, convolve_impulses,
+                      Window, certified_window, certify_eigen, convolve, convolve_impulses,
                       eigen_conditions, eigen_residual, fat_point_space,
                       impulse_from_symbol, kernel_residual, symbol)
+from convkern.filters import ORACLE_TOL
 
 from conftest import const, random_poly, variables
 
@@ -200,6 +203,92 @@ class TestEigen:
         seq = ExpPolySeq.single((1.0,), x)
         res = eigen_residual(self.averaging(), 1.0, (0,), seq)
         assert res == pytest.approx(0.25)  # |1/2| / (1 + 1)
+
+
+def _pointwise_eigen_residual(h, lam, alpha_h, seq, pad=0):
+    """The per-point loop that eigen_residual ran before it became a
+    kernel_residual, kept as a reference: max over the certified window of
+    |h*seq - lam seq(. + alpha_h)| / (1 + sum |theta^alpha|), where Python's
+    max skips a NaN point.  Returns (that max, whether a point was NaN)."""
+    w = certified_window(seq, pad=pad)
+    worst, nan_seen = 0.0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha, v in convolve(h, seq, w).items():
+            shifted = seq.value(tuple(a + b for a, b in zip(alpha, alpha_h)))
+            scale = 1.0 + sum(abs(math.prod((t ** a for t, a in zip(theta, alpha) if a),
+                                            start=1 + 0j))
+                              for theta, _ in seq.terms)
+            point = abs(v - lam * shifted) / scale
+            nan_seen = nan_seen or math.isnan(point)
+            worst = max(worst, point)
+    return worst, nan_seen
+
+
+class TestEigenResidualAsKernelResidual:
+    """eigen_residual is the kernel_residual of h - lam delta_{-alpha_h}; it
+    agrees with the per-point loop it replaced, except that an overflowing
+    point makes it NaN where the loop skipped that point."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), pad=st.integers(0, 2))
+    def test_agrees_with_pointwise_loop(self, seed, dim, pad):
+        rng = np.random.default_rng(seed)
+        theta = _random_theta(rng, dim, rng.uniform(0.3, 3.0))
+        h = Impulse(dim, {tuple(int(v) for v in rng.integers(-2, 4, size=dim)):
+                          complex(rng.normal(), rng.normal())
+                          for _ in range(int(rng.integers(1, 6)))})
+        alpha_h = tuple(int(v) for v in rng.integers(-2, 4, size=dim))
+        lam = complex(rng.normal(), rng.normal())
+        seq = ExpPolySeq.single(theta, const(dim, 1))
+        reference, nan_seen = _pointwise_eigen_residual(h, lam, alpha_h, seq, pad)
+        got = eigen_residual(h, lam, alpha_h, seq, pad)
+        assert not nan_seen
+        assert abs(got - reference) <= 1e-12 * (h.l1() + abs(lam))
+
+    @settings(max_examples=50, deadline=None)
+    @given(theta=st.floats(2.0, 3.0), size=st.floats(1.0, 4.0), pad=st.integers(12, 14))
+    def test_overflow_is_nan(self, theta, size, pad):
+        """h = a z - a theta^-2 z^-1 has e_theta as an eigen-sequence with
+        eigenvalue 0; its two tap products pass 1e308 together, at window
+        points where the loop skipped the NaN."""
+        a = size * 1e306
+        h = Impulse(1, {(1,): a, (-1,): -a / theta ** 2})
+        seq = ExpPolySeq.single((theta,), const(1, 1))
+        reference, nan_seen = _pointwise_eigen_residual(h, 0.0, (0,), seq, pad)
+        assert nan_seen and math.isfinite(reference)
+        assert math.isnan(eigen_residual(h, 0.0, (0,), seq, pad))
+
+    def test_tap_at_minus_alpha_h_absorbs_lambda(self):
+        """A tap of h at -alpha_h absorbs -lam: h = delta_1 + delta_{-1}
+        maps e_2 to (1/2 + 2) e_2 = 1.25 e_2(. + 1), so with alpha_h = 1 and
+        lam = 1.25 the impulse is delta_1 - 0.25 delta_{-1}; lam = 1 cancels
+        the tap at -1 and leaves delta_1."""
+        h = Impulse(1, {(1,): 1.0, (-1,): 1.0})
+        seq = ExpPolySeq.single((2.0,), const(1, 1))
+        assert eigen_residual(h, 1.25, (1,), seq, pad=3) == 0.0
+        assert eigen_residual(h, 1.0, (1,), seq, pad=3) == \
+            kernel_residual([Impulse(1, {(1,): 1.0})], seq, pad=3)[0] > 0
+
+
+class TestCertifyEigen:
+    def averaging(self):
+        return Impulse(1, {(0,): 0.5, (1,): 0.5})
+
+    def test_records_share_one_shape(self):
+        cert = certify_eigen(self.averaging(), (1.0,), fat_point_space(1, 1), 1.0, (0,))
+        for rec in cert["conditions"] + [cert["oracle"]]:
+            assert rec["pass"] == (rec["residual"] <= rec["tolerance"])
+        assert not cert["pass"]
+        assert cert["pass"] == all(r["pass"] for r in cert["conditions"] + [cert["oracle"]])
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_oracle_bound(self, tol):
+        h = Impulse(1, {(0,): 3.0, (1,): -1.0})
+        seq = ExpPolySeq.single((1.0,), const(1, 1))
+        cert = certify_eigen(h, (1.0,), fat_point_space(1, 0), 2.0, (0,), tol=tol, pad=2)
+        assert cert["oracle"] == {"residual": eigen_residual(h, 2.0, (0,), seq, pad=2),
+                                  "tolerance": max(tol, ORACLE_TOL) * 4.0, "pass": True}
+        assert cert["pass"]
 
 
 def _scalar_convolve(h, c, w):

@@ -1,13 +1,15 @@
 """Golden digests of the fixture-corpus CLI reports.
 
-Each of the 27 CLI_CORPUS invocations runs with the default flags, with
---window-pad 3 and with --tol 1e-6; its exit code and the sha256 of its
+Each of the 28 CLI_CORPUS invocations runs with the default flags, with
+--window-pad 3 and with --tol 1e-6 (an invocation's own flags follow
+these, and argparse keeps the last value); its exit code and the sha256 of its
 standard output are pinned below.  A change that alters report bytes on
 purpose updates these digests and records in CHANGES.md which reports
 changed and why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -46,7 +48,7 @@ DIGESTS = {
     "subdivide mask_delta_2d.json dilation_nonexpanding.json candidates_2d_k0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_2d_k0to3.json":
-        (1, "8dc3906d1091f6ca008a7b5260dd40e4be1f1b0f66d991973b4581a9f62123ab"),
+        (1, "9a6aec60f141dfd56cf0b719df9cc66caa216efca697e68a33f57144d39e8c29"),
     "eigen filter_avg.json eigen_const.json":
         (0, "1e6f7c92f177dbb3459ea97e7ab1f378e616023f521e8d0ea5f34e1557a12efe"),
     "eigen filter_avg.json eigen_linear.json":
@@ -70,7 +72,9 @@ DIGESTS = {
     "subdivide mask_det_minus6_k1.json dilation_det_minus6.json candidates_2d_k0to2.json":
         (1, "1927c2c14bdfc5e82ee24b319a71cf26a7c17124076d6871f5df7995ba1e21e6"),
     "subdivide mask_quarter_band.json dilation_2.json candidates_1d_quarter.json":
-        (0, "2585d55a049b02188580e63fa0e6b747bf2b8f86244dcc2231ac013064cbe377"),
+        (0, "2c6615fdba4b9f5032e7b5a3a83c6046bb40ce489eecb262323d63a748def2f2"),
+    "--window-pad 8 eigen filter_eigen_overflow.json eigen_theta2_lambda0.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "480c7bebb7f5dc793a86ccf289c10c6f9afe7fda6b70e16ada8dc385c00e616a"),
     "--window-pad 3 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -100,7 +104,7 @@ DIGESTS = {
     "--window-pad 3 subdivide mask_delta_2d.json dilation_nonexpanding.json candidates_2d_k0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_2d_k0to3.json":
-        (1, "8dc3906d1091f6ca008a7b5260dd40e4be1f1b0f66d991973b4581a9f62123ab"),
+        (1, "9a6aec60f141dfd56cf0b719df9cc66caa216efca697e68a33f57144d39e8c29"),
     "--window-pad 3 eigen filter_avg.json eigen_const.json":
         (0, "1e6f7c92f177dbb3459ea97e7ab1f378e616023f521e8d0ea5f34e1557a12efe"),
     "--window-pad 3 eigen filter_avg.json eigen_linear.json":
@@ -124,7 +128,9 @@ DIGESTS = {
     "--window-pad 3 subdivide mask_det_minus6_k1.json dilation_det_minus6.json candidates_2d_k0to2.json":
         (1, "1927c2c14bdfc5e82ee24b319a71cf26a7c17124076d6871f5df7995ba1e21e6"),
     "--window-pad 3 subdivide mask_quarter_band.json dilation_2.json candidates_1d_quarter.json":
-        (0, "2585d55a049b02188580e63fa0e6b747bf2b8f86244dcc2231ac013064cbe377"),
+        (0, "2c6615fdba4b9f5032e7b5a3a83c6046bb40ce489eecb262323d63a748def2f2"),
+    "--window-pad 3 --window-pad 8 eigen filter_eigen_overflow.json eigen_theta2_lambda0.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "175c5794ef4ab7dce096909bbac963cd81df9be25f4912e35e2a91ff7e1f7bab"),
     "--tol 1e-6 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -179,6 +185,8 @@ DIGESTS = {
         (1, "427a27890fb5c4f3c824479a0fe125077bad3288fe93b2aadf0aeef296daa725"),
     "--tol 1e-6 subdivide mask_quarter_band.json dilation_2.json candidates_1d_quarter.json":
         (0, "4d4c5fa5a31df4a5e1e69c3fff6f26456aef62cca4d187bc083ba7a7fc9acb1a"),
+    "--tol 1e-6 --window-pad 8 eigen filter_eigen_overflow.json eigen_theta2_lambda0.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 INVOCATIONS = [flags + argv for flags in FLAGS for argv, _ in CLI_CORPUS]
@@ -186,6 +194,23 @@ INVOCATIONS = [flags + argv for flags in FLAGS for argv, _ in CLI_CORPUS]
 
 def test_digests_cover_the_corpus():
     assert sorted(" ".join(argv) for argv in INVOCATIONS) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
+def test_every_verdict_is_its_values(argv):
+    """Each check passes exactly when its value is within its tolerance, a
+    report passes exactly when all its checks do, and the exit code says so."""
+    code, out = run_cli(*argv)
+    if not out:  # a usage error, or a check that failed before any report
+        assert code in (1, 2)
+        return
+    report = json.loads(out)
+    checks = report.get("checks", [])
+    for check in checks:
+        assert check["pass"] == (check["value"] <= check["tolerance"]), check
+    if "checks" in report:
+        assert report["pass"] == all(check["pass"] for check in checks)
+    assert code == (0 if report["pass"] else 1)
 
 
 @pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from convkern import (DInvariantSpace, ExpPolySeq, Impulse, LaurentPoly,
-                      Spectrum, Zero, certify_kernel, dual_apply, fat_point_space,
+                      Spectrum, Zero, certify_hermite, certify_kernel, dual_apply,
+                      fat_point_space,
                       hermite_fundamentals, ideal_complement_filters,
                       impulse_from_symbol, kernel_basis, kernel_residual,
                       lower_set_space, quotient_dim_estimate, verify_zero_dim)
 from convkern import serialize as ser
+from convkern import spectrum
 from convkern.linalg import span_residual
+from convkern.spectrum import KRONECKER_TOL
 
 from conftest import FIXTURES, const, random_poly, run_cli, variables
 
@@ -125,6 +128,34 @@ class TestHermiteFundamentals:
         with pytest.raises(ValueError):
             Spectrum((Zero((1.0,), fat_point_space(1, 0)),
                       Zero((1.0,), fat_point_space(1, 1))))
+
+
+class TestCertifyHermite:
+    def test_kronecker_record(self):
+        spec = Spectrum((Zero((1.0,), fat_point_space(1, 1)),
+                         Zero((0.5,), fat_point_space(1, 0))))
+        cert = certify_hermite(spec)
+        worst = float(np.max(np.abs(cert["dual"] - np.eye(3))))
+        assert cert["kronecker"] == {"residual": worst, "tolerance": KRONECKER_TOL,
+                                     "pass": True}
+        assert cert["pass"] and len(cert["system"].polys) == 3
+        assert np.array_equal(cert["dual"], cert["system"].dual_matrix())
+
+    def test_failed_kronecker_check(self, monkeypatch):
+        spec = Spectrum((Zero((2.0,), fat_point_space(1, 0)),))
+        monkeypatch.setattr(spectrum.FundamentalSystem, "dual_matrix",
+                            lambda self: np.array([[1.0 + 2 * KRONECKER_TOL]]))
+        cert = certify_hermite(spec)
+        assert not cert["pass"] and not cert["kronecker"]["pass"]
+        assert cert["kronecker"]["residual"] > cert["kronecker"]["tolerance"]
+
+    def test_error(self, monkeypatch):
+        def degenerate(spec):
+            raise ValueError("dual functionals never reached full rank")
+        monkeypatch.setattr(spectrum, "hermite_fundamentals", degenerate)
+        spec = Spectrum((Zero((2.0,), fat_point_space(1, 0)),))
+        assert certify_hermite(spec) == {"pass": False,
+                                         "error": "dual functionals never reached full rank"}
 
 
 class TestIdealComplementFilters:

@@ -882,3 +882,44 @@ class TestToleranceOverride:
     def test_default_tol_fails_all_three(self):
         [rec] = subdivision_kernel_check(self.MASK, TWO, [((1.0,), 0)])["candidates"]
         assert not rec["pass"]
+
+
+class TestDecidingTest:
+    """Each candidate record carries the residual and tolerance of the test
+    that decides it: the first failed test (symmetric zero, subsymbol,
+    oracle), else the one with the largest value/tolerance."""
+
+    @staticmethod
+    def check(mask, candidates, **kw):
+        report = subdivision_kernel_check(mask, TWO, candidates, **kw)
+        for rec in report["candidates"]:
+            assert rec["pass"] == (rec["residual"] <= rec["tolerance"])
+        return report["candidates"]
+
+    def test_passing_candidate_reports_its_tightest_test(self):
+        # symmetric zero and subsymbol read 8e-10 against 1e-9, the oracle
+        # 1.6e-9 against 1e-8: the symmetric-zero test is nearest its bound
+        [rec] = self.check(Impulse(1, {(0,): 1.0, (2,): -0.249999999}), [((0.25,), 0)])
+        assert rec["pass"] and rec["oracle_residual"] > 1e-9
+        assert (rec["residual"], rec["tolerance"]) == (rec["symmetric_zero_violation"], 1e-9)
+
+    def test_passing_candidate_may_report_the_oracle(self):
+        # at tol 1e-6 all three share one tolerance and the oracle is largest
+        [rec] = self.check(Impulse(1, {(0,): 1.0, (2,): -0.249999999}), [((0.25,), 0)],
+                           tol=1e-6)
+        assert (rec["residual"], rec["tolerance"]) == (rec["oracle_residual"], 1e-6)
+
+    def test_failed_candidate_reports_its_first_failed_test(self):
+        [rec] = self.check(mask_1d(0.5, 1.0, 0.5), [((1.0,), 0)])
+        assert not rec["pass"]
+        assert (rec["residual"], rec["tolerance"]) == (rec["symmetric_zero_violation"], 1e-9)
+
+    def test_zero_tolerance(self, monkeypatch):
+        # 1 - z^2 gives subsymbol and oracle values of exactly 0 on the
+        # constants; with the symmetric-zero test (1.2e-16 at the rounded
+        # modulation point -1) read as 0 too, all three pass at tol 0, and
+        # the choice among them divides by no zero tolerance
+        from convkern import subdivision
+        monkeypatch.setattr(subdivision, "is_symmetric_zero", lambda *args, **kw: (True, 0.0))
+        [rec] = self.check(mask_1d(1, 0, -1), [((1.0,), 0)], tol=0.0)
+        assert rec["pass"] and (rec["residual"], rec["tolerance"]) == (0.0, 0.0)
