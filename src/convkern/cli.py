@@ -19,7 +19,7 @@ import sys
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from . import serialize as ser
-from .filters import ExpPolySeq, certified_window, certify_eigen
+from .filters import MAX_TOL, ExpPolySeq, certified_window, certify_eigen
 from .newton import WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS, build_p_theta
 from .serialize import FormatError
 from .spectrum import DEFAULT_CONVENTION, DEFAULT_TOL, certify_hermite, certify_kernel
@@ -178,8 +178,9 @@ def cmd_eigen(args) -> int:
     return EXIT_PASS if cert["pass"] else EXIT_FAIL
 
 
-def _nonnegative(kind: type):
-    """An argparse type: a finite, nonnegative value of kind."""
+def _nonnegative(kind: type, upper: Optional[float] = None):
+    """An argparse type: a finite, nonnegative value of kind, at most upper
+    when one is given."""
     def parse(text: str):
         try:
             value = kind(text)
@@ -188,6 +189,8 @@ def _nonnegative(kind: type):
         if not (value >= 0 and math.isfinite(value)):
             raise argparse.ArgumentTypeError(f"must be a finite nonnegative {kind.__name__}, "
                                              f"got {text!r}")
+        if upper is not None and value > upper:
+            raise argparse.ArgumentTypeError(f"must be at most {upper:g}, got {text!r}")
         return value
     return parse
 
@@ -197,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="convkern",
         description="Analyze and certify kernels of discrete convolution and "
                     "subdivision operators.")
-    parser.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL,
-                        help="uniform tolerance override (default %(default)g)")
+    parser.add_argument("--tol", type=_nonnegative(float, MAX_TOL), default=DEFAULT_TOL,
+                        help=f"uniform tolerance override, at most {MAX_TOL:g} "
+                             "(default %(default)g)")
     parser.add_argument("--window-pad", type=_nonnegative(int), default=0,
                         help="extra padding of certification windows, nonnegative")
     parser.add_argument("--convention", choices=["auto", "with-sigma", "without-sigma"],

@@ -171,6 +171,11 @@ SequenceSamples = Mapping[Exponent, complex]
 # subdivision tests; the CLI's --tol overrides it.
 DEFAULT_TOL = 1e-9
 
+# Largest tolerance the CLI accepts: --tol scales bounds that are finite for
+# finite input, and a tolerance above 1 would pass violations as large as
+# the values they are measured against.
+MAX_TOL = 1.0
+
 # Floor of every window-oracle tolerance: an oracle check passes when its
 # residual is at most max(tol, ORACLE_TOL) times its scale, so tol moves the
 # oracle only above this floor.
@@ -324,7 +329,8 @@ def kernel_residual(H: Sequence[Impulse], seq: "ExpPolySeq | Sequence[ExpPolySeq
                               List[Tuple[Tuple[int, int], ExpPolySeq]]]] = {}
     for r, c in enumerate(seq):
         for i, (theta, p) in enumerate(c.terms):
-            term = ExpPolySeq.single(theta, p)
+            # a one-term sequence is its own term
+            term = c if len(c.terms) == 1 else ExpPolySeq.single(theta, p)
             groups.setdefault(certified_window(term, pad=pad), {}) \
                 .setdefault(theta, []).append(((r, i), term))
     found: Dict[Tuple[int, int], float] = {}

@@ -7,7 +7,8 @@ order), so serialized bytes are reproducible across runs.
 Parsers enforce the input contract and raise FormatError otherwise: every
 real is a finite JSON number, every exponent, index, dimension, order and
 matrix entry is a JSON integer (not a float or a bool), every theta lies in
-C_x^s (no zero component), every filter of a filter file has a nonzero tap,
+C_x^s (no zero component), the zeros of a spectrum have pairwise distinct
+theta (DUPLICATE_THETA_TOL), every filter of a filter file has a nonzero tap,
 multiplicity spaces have total degree and candidates order at most
 MAX_FACTORIAL, and a dilation has at most MAX_COSETS cosets, |det Xi|.
 
@@ -209,9 +210,11 @@ def spectrum_from_json(obj: Any) -> Spectrum:
             zeros.append(Zero(theta, space))
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-    # duplicate theta and similar violations are mathematical preconditions,
-    # not format errors, so the Spectrum constructor's ValueError propagates
-    return Spectrum(tuple(zeros))
+    # a duplicate theta or mixed dimensions make the input malformed
+    try:
+        return Spectrum(tuple(zeros))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def dilation_from_json(obj: Any) -> Dilation:

@@ -8,12 +8,17 @@ under alpha -> rho(alpha + e_j); subsymbols, modulation points and subdivide
 read them, with adj(Xi^T) = adj(Xi)^T, and split a tap by the same map.
 Kernel questions reduce to convolution kernels of the subsymbols, one per
 coset.  The derivative tests take jet tables from linalg times the symbol's
-coefficients: one stacked table over all modulation points for a symmetric
-zero, and one table per subsymbol at theta^-1, each symbol taken as its
-Impulse.normalized_symbol.  subdivision_kernel_check shares the subsymbol and
-oracle tests between candidates with the same theta, and makes one oracle
-call for all of its theta; its oracle test decides at max(tol, ORACLE_TOL),
-like every other oracle.  Each candidate record carries the residual and
+coefficients, each symbol taken as its Impulse.normalized_symbol: one
+stacked table over all modulation points for a symmetric zero, which serves
+a sequence of orders at once, and one table at theta^-1 over the union of
+the subsymbol supports, from which each subsymbol reads its columns.
+subdivision_kernel_check decides each distinct theta once: one
+is_symmetric_zero call and one subsymbol table at the top order asked for
+theta, and one oracle call for all of its theta; every candidate (theta, k)
+reads its rows.  Rows and columns are copied contiguous before their
+product, so each value is bit-identical to that of a table built for the
+candidate alone.  The oracle test decides at max(tol, ORACLE_TOL), like
+every other oracle.  Each candidate record carries the residual and
 tolerance of the test that decides it, which the subdivide command prints.
 """
 
@@ -30,7 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .filters import DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual
-from .linalg import coeff_matrix, diff_table, diff_tables, monomials_upto
+from .linalg import coeff_matrix, diff_table, diff_tables, joint_support, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key
 
 
@@ -222,11 +227,20 @@ def modulation_points(Xi: Dilation, zeta: Sequence[complex]) -> List[Tuple[compl
 
 
 def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
-                      order: int = 0, tol: float = DEFAULT_TOL) -> Tuple[bool, float]:
+                      order: "int | Sequence[int]" = 0, tol: float = DEFAULT_TOL
+                      ) -> "Tuple[bool, float] | List[Tuple[bool, float]]":
     """True iff every derivative D^beta a*, |beta| <= order, vanishes at all
     modulation translates of zeta.  Returns the maximal normalized
-    violation alongside."""
-    if order < 0:
+    violation alongside.
+
+    A sequence of orders gives one (ok, worst) per order, all read from one
+    jet table at the top order: order k takes the first dim Pi_k rows
+    (graded-lex), copied contiguous so that its product equals that of a
+    table built at order k alone.
+    """
+    single = np.ndim(order) == 0
+    orders = [order] if single else list(order)
+    if any(k < 0 for k in orders):
         raise ValueError("order must be nonnegative")
     g = a.normalized_symbol
     coeffs, support = coeff_matrix([g])
@@ -234,21 +248,26 @@ def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
     scale, degree = max(1.0, a.l1()), max(g.degree(), 0)
     point_scales = np.array([scale * max(1.0, max(abs(v) for v in point) ** degree)
                              for point in points])
-    vals = np.abs(diff_tables(monomials_upto(a.dim, order), support, points) @ coeffs[:, 0])
-    worst = float(np.max(vals / point_scales[:, None], initial=0.0))  # propagates NaN
-    return worst <= tol, worst
+    table = diff_tables(monomials_upto(a.dim, max(orders, default=0)), support, points)
+    out = []
+    for k in orders:
+        rows = np.ascontiguousarray(table[:, :math.comb(a.dim + k, k)])
+        vals = np.abs(rows @ coeffs[:, 0])
+        worst = float(np.max(vals / point_scales[:, None], initial=0.0))  # propagates NaN
+        out.append((worst <= tol, worst))
+    return out[0] if single else out
 
 
 def symmetric_zero_order(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
                          max_order: int = 10, tol: float = DEFAULT_TOL) -> int:
     """Largest k <= max_order such that zeta is a symmetric zero of order k;
-    -1 if not even a symmetric zero of order 0."""
+    -1 if not even a symmetric zero of order 0.  One jet table at max_order
+    serves every k."""
     best = -1
-    for k in range(max_order + 1):
-        ok, _ = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
+    for ok, _ in is_symmetric_zero(a, Xi, zeta, order=range(max_order + 1), tol=tol):
         if not ok:
             break
-        best = k
+        best += 1
     return best
 
 
@@ -306,12 +325,16 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     (ii), (iii), or when all pass the one with the largest value/tolerance,
     so that residual <= tolerance exactly when the candidate passes.
 
-    Tests (ii) and (iii) are computed once per distinct theta, per monomial
-    x^beta up to the top order K requested for that theta; the oracle is one
-    kernel_residual call over the monomials of every theta, theta-major.
-    The graded monomials of Pi_k are a prefix of those of Pi_K, so a
-    candidate of order k reads the first dim Pi_k values.  The report also
-    carries the subsymbols, keyed by coset representative.  A dilation that is not expanding raises
+    Each test is computed once per distinct theta, per monomial x^beta up to
+    the top order K requested for that theta: (i) is one is_symmetric_zero
+    call over the orders asked for theta, from one jet table at K; (ii) is
+    one jet table at theta^-1 over the union of the subsymbol supports, each
+    subsymbol reading its own columns (copied contiguous, so that its
+    product equals that of its own table); (iii) is one kernel_residual call
+    over the monomials of every theta, theta-major.  The graded monomials of
+    Pi_k are a prefix of those of Pi_K, so a candidate of order k reads the
+    first dim Pi_k values.  The report also carries the subsymbols, keyed by
+    coset representative.  A dilation that is not expanding raises
     NotExpandingError.  Overflowing input yields NaN values, which fail,
     without numpy's overflow and invalid-value warnings.
     """
@@ -322,16 +345,21 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
         # a monomial factor is a unit away from the origin, so normalizing
         # each subsymbol leaves its vanishing order at theta^-1 unchanged
-        sub_degree = max((h.normalized_symbol.degree() for h in sub_impulses), default=0)
-        sub_coeffs = [coeff_matrix([h.normalized_symbol]) for h in sub_impulses]
+        sub_symbols = [h.normalized_symbol for h in sub_impulses]
+        sub_degree = max((g.degree() for g in sub_symbols), default=0)
+        # every subsymbol's coefficients and its columns of the union support
+        union = joint_support(sub_symbols)
+        column = {exp: i for i, exp in enumerate(union)}
+        sub_coeffs = [(coeffs[:, 0], [column[exp] for exp in support])
+                      for coeffs, support in (coeff_matrix([g]) for g in sub_symbols)]
         l1 = max(1.0, a.l1())
         # one theta object per candidate keys the dicts below, so that even
         # a NaN theta (hashed by identity) finds its entries
         candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
-        top: Dict[Tuple[complex, ...], int] = {}
+        asked: Dict[Tuple[complex, ...], set] = {}
         for theta, k in candidates:
-            top[theta] = max(k, top.get(theta, k))
-        orders = {theta: monomials_upto(a.dim, K) for theta, K in top.items()}
+            asked.setdefault(theta, set()).add(k)
+        orders = {theta: monomials_upto(a.dim, max(ks)) for theta, ks in asked.items()}
         # theta -> subsymbol violation and oracle residual per monomial of
         # Pi_{K_theta}; the oracle is one stack over every theta, theta-major
         sub_violation: Dict[Tuple[complex, ...], np.ndarray] = {}
@@ -339,9 +367,10 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         for theta, exps in orders.items():
             point = tuple(1.0 / t for t in theta)
             scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
+            table = diff_table(exps, union, point)
             sub_vals = np.zeros(len(exps))
-            for coeffs, support in sub_coeffs:
-                vals = np.abs(diff_table(exps, support, point) @ coeffs[:, 0])
+            for coeffs, cols in sub_coeffs:
+                vals = np.abs(np.ascontiguousarray(table[:, cols]) @ coeffs)
                 sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
             sub_violation[theta] = sub_vals
             oracle[theta] = np.zeros(len(exps))
@@ -351,17 +380,22 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
                 for theta, exps in orders.items() for exp in exps]))
             for theta, exps in orders.items():
                 oracle[theta] = np.array([next(residuals)[0] / l1 for _ in exps])
+        # theta -> order -> the symmetric-zero violation, one call per theta
+        sym_violation: Dict[Tuple[complex, ...], Dict[int, float]] = {}
+        for theta, ks in asked.items():
+            ks = sorted(ks)
+            zeta = canonical_zero_representative(Xi, theta)
+            found = is_symmetric_zero(a, Xi, zeta, order=ks, tol=tol)
+            sym_violation[theta] = {k: worst for k, (_, worst) in zip(ks, found)}
         results = []
         overall = True
         for theta, k in candidates:
-            zeta = canonical_zero_representative(Xi, theta)
-            _, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
-
             n = math.comb(a.dim + k, k)  # dim Pi_k
+            sym_worst = sym_violation[theta][k]
             sub_worst = float(np.max(sub_violation[theta][:n], initial=0.0))
             oracle_worst = float(np.max(oracle[theta][:n], initial=0.0))  # propagates NaN
             # (value, tolerance) of the three tests, in report order
-            tests = [(sym_violation, tol), (sub_worst, tol),
+            tests = [(sym_worst, tol), (sub_worst, tol),
                      (oracle_worst, max(tol, ORACLE_TOL))]
             failed = [test for test in tests if not test[0] <= test[1]]
             # the first failed test, else the one nearest its tolerance; a
@@ -372,7 +406,7 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
             passed = not failed
             overall = overall and passed
             results.append({"theta": theta, "order": k, "pass": passed,
-                            "symmetric_zero_violation": sym_violation,
+                            "symmetric_zero_violation": sym_worst,
                             "subsymbol_violation": sub_worst,
                             "oracle_residual": oracle_worst,
                             "residual": value, "tolerance": bound})

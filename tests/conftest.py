@@ -67,7 +67,7 @@ CLI_CORPUS = [
     (("build-kernel", "spectrum_empty.json"), 0),
     (("hermite", "spectrum_two_points.json"), 0),
     (("hermite", "spectrum_fat_point_2d.json"), 0),
-    (("hermite", "spectrum_duplicate.json"), 1),
+    (("hermite", "spectrum_duplicate.json"), 2),
     (("subdivide", "mask_diff2.json", "dilation_2.json",
       "candidates_1d_k0.json"), 0),
     (("subdivide", "mask_hat.json", "dilation_2.json",

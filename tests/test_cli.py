@@ -127,8 +127,11 @@ class TestHermite:
                 assert abs(dual[i][j]["im"]) <= 1e-8
 
     def test_duplicate_theta(self, capsys):
-        code, _ = run(capsys, "hermite", fx("spectrum_duplicate.json"))
-        assert code == 1
+        # a spectrum with two equal theta is malformed input, not a failed check
+        code = main(["hermite", fx("spectrum_duplicate.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: duplicate theta at positions 0 and 1\n"
 
 
 class TestSubdivide:
@@ -318,6 +321,23 @@ class TestUsage:
 
     def test_zero_tol_is_accepted(self, capsys):
         assert main(["--tol", "0", "eigen", fx("filter_avg.json"), fx("eigen_const.json")]) == 0
+
+    @pytest.mark.parametrize("value", ["1e308", "1.0000001"])
+    def test_tol_above_max_is_a_usage_error(self, capsys, value):
+        """A finite --tol above MAX_TOL exits 2 at parse time naming the flag,
+        instead of overflowing the bounds it scales and blaming the input
+        files."""
+        code = main(["--tol", value, "verify", fx("filters_kernel1d.json"),
+                     fx("spectrum_kernel1d.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: convkern")
+        assert captured.err.endswith(f"error: argument --tol: must be at most 1, got '{value}'\n")
+
+    def test_max_tol_is_accepted(self, capsys):
+        from convkern.filters import MAX_TOL
+        assert main(["--tol", repr(MAX_TOL), "verify", fx("filters_kernel1d.json"),
+                     fx("spectrum_kernel1d.json")]) == 0
 
 
 class TestParserOnce:

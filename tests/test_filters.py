@@ -475,6 +475,31 @@ class TestStackedConvolve:
         # windows {0}, {0..1} and {0..2}, each stacked once per filter
         assert calls == [(1, (0,))] * 2 + [(2, (1,))] * 2 + [(1, (2,))] * 2
 
+    def test_one_term_sequence_is_its_own_term(self, monkeypatch):
+        """A one-term sequence is stacked as it is; only the terms of a
+        longer sequence are split off through ExpPolySeq.single."""
+        from convkern import filters
+        stacked, split = [], []
+        real_convolve, real_single = filters.convolve, filters.ExpPolySeq.single.__func__
+
+        def convolving(h, c, w):
+            stacked.extend(c)
+            return real_convolve(h, c, w)
+
+        def single(cls, theta, p):
+            split.append(theta)
+            return real_single(cls, theta, p)
+
+        x = LaurentPoly.variable(1, 0)
+        ones = [ExpPolySeq.single((t,), p) for t, p in ((1.0, x), (2.0, const(1, 1)))]
+        pair = ExpPolySeq((((3.0,), x), ((0.5,), const(1, 1))))
+        expected = kernel_residual([delta_diff()], ones + [pair])
+        monkeypatch.setattr(filters, "convolve", convolving)
+        monkeypatch.setattr(filters.ExpPolySeq, "single", classmethod(single))
+        assert kernel_residual([delta_diff()], ones + [pair]) == expected
+        assert split == [(3.0,), (0.5,)]
+        assert sum(any(c is seq for c in stacked) for seq in ones) == 2
+
     def test_memory_of_a_stack(self):
         import tracemalloc
         x = LaurentPoly.variable(1, 0)

@@ -40,7 +40,7 @@ DIGESTS = {
     "hermite spectrum_fat_point_2d.json":
         (0, "cd2690a07691ed51327c11842b57609ced8464831e768a061668ec3ee6bfc690"),
     "hermite spectrum_duplicate.json":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "subdivide mask_diff2.json dilation_2.json candidates_1d_k0.json":
         (0, "25364fe6bbc37b643aa97bf6c52831690d2165dd2df19c8bb7b4f09d6184269f"),
     "subdivide mask_hat.json dilation_2.json candidates_1d_k0.json":
@@ -96,7 +96,7 @@ DIGESTS = {
     "--window-pad 3 hermite spectrum_fat_point_2d.json":
         (0, "cd2690a07691ed51327c11842b57609ced8464831e768a061668ec3ee6bfc690"),
     "--window-pad 3 hermite spectrum_duplicate.json":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 subdivide mask_diff2.json dilation_2.json candidates_1d_k0.json":
         (0, "25364fe6bbc37b643aa97bf6c52831690d2165dd2df19c8bb7b4f09d6184269f"),
     "--window-pad 3 subdivide mask_hat.json dilation_2.json candidates_1d_k0.json":
@@ -152,7 +152,7 @@ DIGESTS = {
     "--tol 1e-6 hermite spectrum_fat_point_2d.json":
         (0, "cd2690a07691ed51327c11842b57609ced8464831e768a061668ec3ee6bfc690"),
     "--tol 1e-6 hermite spectrum_duplicate.json":
-        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 subdivide mask_diff2.json dilation_2.json candidates_1d_k0.json":
         (0, "018d2eca6724d64969b3bd8d468e1391eac8335d5e649e2040a969ebee9eb922"),
     "--tol 1e-6 subdivide mask_hat.json dilation_2.json candidates_1d_k0.json":

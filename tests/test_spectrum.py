@@ -461,6 +461,14 @@ class TestSharedSpaces:
         first, second = (zero.mult for zero in spec.zeros)
         assert first.basis == second.basis and first is not second
 
+    def test_duplicate_theta_is_a_format_error(self):
+        """Two zeros whose theta agree to DUPLICATE_THETA_TOL make malformed
+        input, as the Spectrum constructor's ValueError says."""
+        obj = self._obj([[[(0, 1.0)]]] * 2)
+        obj["zeros"][1]["theta"][0]["re"] = self.THETAS[0] + 1e-13
+        with pytest.raises(ser.FormatError, match="duplicate theta at positions 0 and 1"):
+            ser.spectrum_from_json(obj)
+
     def test_repeated_non_invariant_basis_exits_2(self, tmp_path, capsys):
         from convkern.cli import main
         messages = []

@@ -658,8 +658,7 @@ class TestSharedCandidates:
             alone = subdivision_kernel_check(a, Xi, [cand])["candidates"][0]
             assert rec["pass"] == alone["pass"] and rec["order"] == alone["order"]
             assert rec["oracle_residual"] == alone["oracle_residual"]
-            assert rec["symmetric_zero_violation"] == pytest.approx(
-                alone["symmetric_zero_violation"], rel=1e-12, abs=1e-15)
+            assert rec["symmetric_zero_violation"] == alone["symmetric_zero_violation"]
             assert rec["subsymbol_violation"] == pytest.approx(
                 alone["subsymbol_violation"], rel=1e-12, abs=1e-15)
 
@@ -704,6 +703,134 @@ class TestSharedCandidates:
         # ... and where they fail, it fails with them
         rec = subdivision_kernel_check(a, TWO, [(theta, 1)])["candidates"][0]
         assert not rec["pass"] and np.isnan(rec["oracle_residual"])
+
+
+def _per_candidate_check(a, Xi, candidates, tol=1e-9):
+    """Reference: subdivision_kernel_check as it was before the per-theta
+    tables, with one is_symmetric_zero call per candidate and one subsymbol
+    jet table per (theta, subsymbol)."""
+    from convkern.filters import ORACLE_TOL, kernel_residual
+    from convkern.linalg import coeff_matrix, diff_table, monomials_upto
+    with np.errstate(over="ignore", invalid="ignore"):
+        subs = subsymbols(a, Xi)
+        sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
+        sub_degree = max((h.normalized_symbol.degree() for h in sub_impulses), default=0)
+        sub_coeffs = [coeff_matrix([h.normalized_symbol]) for h in sub_impulses]
+        l1 = max(1.0, a.l1())
+        candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
+        top = {}
+        for theta, k in candidates:
+            top[theta] = max(k, top.get(theta, k))
+        orders = {theta: monomials_upto(a.dim, K) for theta, K in top.items()}
+        sub_violation, oracle = {}, {}
+        for theta, exps in orders.items():
+            point = tuple(1.0 / t for t in theta)
+            scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
+            sub_vals = np.zeros(len(exps))
+            for coeffs, support in sub_coeffs:
+                vals = np.abs(diff_table(exps, support, point) @ coeffs[:, 0])
+                sub_vals = np.maximum(sub_vals, vals / scale)
+            sub_violation[theta] = sub_vals
+            oracle[theta] = np.zeros(len(exps))
+        if sub_impulses:
+            residuals = iter(kernel_residual(sub_impulses, [
+                ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
+                for theta, exps in orders.items() for exp in exps]))
+            for theta, exps in orders.items():
+                oracle[theta] = np.array([next(residuals)[0] / l1 for _ in exps])
+        results, overall = [], True
+        for theta, k in candidates:
+            zeta = canonical_zero_representative(Xi, theta)
+            _, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
+            n = len(monomials_upto(a.dim, k))
+            sub_worst = float(np.max(sub_violation[theta][:n], initial=0.0))
+            oracle_worst = float(np.max(oracle[theta][:n], initial=0.0))
+            tests = [(sym_violation, tol), (sub_worst, tol),
+                     (oracle_worst, max(tol, ORACLE_TOL))]
+            failed = [test for test in tests if not test[0] <= test[1]]
+            value, bound = failed[0] if failed else max(
+                tests, key=lambda test: test[0] / test[1] if test[1] else 0.0)
+            overall = overall and not failed
+            results.append({"theta": theta, "order": k, "pass": not failed,
+                            "symmetric_zero_violation": sym_violation,
+                            "subsymbol_violation": sub_worst,
+                            "oracle_residual": oracle_worst,
+                            "residual": value, "tolerance": bound})
+        return {"pass": overall, "candidates": results, "subsymbols": subs}
+
+
+# the six dilations of the subdivision-mix benchmark workload
+BENCHMARK_DILATIONS = [TWO_I, dil((2, 0, 0), (0, 2, 0), (0, 0, 2)), QUINCUNX, DIAG_23,
+                       dil((2, 1), (0, 2)), dil((5, 2), (-1, 4))]
+
+
+class TestPerThetaTables:
+    """subdivision_kernel_check decides each distinct theta once: one
+    is_symmetric_zero call (one symmetric-zero jet table at the top order
+    asked for theta) and one subsymbol jet table over the union of the
+    subsymbol supports.  Every record equals the per-candidate reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(BENCHMARK_DILATIONS), st.integers(0, 3),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=7),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_candidate_reference(self, Xi, k, picks, seed):
+        rng = np.random.default_rng(seed)
+        thetas = [random_point(rng, Xi.dim) for _ in range(3)]
+        a = planted_mask(rng, Xi, thetas[0], k)
+        # repeated, unsorted and duplicate (theta, order) pairs
+        candidates = [(thetas[i], order) for i, order in picks]
+        for tol in (1e-9, 1e-6):
+            assert subdivision_kernel_check(a, Xi, candidates, tol=tol) == \
+                _per_candidate_check(a, Xi, candidates, tol=tol)
+
+    @pytest.mark.parametrize("Xi", BENCHMARK_DILATIONS, ids=lambda X: str(X.Xi))
+    def test_order_sequence_matches_each_order(self, rng, Xi):
+        theta = random_point(rng, Xi.dim)
+        a = planted_mask(rng, Xi, theta, 1)
+        zeta = canonical_zero_representative(Xi, theta)
+        orders = [2, 0, 3, 0, 1]
+        assert is_symmetric_zero(a, Xi, zeta, order=orders) == \
+            [is_symmetric_zero(a, Xi, zeta, order=k) for k in orders]
+        assert is_symmetric_zero(a, Xi, zeta, order=[]) == []
+        with pytest.raises(ValueError):
+            is_symmetric_zero(a, Xi, zeta, order=[1, -1])
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names of the is_symmetric_zero, modulation_points, diff_table
+        (subsymbol) and diff_tables (symmetric-zero) calls."""
+        from convkern import subdivision
+        seen = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("is_symmetric_zero", "modulation_points", "diff_table", "diff_tables"):
+            monkeypatch.setattr(subdivision, name, counting(name, getattr(subdivision, name)))
+        return seen
+
+    def test_kernel_check_once_per_theta(self, calls, rng):
+        Xi = dil((5, 2), (-1, 4))
+        theta, other = random_point(rng, 2), random_point(rng, 2)
+        a = planted_mask(rng, Xi, theta, 2)
+        candidates = [(theta, 1), (other, 0), (theta, 3), (theta, 0), (other, 2), (theta, 1)]
+        report = subdivision_kernel_check(a, Xi, candidates)
+        assert [c["pass"] for c in report["candidates"]] == \
+            [True, False, False, True, False, True]
+        for name in ("is_symmetric_zero", "modulation_points", "diff_table", "diff_tables"):
+            assert calls.count(name) == 2, name
+
+    def test_symmetric_zero_order_builds_one_table(self, calls, rng):
+        Xi = dil((2, 1), (0, 2))
+        theta = random_point(rng, 2)
+        a = planted_mask(rng, Xi, theta, 2)
+        zeta = canonical_zero_representative(Xi, theta)
+        assert symmetric_zero_order(a, Xi, zeta, max_order=5) == 2
+        assert calls == ["is_symmetric_zero", "modulation_points", "diff_tables"]
 
 
 def _scan_decompose(d, adj, alpha, reps):
@@ -920,6 +1047,8 @@ class TestDecidingTest:
         # modulation point -1) read as 0 too, all three pass at tol 0, and
         # the choice among them divides by no zero tolerance
         from convkern import subdivision
-        monkeypatch.setattr(subdivision, "is_symmetric_zero", lambda *args, **kw: (True, 0.0))
+        # the check asks once per theta, for a sequence of orders
+        monkeypatch.setattr(subdivision, "is_symmetric_zero",
+                            lambda a, Xi, zeta, order, tol: [(True, 0.0) for _ in order])
         [rec] = self.check(mask_1d(1, 0, -1), [((1.0,), 0)], tol=0.0)
         assert rec["pass"] and (rec["residual"], rec["tolerance"]) == (0.0, 0.0)
