@@ -36,7 +36,7 @@ space = DInvariantSpace((one, ell, ell * ell))
 print("span{1, l, l^2} with l = x + y is D-invariant:",
       is_d_invariant(space.basis)[0])
 ok, witness = is_d_invariant([x])
-print("span{x} is D-invariant:", ok, " witness (q, direction):", witness)
+print("span{x} is D-invariant:", ok, " witness (q, direction, residual):", witness)
 
 print()
 print("== orthonormal homogeneous basis ==")

@@ -8,15 +8,24 @@ bilinear one.
 
 DInvariantSpace.ortho_basis is ortho_homog_basis, computed once, on first
 use; every reader of the orthonormal basis shares it.
+
+A space is checked once, on construction: is_d_invariant tests every
+nonzero first partial of the basis in one span_residual call, a single
+least-squares solve with one right-hand side column per partial, and names
+the first partial, in basis order, whose relative residual exceeds
+SPAN_TOL.  ortho_homog_basis splits each basis polynomial by total degree in
+one pass over its terms and skips the Gram-Schmidt steps whose inner product
+is exactly 0, which leave the candidate's terms as they are.  A residual or
+Bombieri norm that overflows raises OverflowError: as NaN it would pass
+every tolerance test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import coeff_matrix, monomials_upto, numerical_rank, span_residual
 from .mpoly import LaurentPoly, apply_poly_diff, multi_factorial
@@ -34,19 +43,33 @@ def bombieri(f: LaurentPoly, g: LaurentPoly) -> complex:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     f._require_poly()
     g._require_poly()
+    return _bombieri(f, g)
+
+
+def _bombieri(f: LaurentPoly, g: LaurentPoly) -> complex:
+    """bombieri without its checks, for polynomials of one dimension with
+    nonnegative exponents; sums over the terms of the shorter of the two."""
     total = 0j
-    small, large = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-    for exp, c in small.items():
-        other = large.get(exp)
-        if other is not None:
-            fa = f.terms[exp]
-            ga = g.terms[exp]
+    f_small = len(f.terms) <= len(g.terms)
+    small, large = (f.terms, g.terms) if f_small else (g.terms, f.terms)
+    for exp, a in small.items():
+        b = large.get(exp)
+        if b is not None:
+            fa, ga = (a, b) if f_small else (b, a)
             total += multi_factorial(exp) * fa * ga.conjugate()
     return total
 
 
+def _norm(square: complex) -> float:
+    """sqrt of a Bombieri square (f, f); OverflowError when it is not finite."""
+    nrm = float(square.real) ** 0.5
+    if not math.isfinite(nrm):
+        raise OverflowError("Bombieri norm overflows")
+    return nrm
+
+
 def bombieri_norm(f: LaurentPoly) -> float:
-    return float(bombieri(f, f).real) ** 0.5
+    return _norm(bombieri(f, f))
 
 
 def adjoint_check(p: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> float:
@@ -56,12 +79,14 @@ def adjoint_check(p: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> float:
     return abs(lhs - rhs)
 
 
-def is_d_invariant(basis: Sequence[LaurentPoly]) -> Tuple[bool, Optional[Tuple[LaurentPoly, int]]]:
+def is_d_invariant(basis: Sequence[LaurentPoly]
+                   ) -> Tuple[bool, Optional[Tuple[LaurentPoly, int, float]]]:
     """Check closure of span(basis) under all first partials, to SPAN_TOL.
 
-    Returns (True, None) on success, else (False, (q, j)) for a basis
-    element q whose j-th partial leaves the span.  Requires a linearly
-    independent basis.
+    Returns (True, None) on success, else (False, (q, j, rel)) for the first
+    basis element q, in basis order, whose j-th partial leaves the span with
+    relative residual rel > SPAN_TOL.  Every nonzero first partial is tested
+    in one span_residual call.  Requires a linearly independent basis.
     """
     basis = list(basis)
     if not basis:
@@ -70,16 +95,19 @@ def is_d_invariant(basis: Sequence[LaurentPoly]) -> Tuple[bool, Optional[Tuple[L
     if numerical_rank(A) < len(basis):
         raise ValueError("basis is linearly dependent")
     dim = basis[0].dim
+    partials, origins = [], []
     for q in basis:
         for j in range(dim):
             alpha = [0] * dim
             alpha[j] = 1
             dq = q.diff(alpha)
-            if dq.is_zero:
-                continue
-            rel, _ = span_residual(dq, basis)
+            if not dq.is_zero:
+                partials.append(dq)
+                origins.append((q, j))
+    if partials:
+        for (q, j), rel in zip(origins, span_residual(partials, basis)):
             if rel > SPAN_TOL:
-                return False, (q, j)
+                return False, (q, j, rel)
     return True, None
 
 
@@ -105,8 +133,9 @@ class DInvariantSpace:
         if not self._checked:
             ok, witness = is_d_invariant(basis)
             if not ok:
-                q, j = witness
-                raise ValueError(f"not D-invariant: partial {j} of {q!r} leaves the span")
+                q, j, rel = witness
+                raise ValueError(f"not D-invariant: partial {j} of {q!r} leaves the span "
+                                 f"with relative residual {rel:.3e} > SPAN_TOL = {SPAN_TOL:g}")
 
     @property
     def dim(self) -> int:
@@ -148,20 +177,29 @@ def ortho_homog_basis(space: DInvariantSpace) -> List[LaurentPoly]:
     components do not enlarge the span (a D-invariant multiplicity space is
     homogeneously generated), and orthonormalizes degree by degree with
     two-pass Gram-Schmidt.
+
+    Each basis element is split in one pass over its terms, its components
+    in ascending degree, each keeping the element's term order.  A step
+    q - (q, e) e whose inner product is exactly 0 leaves q's terms as they
+    are, so it is skipped, and so is the second pass when the first changed
+    nothing: a monomial span is orthogonalized without one subtraction.
+    The components come from a validated space, so the inner products are
+    unchecked.
     """
+    dim = space.dim
     components: List[LaurentPoly] = []
+    by_degree: Dict[int, List[LaurentPoly]] = {}
     for p in space.basis:
-        for d in range(p.degree() + 1):
-            comp = p.homogeneous_component(d)
-            if not comp.is_zero:
-                components.append(comp)
+        parts: Dict[int, Dict] = {}
+        for exp, c in p.terms.items():
+            parts.setdefault(sum(exp), {})[exp] = c
+        for d in sorted(parts):
+            comp = LaurentPoly._of(dim, parts[d])
+            components.append(comp)
+            by_degree.setdefault(d, []).append(comp)
     A, _ = coeff_matrix(components)
     if numerical_rank(A) != space.size:
         raise ValueError("space is not spanned by homogeneous polynomials")
-
-    by_degree: dict[int, List[LaurentPoly]] = {}
-    for comp in components:
-        by_degree.setdefault(comp.degree(), []).append(comp)
 
     out: List[LaurentPoly] = []
     for d in sorted(by_degree):
@@ -169,10 +207,16 @@ def ortho_homog_basis(space: DInvariantSpace) -> List[LaurentPoly]:
         for cand in by_degree[d]:
             q = cand
             for _ in range(2):  # two-pass re-orthogonalization
+                changed = False
                 for e in block:
-                    q = q - e.scale(bombieri(q, e))
-            nrm = bombieri_norm(q)
-            if nrm > ORTHO_DROP_TOL * max(1.0, bombieri_norm(cand)):
+                    b = _bombieri(q, e)
+                    if b:
+                        q = q - e.scale(b)
+                        changed = True
+                if not changed:
+                    break
+            nrm = _norm(_bombieri(q, q))
+            if nrm > ORTHO_DROP_TOL * max(1.0, _norm(_bombieri(cand, cand))):
                 block.append(q.scale(1.0 / nrm))
         out.extend(block)
     if len(out) != space.size:

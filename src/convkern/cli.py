@@ -19,10 +19,11 @@ import sys
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from . import serialize as ser
-from .filters import MAX_TOL, ExpPolySeq, certified_window, certify_eigen
+from .filters import MAX_TOL, ExpPolySeq, WindowLimitError, certified_window, certify_eigen
 from .newton import WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS, build_p_theta
 from .serialize import FormatError
-from .spectrum import DEFAULT_CONVENTION, DEFAULT_TOL, certify_hermite, certify_kernel
+from .spectrum import (DEFAULT_CONVENTION, DEFAULT_TOL, certify_hermite, certify_kernel,
+                       require_kernel_windows)
 from .subdivision import NotExpandingError, subdivision_kernel_check
 
 EXIT_PASS = 0
@@ -96,6 +97,7 @@ def cmd_build_kernel(args) -> int:
     (spec_obj, stext) = _read_json(args.spectrum)
     spec = ser.spectrum_from_json(spec_obj)
     convention = _resolve_convention(args.convention)
+    require_kernel_windows(spec, args.window_pad)
     kernel = []
     for zero in spec.zeros:
         P = build_p_theta(zero.mult, zero.theta, convention)
@@ -186,7 +188,8 @@ def _nonnegative(kind: type, upper: Optional[float] = None):
             value = kind(text)
         except ValueError:
             value = -1
-        if not (value >= 0 and math.isfinite(value)):
+        # an int is finite, and one past float range must not be converted
+        if not (value >= 0 and (isinstance(value, int) or math.isfinite(value))):
             raise argparse.ArgumentTypeError(f"must be a finite nonnegative {kind.__name__}, "
                                              f"got {text!r}")
         if upper is not None and value > upper:
@@ -250,7 +253,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, WindowLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OverflowError, ZeroDivisionError) as exc:  # a huge or tiny |theta|

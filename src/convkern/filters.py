@@ -25,7 +25,10 @@ h with eigenvalue lam and shift alpha_h is a kernel element of the impulse
 h - lam delta_{-alpha_h}, so eigen_residual is that impulse's
 kernel_residual, and certify_eigen, spectrum.certify_kernel and
 subdivision.subdivision_kernel_check all decide their oracle checks
-through it, each at max(tol, ORACLE_TOL) times its scale.
+through it, each at max(tol, ORACLE_TOL) times its scale.  Each of them
+first counts the (row, window point) pairs of its windows with
+require_window_pairs and refuses more than MAX_WINDOW_PAIRS, before any
+window is built.
 """
 
 from __future__ import annotations
@@ -185,6 +188,42 @@ ORACLE_TOL = 1e-8
 # memory independently of the window size and the number of taps.
 BLOCK_PAIRS = 1 << 13
 
+# Most (row, window point) pairs that the certified windows of one request
+# may cover, sum over its rows of (deg + pad + 1)^s: the window oracle of
+# verify, eigen and subdivide, and the window samples of build-kernel.  The
+# samples are the costlier, about 200 bytes of report and 2 KB of peak
+# memory per pair; the oracle holds about 40 bytes per pair.
+MAX_WINDOW_PAIRS = 2 * 10 ** 5
+
+
+class WindowLimitError(ValueError):
+    """The windows of a request cover more than MAX_WINDOW_PAIRS pairs."""
+
+
+def window_side(degree: int, pad: int) -> int:
+    """Points per axis of the certified window {0..degree+pad}^s of a row
+    of that degree: certified_window and require_window_pairs share it."""
+    return max(degree, 0) + max(pad, 0) + 1
+
+
+def require_window_pairs(dim: int, pad: int, rows_by_degree: Iterable[Tuple[int, int]]) -> int:
+    """The (row, window point) count sum rows (degree + pad + 1)^dim over the
+    (degree, rows) pairs given, each row of degree d checked over its own
+    certified window {0..d+pad}^dim; raises WindowLimitError above
+    MAX_WINDOW_PAIRS.  A window of 2^64 points or more is not counted."""
+    count = 0
+    for degree, rows in rows_by_degree:
+        side = window_side(degree, pad)
+        if rows and side > 1 and dim * (side.bit_length() - 1) >= 64:
+            count = None
+            break
+        count += rows * side ** dim
+    if count is None or count > MAX_WINDOW_PAIRS:
+        told = "more than 2**64" if count is None else str(count)
+        raise WindowLimitError(f"the certified windows cover {told} (row, window point) "
+                               f"pairs, above the limit of {MAX_WINDOW_PAIRS}")
+    return count
+
 
 def _arguments(lower: int, upper: int, shifts) -> np.ndarray:
     """Sorted distinct x - t over lower <= x <= upper and t in shifts: a
@@ -300,7 +339,7 @@ def certified_window(seq: ExpPolySeq, pad: int = 0) -> Window:
     """
     if not seq.terms:
         raise ValueError("empty sequence")
-    D = max(seq.max_degree(), 0) + max(pad, 0)
+    D = window_side(seq.max_degree(), pad) - 1
     dim = seq.dim
     return Window((0,) * dim, (D,) * dim)
 
@@ -402,7 +441,10 @@ def certify_eigen(h: Impulse, theta: Sequence[complex], Q, lam: complex,
     Returns the eigen_conditions records under "conditions" and one oracle
     record under "oracle": the eigen_residual of e_theta (residual,
     tolerance, pass), checked against max(tol, ORACLE_TOL) max(1, |h|_1).
+    A window {0..pad}^s of more than MAX_WINDOW_PAIRS points raises
+    WindowLimitError.
     """
+    require_window_pairs(h.dim, pad, [(0, 1)])
     cond = eigen_conditions(h, theta, Q, lam, alpha_h, tol=tol)
     seq = ExpPolySeq.single(theta, LaurentPoly.constant(h.dim, 1.0))
     res = eigen_residual(h, lam, alpha_h, seq, pad=pad)

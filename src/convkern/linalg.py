@@ -106,17 +106,29 @@ def dual_rows(qs: Sequence[LaurentPoly], support: Sequence[Exponent],
     return Q.T @ diff_table(orders, support, point)
 
 
-def span_residual(f: LaurentPoly, basis: Sequence[LaurentPoly]) -> Tuple[float, np.ndarray]:
-    """Relative least-squares residual of f against span(basis)."""
-    support = joint_support(list(basis) + [f])
+def span_residual(f: "LaurentPoly | Sequence[LaurentPoly]", basis: Sequence[LaurentPoly]
+                  ) -> "Tuple[float, np.ndarray] | List[float]":
+    """Relative least-squares residual of f against span(basis), with the
+    least-squares coefficients.
+
+    A list of polynomials gives one relative residual each, from one lstsq
+    with a matrix right-hand side over their joint support with the basis;
+    a single polynomial is the one-column case.  A residual whose norms
+    overflow raises OverflowError: NaN would pass every tolerance test.
+    """
+    single = isinstance(f, LaurentPoly)
+    fs = [f] if single else list(f)
+    support = joint_support(list(basis) + fs)
     A, _ = coeff_matrix(basis, support)
-    b, _ = coeff_matrix([f], support)
-    b = b[:, 0]
-    coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
-    res = np.linalg.norm(A @ coeffs - b)
-    scale = np.linalg.norm(b)
-    rel = res / scale if scale > 0 else res
-    return float(rel), coeffs
+    B, _ = coeff_matrix(fs, support)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, *_ = np.linalg.lstsq(A, B, rcond=None)
+        res = np.linalg.norm(A @ coeffs - B, axis=0)
+        scale = np.linalg.norm(B, axis=0)
+    if not (np.all(np.isfinite(res)) and np.all(np.isfinite(scale))):
+        raise OverflowError("span residual overflows")
+    rel = np.divide(res, scale, out=res.copy(), where=scale > 0)
+    return (float(rel[0]), coeffs[:, 0]) if single else rel.tolist()
 
 
 def numerical_rank(A: np.ndarray) -> int:

@@ -26,13 +26,15 @@ each computed once by the object that owns it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .apolar import DInvariantSpace
-from .filters import DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, kernel_residual, symbol
+from .filters import (DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, kernel_residual,
+                      require_window_pairs, symbol)
 from .linalg import (RANK_TOL, coeff_matrix, diff_tables, from_coeff_vector,
                      monomials_upto, numerical_rank, nullspace)
 from .mpoly import LaurentPoly, apply_poly_diff
@@ -261,6 +263,17 @@ def ideal_complement_filters(spec: Spectrum, count: int, max_degree: int) -> Lis
     return out
 
 
+def require_kernel_windows(spec: Spectrum, pad: int = 0) -> int:
+    """The (row, window point) count of the spectrum's kernel windows: one
+    row per orthonormal basis element q of every zero, the P_theta element
+    built from it having q's degree; raises WindowLimitError above
+    MAX_WINDOW_PAIRS."""
+    if not spec.zeros:
+        return 0
+    rows = Counter(q.degree() for zero in spec.zeros for q in zero.mult.ortho_basis)
+    return require_window_pairs(spec.dim, pad, rows.items())
+
+
 def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
                    convention: Optional[str] = None,
                    tol: float = DEFAULT_TOL, pad: int = 0) -> Dict:
@@ -271,11 +284,14 @@ def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
     record per element p of every P_theta (theta, degree, residual,
     tolerance, pass), checked against max(tol, ORACLE_TOL) times
     max(1, |h|_1 over H) max(1, |p|), and "kernel" the (theta, P_theta)
-    bases; otherwise both are empty.
+    bases; otherwise both are empty.  Kernel windows over more than
+    MAX_WINDOW_PAIRS (row, window point) pairs raise WindowLimitError
+    before any check runs.
     """
     from .newton import build_p_theta
 
     convention = convention or DEFAULT_CONVENTION
+    require_kernel_windows(spec, pad)
     report = verify_zero_dim(H, spec, tol=tol)
     oracle, kernel = [], []
     if report["pass"]:

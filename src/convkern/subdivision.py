@@ -34,7 +34,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .filters import DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual
+from .filters import (DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual,
+                      require_window_pairs)
 from .linalg import coeff_matrix, diff_table, diff_tables, joint_support, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key
 
@@ -335,7 +336,9 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     Pi_k are a prefix of those of Pi_K, so a candidate of order k reads the
     first dim Pi_k values.  The report also carries the subsymbols, keyed by
     coset representative.  A dilation that is not expanding raises
-    NotExpandingError.  Overflowing input yields NaN values, which fail,
+    NotExpandingError, and oracle windows over more than MAX_WINDOW_PAIRS
+    (row, window point) pairs raise WindowLimitError before any Pi_K is
+    enumerated.  Overflowing input yields NaN values, which fail,
     without numpy's overflow and invalid-value warnings.
     """
     if not is_expanding(Xi):
@@ -359,6 +362,10 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         asked: Dict[Tuple[complex, ...], set] = {}
         for theta, k in candidates:
             asked.setdefault(theta, set()).add(k)
+        # the oracle checks each of the C(d+s-1, d) monomials of degree d over
+        # {0..d}^s; counted, since monomials_upto walks (K+1)^s tuples
+        require_window_pairs(a.dim, 0, ((d, math.comb(d + a.dim - 1, d))
+                                        for ks in asked.values() for d in range(max(ks) + 1)))
         orders = {theta: monomials_upto(a.dim, max(ks)) for theta, ks in asked.items()}
         # theta -> subsymbol violation and oracle residual per monomial of
         # Pi_{K_theta}; the oracle is one stack over every theta, theta-major

@@ -1,11 +1,17 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convkern import (DInvariantSpace, LaurentPoly, adjoint_check, bombieri,
                       bombieri_norm, is_d_invariant, lower_set_space,
                       ortho_expansion_residual, ortho_homog_basis,
                       taylor_identity_residual)
-from convkern.linalg import coeff_matrix, nullspace
+from convkern import apolar
+from convkern.apolar import ORTHO_DROP_TOL, SPAN_TOL
+from convkern.linalg import coeff_matrix, joint_support, nullspace, numerical_rank, span_residual
 
 from conftest import const, random_poly, variables
 
@@ -70,8 +76,8 @@ class TestDInvariance:
         x = LaurentPoly.variable(1, 0)
         ok, witness = is_d_invariant([x])
         assert not ok
-        q, j = witness
-        assert q == x and j == 0
+        q, j, rel = witness
+        assert q == x and j == 0 and rel > SPAN_TOL
 
     def test_linear_powers(self):
         x, y = variables(2)
@@ -197,3 +203,213 @@ class TestPerpIdealProperty:
                 gf = g * f
                 for q in Q:
                     assert abs(bombieri(gf, q)) <= 1e-10 * (gf.norm() + 1)
+
+
+def reference_span_residual(f, basis):
+    """span_residual of one polynomial with a vector right-hand side."""
+    support = joint_support(list(basis) + [f])
+    A, _ = coeff_matrix(basis, support)
+    b = coeff_matrix([f], support)[0][:, 0]
+    coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
+    res = np.linalg.norm(A @ coeffs - b)
+    scale = np.linalg.norm(b)
+    return float(res / scale if scale > 0 else res)
+
+
+def reference_is_d_invariant(basis):
+    """is_d_invariant as one span_residual per (q, j): (ok, (q, j))."""
+    basis = list(basis)
+    A, _ = coeff_matrix(basis)
+    if numerical_rank(A) < len(basis):
+        raise ValueError("basis is linearly dependent")
+    dim = basis[0].dim
+    for q in basis:
+        for j in range(dim):
+            dq = q.diff(tuple(int(i == j) for i in range(dim)))
+            if dq.is_zero:
+                continue
+            if reference_span_residual(dq, basis) > SPAN_TOL:
+                return False, (q, j)
+    return True, None
+
+
+def reference_ortho_homog_basis(space):
+    """ortho_homog_basis with homogeneous_component scans and every
+    Gram-Schmidt step taken."""
+    components = []
+    for p in space.basis:
+        for d in range(p.degree() + 1):
+            comp = p.homogeneous_component(d)
+            if not comp.is_zero:
+                components.append(comp)
+    A, _ = coeff_matrix(components)
+    if numerical_rank(A) != space.size:
+        raise ValueError("space is not spanned by homogeneous polynomials")
+    by_degree = {}
+    for comp in components:
+        by_degree.setdefault(comp.degree(), []).append(comp)
+    out = []
+    for d in sorted(by_degree):
+        block = []
+        for cand in by_degree[d]:
+            q = cand
+            for _ in range(2):
+                for e in block:
+                    q = q - e.scale(bombieri(q, e))
+            nrm = bombieri_norm(q)
+            if nrm > ORTHO_DROP_TOL * max(1.0, bombieri_norm(cand)):
+                block.append(q.scale(1.0 / nrm))
+        out.extend(block)
+    if len(out) != space.size:
+        raise ValueError("orthogonalization lost rank; basis ill-conditioned")
+    return out
+
+
+def _independent(polys):
+    """A maximal linearly independent prefix-greedy subset of polys."""
+    chosen = []
+    for p in polys:
+        if numerical_rank(coeff_matrix(chosen + [p])[0]) == len(chosen) + 1:
+            chosen.append(p)
+    return chosen
+
+
+@st.composite
+def derivative_spans(draw):
+    """An independent basis of span{D^alpha f} for a random f of degree <= 5
+    in 1-3 variables, homogeneous or not."""
+    dim = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 5))
+    homogeneous = draw(st.booleans())
+    exps = [e for e in product(range(degree + 1), repeat=dim)
+            if (sum(e) == degree if homogeneous else sum(e) <= degree)]
+    picked = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=6, unique=True))
+    coeffs = draw(st.lists(st.integers(-9, 9).filter(bool).map(float),
+                           min_size=len(picked), max_size=len(picked)))
+    f = LaurentPoly(dim, dict(zip(picked, coeffs)))
+    partials = [f.diff(a) for a in product(range(degree + 1), repeat=dim)]
+    return _independent([p for p in partials if not p.is_zero])
+
+
+@st.composite
+def lower_set_spans(draw):
+    """Scaled monomials of a lower set in 1-3 variables, degree <= 5."""
+    dim = draw(st.integers(1, 3))
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 5)] * dim).filter(lambda e: sum(e) <= 5),
+                         min_size=1, max_size=4))
+    exps = sorted({e for top in tops for e in product(*[range(t + 1) for t in top])})
+    scales = draw(st.lists(st.floats(0.25, 4.0), min_size=len(exps), max_size=len(exps)))
+    return [LaurentPoly.monomial(dim, e, c) for e, c in zip(exps, scales)]
+
+
+@st.composite
+def spans(draw):
+    """A derivative or lower-set span, possibly with one element dropped."""
+    basis = draw(st.one_of(derivative_spans(), lower_set_spans()))
+    if len(basis) > 1 and draw(st.booleans()):
+        del basis[draw(st.integers(0, len(basis) - 1))]
+    return basis
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstReferences:
+    """One batched span_residual for D-invariance and the one-pass split
+    without exact-zero Gram-Schmidt steps give today's results exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spans())
+    def test_matches_reference(self, basis):
+        ok, witness = is_d_invariant(basis)
+        ref_ok, ref_witness = reference_is_d_invariant(basis)
+        assert ok == ref_ok
+        if ok:
+            assert witness is None and ref_witness is None
+        else:
+            q, j, rel = witness
+            index = [i for i, b in enumerate(basis) if b is q]
+            assert (index, j) == ([i for i, b in enumerate(basis) if b is ref_witness[0]],
+                                  ref_witness[1])
+            assert rel > SPAN_TOL
+
+        space = DInvariantSpace(tuple(basis), _checked=True)
+        got = _outcome(ortho_homog_basis, space)
+        want = _outcome(reference_ortho_homog_basis, space)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got == want
+            assert [list(p.terms) for p in got] == [list(p.terms) for p in want]
+
+        dim = basis[0].dim
+        partials = [q.diff(tuple(int(i == j) for i in range(dim)))
+                    for q in basis for j in range(dim)]
+        partials = [p for p in partials if not p.is_zero]
+        if partials:
+            batch = span_residual(partials, basis)
+            single = [span_residual(p, basis)[0] for p in partials]
+            reference = [reference_span_residual(p, basis) for p in partials]
+            assert np.allclose(batch, single, rtol=0, atol=1e-12)
+            assert np.allclose(batch, reference, rtol=0, atol=1e-12)
+
+
+class TestRepeatedWork:
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        calls = []
+        real = apolar.span_residual
+
+        def counting(f, basis):
+            calls.append(f)
+            return real(f, basis)
+
+        monkeypatch.setattr(apolar, "span_residual", counting)
+        return calls
+
+    def test_one_span_residual_per_space(self, residual_calls):
+        x, y, z = variables(3)
+        DInvariantSpace((const(3, 1), x, y, z, x * y, (x + z) * (x + z)))
+        assert len(residual_calls) == 1
+
+    def test_no_span_residual_for_constants(self, residual_calls):
+        DInvariantSpace((const(2, 3.5),))
+        assert residual_calls == []
+
+    def test_monomial_span_needs_no_subtraction(self, monkeypatch):
+        from convkern import fat_point_space
+        calls = []
+        real = LaurentPoly.__sub__
+        monkeypatch.setattr(LaurentPoly, "__sub__",
+                            lambda self, other: calls.append(1) or real(self, other))
+        Q = ortho_homog_basis(fat_point_space(3, 3))
+        assert len(Q) == 20 and calls == []
+
+
+class TestOverflow:
+    """Magnitudes whose norms overflow raise OverflowError instead of
+    passing a NaN residual or dropping a basis element."""
+
+    def test_span_residual_overflow(self):
+        x = LaurentPoly.variable(1, 0)
+        with pytest.raises(OverflowError):
+            span_residual(x.scale(2e200), [const(1, 1e200), (x * x).scale(1e200)])
+        with pytest.raises(OverflowError):
+            span_residual([const(1, 1e200)], [const(1, 1e200), x.scale(1e200)])
+
+    def test_bombieri_norm_overflow(self):
+        with pytest.raises(OverflowError):
+            bombieri_norm(const(2, 1e160))
+        with pytest.raises(OverflowError):
+            ortho_homog_basis(DInvariantSpace((const(2, 1e160),)))
+
+    def test_d_invariance_error_names_residual_and_tolerance(self):
+        x = LaurentPoly.variable(1, 0)
+        with pytest.raises(ValueError, match=r"^not D-invariant: partial 0 of .* leaves the "
+                                             r"span with relative residual 1\.000e\+00 > "
+                                             r"SPAN_TOL = 1e-08$"):
+            DInvariantSpace((x,))

@@ -622,6 +622,23 @@ class TestInputContract:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def _window_case(order, dim=6):
+    return (_filters(index=(1,) + (0,) * (dim - 1), dim=dim)["filters"][0],
+            {"Xi": [[2 * (i == j) for j in range(dim)] for i in range(dim)]},
+            {"candidates": [{"theta": [ONE] * dim, "order": order}]})
+
+
+def _window_pairs(dim, pad, degrees):
+    """sum over rows of (deg + pad + 1)^dim, one row per degree listed."""
+    return sum((d + pad + 1) ** dim for d in degrees)
+
+
+def _window_error(count):
+    from convkern.filters import MAX_WINDOW_PAIRS
+    return (f"error: the certified windows cover {count} (row, window point) pairs, "
+            f"above the limit of {MAX_WINDOW_PAIRS}\n")
+
+
 def _dense_dilation(n):
     """5 on the diagonal and 1 elsewhere: |det| = 4^(n-1) (n + 4)."""
     return {"Xi": [[5 if i == j else 1 for j in range(n)] for i in range(n)]}
@@ -641,6 +658,10 @@ class TestUnboundedInputs:
         "dilation_12x12": (_filters(index=(1,) + (0,) * 11, dim=12)["filters"][0],
                            _dense_dilation(12),
                            {"candidates": [{"theta": [ONE] * 12, "order": 0}]}),
+        # mask 1 - z_1, dilation 2 I_6, theta = 1: Pi_8 stacks 1287 degree-8
+        # rows over 9^6 window points; Pi_20 walks 21^6 exponents
+        "window_order_8": _window_case(8),
+        "window_order_20": _window_case(20),
     }
 
     @staticmethod
@@ -671,6 +692,14 @@ class TestUnboundedInputs:
         assert proc.stderr == (f"error: dilation has |det Xi| = {det} cosets, "
                                "above the limit of 100000\n")
 
+    @pytest.mark.parametrize("order", [8, 20])
+    def test_window_cap_is_named(self, order, tmp_path):
+        from math import comb
+        count = _window_pairs(6, 0, [d for d in range(order + 1)
+                                     for _ in range(comb(d + 5, 5))])
+        proc = self._subdivide(_window_case(order), tmp_path)
+        assert proc.stderr == _window_error(count)
+
     def test_sheared_dilation_with_small_det_runs(self, tmp_path):
         """|det| 4, in a bounding box of 3 x 1000003 points."""
         proc = self._subdivide((_filters(index=(1, 0), dim=2)["filters"][0],
@@ -690,3 +719,73 @@ class TestUnboundedInputs:
         from convkern.mpoly import MAX_FACTORIAL
         obj = {"candidates": [{"theta": [ONE], "order": MAX_FACTORIAL}]}
         assert ser.candidates_from_json(obj)[0][1] == MAX_FACTORIAL
+
+
+class TestWindowCap:
+    """The certified windows of a request cover at most MAX_WINDOW_PAIRS
+    (row, window point) pairs; above that, every command that builds them
+    exits 2 naming the count before it enumerates a window."""
+
+    def _run(self, capsys, tmp_path, flags, command, *payloads):
+        paths = []
+        for i, obj in enumerate(payloads):
+            path = tmp_path / f"in{i}.json"
+            path.write_text(json.dumps(obj))
+            paths.append(str(path))
+        code = main([*flags, command, *paths])
+        return code, capsys.readouterr()
+
+    @staticmethod
+    def _spectrum(dim, degrees):
+        """theta = 1 with the monomials x_1^d of the given degrees."""
+        return {"dim": dim, "zeros": [{"theta": [ONE] * dim, "Q_basis": [
+            [_mono((d,) + (0,) * (dim - 1))] for d in degrees]}]}
+
+    @pytest.mark.parametrize("command", ["verify", "build-kernel", "eigen"])
+    def test_huge_window_pad(self, command, capsys, tmp_path):
+        payloads = {"verify": (_filters(index=(1, 0), dim=2), self._spectrum(2, [0])),
+                    "build-kernel": (self._spectrum(2, [0]),),
+                    "eigen": (_filters(index=(1, 0), dim=2)["filters"][0], {"theta": [ONE, ONE]})}
+        pad = 10 ** 6
+        code, captured = self._run(capsys, tmp_path, ["--window-pad", str(pad)], command,
+                                   *payloads[command])
+        assert code == 2 and captured.out == ""
+        assert captured.err == _window_error(_window_pairs(2, pad, [0]))
+
+    def test_astronomical_count_is_not_formed(self, capsys, tmp_path):
+        code, captured = self._run(capsys, tmp_path, ["--window-pad", "9" * 4000],
+                                   "build-kernel", self._spectrum(2, [0]))
+        assert code == 2 and captured.err == _window_error("more than 2**64")
+
+    def test_high_degree_space_in_dimension_4(self, capsys, tmp_path):
+        degrees = range(21)
+        code, captured = self._run(capsys, tmp_path, [], "verify",
+                                   {"filters": [{"dim": 4, "taps": [
+                                       {"index": [0, 0, 0, 0], "re": 1.0}]}]},
+                                   self._spectrum(4, degrees))
+        assert code == 2 and captured.out == ""
+        assert captured.err == _window_error(_window_pairs(4, 0, degrees))
+
+    def test_count_at_the_cap_runs(self, capsys, tmp_path):
+        from convkern.filters import MAX_WINDOW_PAIRS
+        # 1 - z annihilates e_1: eigenvalue 0
+        eigen = (_filters()["filters"][0], {"theta": [ONE], "lambda": ZERO})
+        for pad, code in ((MAX_WINDOW_PAIRS - 1, 0), (MAX_WINDOW_PAIRS, 2)):
+            assert self._run(capsys, tmp_path, ["--window-pad", str(pad)], "eigen",
+                             *eigen)[0] == code
+
+
+class TestOverflowingSpan:
+    """A Q_basis whose span residual overflows exits 2 as overflowing input,
+    not 1 with a NaN residual passed as D-invariant."""
+
+    @pytest.mark.parametrize("top", [1, 2])
+    def test_exits_2(self, top, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_spectrum(ONE, [[_mono([0], 1e200)],
+                                                   [_mono([top], 1e200)]])))
+        assert main(["build-kernel", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: span residual overflows: input magnitudes "
+                                "overflow double precision\n")
