@@ -27,15 +27,12 @@ spec = Spectrum((
 print()
 print("== certified kernel basis ==")
 for theta, P in kernel_basis([h], spec):
-    for p in P.elements:
-        seq = ExpPolySeq.single(theta, p)
-        res, _ = kernel_residual([h], seq)
+    for p, res in zip(P.elements, kernel_residual([h], [(theta, p) for p in P.elements])):
         print(f"  theta = {theta[0]:.4f}  p = {p}  residual = {res:.2e}")
 
 print()
 print("== a sequence outside the kernel ==")
-probe = ExpPolySeq.single((0.5,), z * z)
-res, _ = kernel_residual([h], probe)
+res, = kernel_residual([h], [((0.5,), z * z)])
 print(f"  a^2 (1/2)^a residual = {res:.2e}  (clearly nonzero)")
 
 print()

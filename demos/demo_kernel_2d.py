@@ -10,7 +10,7 @@ Run with:  python3 demos/demo_kernel_2d.py
 
 import numpy as np
 
-from convkern import (DInvariantSpace, ExpPolySeq, LaurentPoly, Spectrum,
+from convkern import (DInvariantSpace, L_inv, LaurentPoly, Spectrum,
                       Zero, build_p_theta, fat_point_space,
                       ideal_complement_filters, kernel_basis,
                       kernel_residual, shift_matrix)
@@ -35,8 +35,8 @@ kb = kernel_basis(H, spec)
 for theta, P in kb:
     print(f"theta = ({theta[0]:.3g}, {theta[1]:.3g})")
     # one stacked oracle call per theta, one residual per element of P_theta
-    residuals = kernel_residual(H, [ExpPolySeq.single(theta, p) for p in P.elements])
-    for p, (res, _) in zip(P.elements, residuals):
+    residuals = kernel_residual(H, [(theta, p) for p in P.elements])
+    for p, res in zip(P.elements, residuals):
         print(f"   p = {p}   residual = {res:.2e}")
 
 print()
@@ -54,8 +54,8 @@ print("  G(0) == I:", bool(np.allclose(G0, np.eye(P.size))))
 print()
 print("== the construction behind P_theta ==")
 space = DInvariantSpace((one, ell, ell * ell))
-for name in ("with_sigma_minus", "without_sigma_minus"):
-    Pv = build_p_theta(space, (1.0, 2.0), name)
-    print(f"  {name}:")
-    for p in Pv.elements:
-        print("    ", p)
+theta = (1.0, 2.0)
+for q, p in zip(space.ortho_basis, build_p_theta(space, theta).elements):
+    print(f"  q = {q}")
+    print(f"     L^-1 sigma_theta q = {L_inv(q.scale_vars(theta))}")
+    print(f"     p = its sign flip sigma_- = {p}")

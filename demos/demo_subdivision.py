@@ -40,7 +40,7 @@ print("difference mask kills them:  ",
 
 print()
 print("== symmetric zeros ==")
-ok, _ = is_symmetric_zero(diff2, TWO, (1.0,), 0)
+[(ok, _)] = is_symmetric_zero(diff2, TWO, (1.0,), [0])
 print("1 - z^2 has a symmetric zero at 1:", ok)
 z = LaurentPoly.variable(1, 0)
 f = LaurentPoly.constant(1, 1.0) - z * z

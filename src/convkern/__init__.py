@@ -14,9 +14,8 @@ from .filters import (ExpPolySeq, Impulse, Window, certified_window, convolve,
                       impulse_from_symbol, kernel_residual, symbol)
 from .mpoly import (LaurentPoly, apply_poly_diff, falling_factorial,
                     laurent_normalize)
-from .newton import (PThetaBasis, WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS,
-                     L_inv, L_op, build_p_theta, forward_difference,
-                     newton_coeffs, shift_matrix)
+from .newton import (PThetaBasis, WITH_SIGMA_MINUS, L_inv, L_op, build_p_theta,
+                     forward_difference, newton_coeffs, shift_matrix)
 from .spectrum import (FundamentalSystem, Spectrum, Zero, certify_hermite, certify_kernel,
                        dual_apply, hermite_fundamentals, ideal_complement_filters,
                        kernel_basis, quotient_dim_estimate, verify_zero_dim)
@@ -34,7 +33,7 @@ __all__ = [
     "is_d_invariant", "ortho_homog_basis", "ortho_expansion_residual",
     "taylor_identity_residual", "lower_set_space", "fat_point_space",
     "forward_difference", "newton_coeffs", "L_op", "L_inv", "PThetaBasis",
-    "build_p_theta", "shift_matrix", "WITH_SIGMA_MINUS", "WITHOUT_SIGMA_MINUS",
+    "build_p_theta", "shift_matrix", "WITH_SIGMA_MINUS",
     "Impulse", "ExpPolySeq", "Window", "symbol", "impulse_from_symbol",
     "convolve", "convolve_impulses", "certified_window", "kernel_residual",
     "eigen_conditions", "eigen_residual", "certify_eigen",

@@ -149,7 +149,7 @@ class DInvariantSpace:
         return max(p.degree() for p in self.basis)
 
     def contains(self, f: LaurentPoly) -> bool:
-        rel, _ = span_residual(f, self.basis)
+        rel, = span_residual([f], self.basis)
         return rel <= SPAN_TOL
 
     @cached_property

@@ -20,9 +20,9 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 
 from . import serialize as ser
 from .filters import MAX_TOL, ExpPolySeq, WindowLimitError, certified_window, certify_eigen
-from .newton import WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS, build_p_theta
+from .newton import WITH_SIGMA_MINUS, build_p_theta
 from .serialize import FormatError
-from .spectrum import (DEFAULT_CONVENTION, DEFAULT_TOL, certify_hermite, certify_kernel,
+from .spectrum import (DEFAULT_TOL, CollocationLimitError, certify_hermite, certify_kernel,
                        require_kernel_windows)
 from .subdivision import NotExpandingError, subdivision_kernel_check
 
@@ -63,12 +63,6 @@ def _check(name: str, rec: Mapping[str, Any]) -> Dict[str, Any]:
             "pass": rec["pass"]}
 
 
-def _resolve_convention(flag: str) -> str:
-    return {"auto": DEFAULT_CONVENTION,
-            "with-sigma": WITH_SIGMA_MINUS,
-            "without-sigma": WITHOUT_SIGMA_MINUS}[flag]
-
-
 def cmd_verify(args) -> int:
     (filters_obj, ftext) = _read_json(args.filters)
     (spec_obj, stext) = _read_json(args.spectrum)
@@ -76,8 +70,7 @@ def cmd_verify(args) -> int:
     spec = ser.spectrum_from_json(spec_obj)
     if spec.zeros and spec.dim != H[0].dim:
         raise FormatError("filter and spectrum dimensions differ")
-    convention = _resolve_convention(args.convention)
-    cert = certify_kernel(H, spec, convention, tol=args.tol, pad=args.window_pad)
+    cert = certify_kernel(H, spec, tol=args.tol, pad=args.window_pad)
     checks = [_check(f"dual[h={rec['filter']},zero={rec['zero']},q={rec['q']}]", rec)
               for rec in cert["conditions"]]
     checks += [_check(f"oracle[theta={[_c(t) for t in rec['theta']]},deg={rec['degree']}]", rec)
@@ -87,7 +80,7 @@ def cmd_verify(args) -> int:
               for theta, P in cert["kernel"]]
 
     out = {"command": "verify", "inputs_digest": _digest(ftext, stext),
-           "convention": convention, "checks": checks,
+           "convention": WITH_SIGMA_MINUS, "checks": checks,
            "kernel": kernel, "pass": cert["pass"]}
     sys.stdout.write(ser.dumps(out))
     return EXIT_PASS if cert["pass"] else EXIT_FAIL
@@ -96,22 +89,21 @@ def cmd_verify(args) -> int:
 def cmd_build_kernel(args) -> int:
     (spec_obj, stext) = _read_json(args.spectrum)
     spec = ser.spectrum_from_json(spec_obj)
-    convention = _resolve_convention(args.convention)
     require_kernel_windows(spec, args.window_pad)
     kernel = []
     for zero in spec.zeros:
-        P = build_p_theta(zero.mult, zero.theta, convention)
+        P = build_p_theta(zero.mult, zero.theta)
         samples = []
         for p in P.elements:
             seq = ExpPolySeq.single(zero.theta, p)
-            w = certified_window(seq, pad=args.window_pad)
+            w = certified_window(spec.dim, p.degree(), args.window_pad)
             samples.append([{"alpha": list(alpha), "value": _c(seq.value(alpha))}
                             for alpha in w.points()])
         kernel.append({"theta": [_c(t) for t in zero.theta],
                        "P_basis": [ser.poly_to_json(p) for p in P.elements],
                        "window_samples": samples})
     out = {"command": "build-kernel", "inputs_digest": _digest(stext),
-           "convention": convention, "kernel": kernel, "pass": True}
+           "convention": WITH_SIGMA_MINUS, "kernel": kernel, "pass": True}
     sys.stdout.write(ser.dumps(out))
     return EXIT_PASS
 
@@ -208,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default %(default)g)")
     parser.add_argument("--window-pad", type=_nonnegative(int), default=0,
                         help="extra padding of certification windows, nonnegative")
-    parser.add_argument("--convention", choices=["auto", "with-sigma", "without-sigma"],
-                        default="auto", help="P_theta sign convention")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check dual conditions and certify the kernel")
@@ -253,7 +243,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FormatError, WindowLimitError) as exc:
+    except (FormatError, WindowLimitError, CollocationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OverflowError, ZeroDivisionError) as exc:  # a huge or tiny |theta|

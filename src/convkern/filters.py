@@ -6,19 +6,21 @@ polynomial of degree <= deg p: a residual that vanishes on the tensor grid
 {0..deg p}^s therefore vanishes everywhere, which turns kernel membership
 into a finite check.
 
-Convolving an exponential-polynomial sequence evaluates it at every (window
-point, tap) pair with numpy, from per-coordinate tables of x^e theta^x, in
-blocks of at most BLOCK_PAIRS pairs so that memory does not grow with the
-window; each block is then one matrix product with the tap vector.
+Convolving an exponential-polynomial term p e_theta evaluates it at every
+(window point, tap) pair with numpy, from per-coordinate tables of
+x^e theta^x, in blocks of at most BLOCK_PAIRS pairs so that memory does not
+grow with the window; each block is then one matrix product with the tap
+vector.
 
-The oracle evaluates a stack of sequences in one pass: convolve(h, [seq,
-...], w) builds the tables once per distinct theta and, per block, gathers
-the columns of one theta at a time, and kernel_residual(H, [seq, ...])
-stacks the terms that share a certified window, whatever their theta, one
-convolve per filter and window, with one normalization row per theta.
-Each row gets exactly the arithmetic of its sequence alone, so the
-certificate is unchanged: the same window, the same per-theta, per-filter
-residual and the same normalization, bit for bit.
+The oracle works on terms (theta, p), one row each: convolve(h, [(theta,
+p), ...], w) builds the tables once per distinct theta and, per block,
+gathers a theta's columns when its run of rows starts, and
+kernel_residual(H, [(theta, p), ...]) stacks the terms that share a
+certified window, whatever their theta, one convolve per filter and window,
+with one normalization row per theta, and returns one residual per term.
+Each row gets exactly the arithmetic of its term alone, so a residual does
+not depend on what is stacked with it.  A sequence of several terms is
+checked through its .terms.
 
 kernel_residual is the library's one window oracle.  An eigen-sequence c of
 h with eigenvalue lam and shift alpha_h is a kernel element of the impulse
@@ -103,11 +105,15 @@ def convolve_impulses(g: Impulse, h: Impulse) -> Impulse:
     return impulse_from_symbol(symbol(g) * symbol(h))
 
 
+# One exponential-polynomial term (theta, p): the sequence alpha -> p(alpha) theta^alpha.
+Term = Tuple[Tuple[complex, ...], LaurentPoly]
+
+
 @dataclass(frozen=True)
 class ExpPolySeq:
     """Formal sum over terms (theta, p) of the sequence alpha -> p(alpha) theta^alpha."""
 
-    terms: Tuple[Tuple[Tuple[complex, ...], LaurentPoly], ...]
+    terms: Tuple[Term, ...]
 
     def __post_init__(self):
         norm = []
@@ -137,9 +143,6 @@ class ExpPolySeq:
         return sum(p.evaluate(alpha) * math.prod((t ** a for t, a in zip(theta, alpha) if a),
                                                  start=1 + 0j)
                    for theta, p in self.terms)
-
-    def max_degree(self) -> int:
-        return max((p.degree() for _, p in self.terms), default=0)
 
 
 @dataclass(frozen=True)
@@ -236,37 +239,36 @@ def _arguments(lower: int, upper: int, shifts) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _convolve_closed_form(h: Impulse, seqs: Sequence[ExpPolySeq], w: Window) -> np.ndarray:
-    """(h * c) at w.points(), in that order, one row per sequence c of the
-    stack, block by block.
+def _convolve_closed_form(h: Impulse, terms: Sequence[Term], w: Window) -> np.ndarray:
+    """(h * p e_theta) at w.points(), in that order, one row per term
+    (theta, p), block by block.
 
-    Per coordinate j a sequence factors through the tables
+    Per coordinate j a term factors through the tables
     G[e, i] = x_i^e theta_j^x_i over the distinct arguments x_i, so each
     (point, tap) pair costs one table lookup per coordinate and monomial.
-    The arguments depend only on h and w, so the stack shares them: per
+    The arguments depend only on h and w, so the rows share them: per
     distinct theta the tables are built once, up to the top degree, and per
-    block the table columns are found and gathered once.  Row e of a table
-    does not depend on how many rows it has, and each row's tap product gets
-    the same matrix as a stack of that sequence alone, so every row equals
-    its single-sequence result exactly.
+    block a theta's table columns are gathered when its run of rows starts,
+    so the working memory does not grow with the number of theta.  Row e of
+    a table does not depend on how many rows it has, and each row's tap
+    product gets the same matrix as its term alone, so every row equals its
+    one-term result exactly.
     """
     sides = tuple(u - l + 1 for l, u in zip(w.lower, w.upper))
     n = math.prod(sides)
-    out = np.zeros((len(seqs), n), dtype=complex)
-    live = [(r, c) for r, c in enumerate(seqs) if c.terms]
-    if not h.taps or not live:
+    out = np.zeros((len(terms), n), dtype=complex)
+    if not h.taps or not terms:
         return out
-    if h.dim != w.dim or any(c.dim != w.dim for _, c in live):
-        raise ValueError("filter, sequence and window dimensions differ")
+    if h.dim != w.dim or any(len(theta) != w.dim or p.dim != w.dim for theta, p in terms):
+        raise ValueError("filter, term and window dimensions differ")
     taus = np.array(list(h.taps), dtype=np.int64)
     hvec = np.array(list(h.taps.values()), dtype=complex)
     axes = [_arguments(l, u, taus[:, j].tolist())
             for j, (l, u) in enumerate(zip(w.lower, w.upper))]
     degree: Dict[Tuple[complex, ...], int] = {}
-    for _, c in live:
-        for theta, p in c.terms:
-            degree[theta] = max(degree.get(theta, 0), p.degree())
-    tables = {theta: [np.fromiter(map(t.__pow__, axis.tolist()), complex, len(axis))
+    for theta, p in terms:
+        degree[theta] = max(degree.get(theta, 0), p.degree())
+    tables = {theta: [np.fromiter(map(complex(t).__pow__, axis.tolist()), complex, len(axis))
                       * axis.astype(float) ** np.arange(top + 1)[:, None]
                       for t, axis in zip(theta, axes)]
               for theta, top in degree.items()}
@@ -276,39 +278,30 @@ def _convolve_closed_form(h: Impulse, seqs: Sequence[ExpPolySeq], w: Window) -> 
         # table column of every (point, tap) pair, per coordinate
         idx = [np.searchsorted(axis, (x + l)[:, None] - taus[None, :, j])
                for j, (axis, x, l) in enumerate(zip(axes, points, w.lower))]
-        gathered: Dict[Tuple[complex, ...], list] = {}
-        for r, c in live:
-            # only this row's theta columns stay gathered, so the working
-            # memory does not grow with the number of theta in the stack;
-            # kernel_residual stacks theta-major, so each theta is gathered
-            # once per block
-            gathered = {theta: gathered.get(theta) or [table[:, i] for table, i
-                                                        in zip(tables[theta], idx)]
-                        for theta, _ in c.terms}
+        current = gathered = None
+        for r, (theta, p) in enumerate(terms):
+            if theta != current:
+                current = theta
+                gathered = [table[:, i] for table, i in zip(tables[theta], idx)]
+            g0, *rest = gathered
             values = np.zeros((len(points[0]), len(taus)), dtype=complex)
-            for theta, p in c.terms:
-                g0, *rest = gathered[theta]
-                for exp, coeff in p.terms.items():
-                    mono = coeff * g0[exp[0]]
-                    for g, k in zip(rest, exp[1:]):
-                        mono *= g[k]
-                    values += mono
+            for exp, coeff in p.terms.items():
+                mono = coeff * g0[exp[0]]
+                for g, k in zip(rest, exp[1:]):
+                    mono *= g[k]
+                values += mono
             out[r, start:start + len(points[0])] = values @ hvec
     return out
 
 
-def convolve(h: Impulse, c: "ExpPolySeq | Sequence[ExpPolySeq] | SequenceSamples",
-             w: Window):
+def convolve(h: Impulse, c: "Sequence[Term] | SequenceSamples", w: Window):
     """(h * c)(alpha) = sum_beta h(beta) c(alpha - beta) on the window.
 
-    An ExpPolySeq or sampled input gives a dict keyed by window point; a
-    sampled input must cover the window dilated by the support of h.  A list
-    of ExpPolySeq gives an array with one row per sequence, its columns in
-    w.points() order, each row equal to the dict values of that sequence
-    alone.
+    A list of terms (theta, p) gives an array with one row per term, the
+    values of h * (p e_theta), its columns in w.points() order.  A sampled
+    input gives a dict keyed by window point; it must cover the window
+    dilated by the support of h.
     """
-    if isinstance(c, ExpPolySeq):
-        return dict(zip(w.points(), _convolve_closed_form(h, [c], w)[0].tolist()))
     if not isinstance(c, Mapping):
         return _convolve_closed_form(h, c, w)
     out: Dict[Exponent, complex] = {}
@@ -326,70 +319,54 @@ def convolve(h: Impulse, c: "ExpPolySeq | Sequence[ExpPolySeq] | SequenceSamples
 def _window_powers(theta: Sequence[complex], w: Window) -> np.ndarray:
     """theta^alpha at w.points(), in that order."""
     out = np.ones(1, dtype=complex)
-    for t, l, u in zip(theta, w.lower, w.upper):
+    for t, l, u in zip(map(complex, theta), w.lower, w.upper):
         out = np.multiply.outer(out, np.array([t ** a for a in range(l, u + 1)])).ravel()
     return out
 
 
-def certified_window(seq: ExpPolySeq, pad: int = 0) -> Window:
-    """{0..D}^s with D the maximal polynomial degree of the sequence.
+def certified_window(dim: int, degree: int, pad: int = 0) -> Window:
+    """{0..degree+pad}^dim.
 
-    Per-theta residuals of h * seq are polynomials of degree <= D times
-    e_theta, so vanishing on this tensor grid certifies global vanishing.
+    The residual of h * (p e_theta) with deg p <= degree is a polynomial of
+    degree <= degree times e_theta, so vanishing on this tensor grid
+    certifies global vanishing.
     """
-    if not seq.terms:
-        raise ValueError("empty sequence")
-    D = window_side(seq.max_degree(), pad) - 1
-    dim = seq.dim
+    D = window_side(degree, pad) - 1
     return Window((0,) * dim, (D,) * dim)
 
 
-Residual = Tuple[float, Dict[Tuple[complex, ...], float]]
+def kernel_residual(H: Sequence[Impulse], terms: Sequence[Term], pad: int = 0) -> List[float]:
+    """Normalized annihilation residual of each term p e_theta under every h
+    in H, one per term.
 
-
-def kernel_residual(H: Sequence[Impulse], seq: "ExpPolySeq | Sequence[ExpPolySeq]",
-                    pad: int = 0) -> "Residual | List[Residual]":
-    """Normalized annihilation residual of the sequence under every h in H,
-    as (overall, per-theta); a list of sequences gives one such pair each.
-
-    Each theta-term is checked separately (convolution maps p e_theta into
-    e_theta-multiples, so a summed check could hide failures by
+    Convolution maps p e_theta into e_theta-multiples, so each term is
+    checked on its own (a summed check could hide failures by
     cancellation), over its own certified window.  Pointwise values are
     normalized by 1 + |theta^alpha|.  A residual that overflows is reported
     as NaN, which passes no tolerance, without numpy's overflow and
-    invalid-value warnings.  The terms of a list that share a
-    window are convolved as one stack, theta-major, one convolve per filter;
-    each result equals that of its sequence alone.
+    invalid-value warnings.  The terms that share a window are convolved as
+    one stack, theta-major, one convolve per filter; each result equals that
+    of its term alone.
     """
-    if isinstance(seq, ExpPolySeq):
-        return kernel_residual(H, [seq], pad)[0]
-    # window -> theta -> the terms stacked there, with their (sequence, term)
-    groups: Dict[Window, Dict[Tuple[complex, ...],
-                              List[Tuple[Tuple[int, int], ExpPolySeq]]]] = {}
-    for r, c in enumerate(seq):
-        for i, (theta, p) in enumerate(c.terms):
-            # a one-term sequence is its own term
-            term = c if len(c.terms) == 1 else ExpPolySeq.single(theta, p)
-            groups.setdefault(certified_window(term, pad=pad), {}) \
-                .setdefault(theta, []).append(((r, i), term))
-    found: Dict[Tuple[int, int], float] = {}
+    # window -> theta -> the rows of its terms there
+    groups: Dict[Window, Dict[Tuple[complex, ...], List[int]]] = {}
+    for r, (theta, p) in enumerate(terms):
+        groups.setdefault(certified_window(p.dim, p.degree(), pad), {}) \
+            .setdefault(theta, []).append(r)
+    out = [0.0] * len(terms)
     with np.errstate(over="ignore", invalid="ignore"):
         for w, by_theta in groups.items():
             # theta-major, one normalization row per theta repeated over its terms
-            entries = [entry for same in by_theta.values() for entry in same]
-            stack = [term for _, term in entries]
+            rows = [r for same in by_theta.values() for r in same]
             scale = np.concatenate([np.tile(1.0 + np.abs(_window_powers(theta, w)),
                                             (len(same), 1))
                                     for theta, same in by_theta.items()])
-            worst = np.zeros(len(stack))
+            worst = np.zeros(len(rows))
             for h in H:
-                residual = np.abs(convolve(h, stack, w)) / scale
+                residual = np.abs(convolve(h, [terms[r] for r in rows], w)) / scale
                 worst = np.maximum(worst, np.max(residual, axis=1, initial=0.0))  # propagates NaN
-            found.update(zip((position for position, _ in entries), worst.tolist()))
-    out = []
-    for r, c in enumerate(seq):
-        per_theta = {theta: found[r, i] for i, (theta, _) in enumerate(c.terms)}
-        out.append((float(np.max(list(per_theta.values()), initial=0.0)), per_theta))
+            for r, value in zip(rows, worst.tolist()):
+                out[r] = value
     return out
 
 
@@ -422,15 +399,15 @@ def eigen_conditions(h: Impulse, theta: Sequence[complex], Q,
 
 
 def eigen_residual(h: Impulse, lam: complex, alpha_h: Sequence[int],
-                   seq: ExpPolySeq, pad: int = 0) -> float:
-    """Max over the certified windows of |h*seq - lam seq(. + alpha_h)|: the
-    kernel_residual of the impulse h - lam delta_{-alpha_h}, whose
-    convolution with seq is exactly that difference, normalized the same way
-    and NaN when it overflows."""
+                   terms: Sequence[Term], pad: int = 0) -> List[float]:
+    """Per term c = p e_theta, the max over its certified window of
+    |h*c - lam c(. + alpha_h)|: the kernel_residual of the impulse
+    h - lam delta_{-alpha_h}, whose convolution with c is exactly that
+    difference, normalized the same way and NaN when it overflows."""
     shift = tuple(-int(a) for a in alpha_h)
     taps = dict(h.taps)
     taps[shift] = taps.get(shift, 0) - complex(lam)
-    return kernel_residual([Impulse(h.dim, taps)], seq, pad)[0]
+    return kernel_residual([Impulse(h.dim, taps)], terms, pad)
 
 
 def certify_eigen(h: Impulse, theta: Sequence[complex], Q, lam: complex,
@@ -446,8 +423,8 @@ def certify_eigen(h: Impulse, theta: Sequence[complex], Q, lam: complex,
     """
     require_window_pairs(h.dim, pad, [(0, 1)])
     cond = eigen_conditions(h, theta, Q, lam, alpha_h, tol=tol)
-    seq = ExpPolySeq.single(theta, LaurentPoly.constant(h.dim, 1.0))
-    res = eigen_residual(h, lam, alpha_h, seq, pad=pad)
+    e_theta = (tuple(complex(t) for t in theta), LaurentPoly.constant(h.dim, 1.0))
+    res, = eigen_residual(h, lam, alpha_h, [e_theta], pad)
     bound = max(tol, ORACLE_TOL) * max(1.0, h.l1())
     oracle = {"residual": res, "tolerance": bound, "pass": res <= bound}
     return {"pass": cond["pass"] and oracle["pass"],

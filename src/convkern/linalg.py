@@ -4,13 +4,12 @@ Every derivative condition of the library is a value (q(D) g)(z).  diff_tables
 tabulates the jets (D^alpha z^e)(z) of a monomial support at a stack of
 points with numpy, from per-coordinate tables of falling factorials (shared
 by the points) and integer powers (per point), so such a value is one matrix
-product with g's coefficients; diff_table is its one-point case, and
-dual_rows applies the coefficients of a basis of q's on the other side.
+product with g's coefficients, and dual_rows applies the coefficients of
+a basis of q's on the other side, at one point.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -22,8 +21,14 @@ RANK_TOL = 1e-10
 
 
 def monomials_upto(dim: int, degree: int) -> List[Exponent]:
-    """All exponents with |gamma| <= degree, in graded-lex order."""
-    out = [exp for exp in product(range(degree + 1), repeat=dim) if sum(exp) <= degree]
+    """All exponents with |gamma| <= degree, in graded-lex order: C(degree +
+    dim, dim) of them, enumerated coordinate by coordinate within the budget
+    left, so no box (degree + 1)^dim is walked."""
+    if degree < 0:
+        return []
+    out = [()]
+    for _ in range(dim):
+        out = [exp + (k,) for exp in out for k in range(degree + 1 - sum(exp))]
     out.sort(key=grlex_key)
     return out
 
@@ -52,13 +57,6 @@ def from_coeff_vector(dim: int, vec: np.ndarray, support: Sequence[Exponent]) ->
     """The polynomial with coefficient vec[i] at support[i]; support holds
     distinct exponents of length dim."""
     return LaurentPoly._of(dim, {exp: complex(vec[i]) for i, exp in enumerate(support)})
-
-
-def diff_table(orders: Sequence[Exponent], support: Sequence[Exponent],
-               point: Sequence[complex]) -> np.ndarray:
-    """T[i, k] = (D^orders[i] z^support[k])(point): the one-point case of
-    diff_tables."""
-    return diff_tables(orders, support, [point])[0]
 
 
 def diff_tables(orders: Sequence[Exponent], support: Sequence[Exponent],
@@ -103,21 +101,17 @@ def dual_rows(qs: Sequence[LaurentPoly], support: Sequence[Exponent],
     """R[i, k] = (qs[i](D) z^support[k])(point); R @ g_coeffs over the same
     support gives every (q(D) g)(point) at once."""
     Q, orders = coeff_matrix(qs)
-    return Q.T @ diff_table(orders, support, point)
+    return Q.T @ diff_tables(orders, support, [point])[0]
 
 
-def span_residual(f: "LaurentPoly | Sequence[LaurentPoly]", basis: Sequence[LaurentPoly]
-                  ) -> "Tuple[float, np.ndarray] | List[float]":
-    """Relative least-squares residual of f against span(basis), with the
-    least-squares coefficients.
+def span_residual(fs: Sequence[LaurentPoly], basis: Sequence[LaurentPoly]) -> List[float]:
+    """Relative least-squares residual of each f in fs against span(basis).
 
-    A list of polynomials gives one relative residual each, from one lstsq
-    with a matrix right-hand side over their joint support with the basis;
-    a single polynomial is the one-column case.  A residual whose norms
-    overflow raises OverflowError: NaN would pass every tolerance test.
+    One lstsq with a matrix right-hand side over the joint support of fs
+    and the basis.  A residual whose norms overflow raises OverflowError:
+    NaN would pass every tolerance test.
     """
-    single = isinstance(f, LaurentPoly)
-    fs = [f] if single else list(f)
+    fs = list(fs)
     support = joint_support(list(basis) + fs)
     A, _ = coeff_matrix(basis, support)
     B, _ = coeff_matrix(fs, support)
@@ -128,7 +122,7 @@ def span_residual(f: "LaurentPoly | Sequence[LaurentPoly]", basis: Sequence[Laur
     if not (np.all(np.isfinite(res)) and np.all(np.isfinite(scale))):
         raise OverflowError("span residual overflows")
     rel = np.divide(res, scale, out=res.copy(), where=scale > 0)
-    return (float(rel[0]), coeffs[:, 0]) if single else rel.tolist()
+    return rel.tolist()
 
 
 def numerical_rank(A: np.ndarray) -> int:

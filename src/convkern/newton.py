@@ -24,8 +24,11 @@ from .linalg import coeff_matrix, from_coeff_vector, joint_support, monomials_up
 from .mpoly import (Exponent, LaurentPoly, falling_factorial, grlex_key,
                     multi_factorial)
 
+# The sign convention of P_theta, named in the reports: the final flip
+# sigma_- is the one under which the annihilation equivalence holds, as the
+# calibration on the worked triple-zero example shows
+# (tests/test_calibration.py).
 WITH_SIGMA_MINUS = "with_sigma_minus"
-WITHOUT_SIGMA_MINUS = "without_sigma_minus"
 
 # shift_matrix rejects a P_theta basis whose coefficient matrix has a smallest
 # singular value at most DEPENDENCE_TOL times its largest.
@@ -122,12 +125,11 @@ def L_inv(f: LaurentPoly) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class PThetaBasis:
-    """Basis of P_theta = sigma_- L^-1 sigma_theta Q_theta (or the variant
-    without the final sign flip), tracking the exponential base theta."""
+    """Basis of P_theta = sigma_- L^-1 sigma_theta Q_theta, tracking the
+    exponential base theta."""
 
     theta: Tuple[complex, ...]
     elements: Tuple[LaurentPoly, ...]
-    convention: str = WITH_SIGMA_MINUS
 
     @property
     def dim(self) -> int:
@@ -138,24 +140,16 @@ class PThetaBasis:
         return len(self.elements)
 
 
-def build_p_theta(Q: DInvariantSpace, theta: Sequence[complex],
-                  convention: str = WITH_SIGMA_MINUS) -> PThetaBasis:
-    """Image of the orthonormal basis of Q under sigma_theta, L^-1 and
-    (depending on the convention) the sign flip sigma_-."""
+def build_p_theta(Q: DInvariantSpace, theta: Sequence[complex]) -> PThetaBasis:
+    """Image of the orthonormal basis of Q under sigma_theta, L^-1 and the
+    sign flip sigma_-."""
     theta = tuple(complex(t) for t in theta)
     if len(theta) != Q.dim:
         raise ValueError("theta has wrong length")
     if any(t == 0 for t in theta):
         raise ValueError("theta must lie in C_x^s")
-    if convention not in (WITH_SIGMA_MINUS, WITHOUT_SIGMA_MINUS):
-        raise ValueError(f"unknown convention {convention!r}")
-    elements = []
-    for q in Q.ortho_basis:
-        p = L_inv(q.scale_vars(theta))
-        if convention == WITH_SIGMA_MINUS:
-            p = p.sigma_minus()
-        elements.append(p)
-    return PThetaBasis(theta, tuple(elements), convention)
+    elements = tuple(L_inv(q.scale_vars(theta)).sigma_minus() for q in Q.ortho_basis)
+    return PThetaBasis(theta, elements)
 
 
 def shift_matrix(P: PThetaBasis, y: Sequence[complex]) -> np.ndarray:

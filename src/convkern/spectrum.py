@@ -16,7 +16,9 @@ The collocation matrix of the Hermite problem and the dual matrix of the
 fundamentals are built block by block, one block per zero, from one jet
 table (linalg.diff_tables) per distinct multiplicity space over the points
 of its zeros; the Hermite degree search starts at the first degree with
-enough monomials.  verify_zero_dim evaluates its conditions one by one
+enough monomials and refuses a degree whose matrix would have more than
+MAX_COLLOCATION_ENTRIES entries, which the hermite command reports as an
+input error.  verify_zero_dim evaluates its conditions one by one
 through dual_apply, and certify_kernel checks the P_theta of every zero in
 one oracle call.  The dual functionals come from each zero's
 DInvariantSpace.ortho_basis and the symbols from Impulse.normalized_symbol,
@@ -28,13 +30,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .apolar import DInvariantSpace
-from .filters import (DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, kernel_residual,
-                      require_window_pairs, symbol)
+from .filters import (DEFAULT_TOL, ORACLE_TOL, Impulse, kernel_residual, require_window_pairs,
+                      symbol)
 from .linalg import (RANK_TOL, coeff_matrix, diff_tables, from_coeff_vector,
                      monomials_upto, numerical_rank, nullspace)
 from .mpoly import LaurentPoly, apply_poly_diff
@@ -42,14 +44,19 @@ from .mpoly import LaurentPoly, apply_poly_diff
 # The fundamentals' dual matrix must be the identity to this accuracy.
 KRONECKER_TOL = 1e-8
 
+# Most entries n dim Pi_d of the Hermite collocation matrix at degree d, n
+# the total multiplicity; the degree search refuses a degree above it
+# before building that matrix.
+MAX_COLLOCATION_ENTRIES = 10 ** 5
+
+
+class CollocationLimitError(ValueError):
+    """The Hermite collocation matrix would exceed MAX_COLLOCATION_ENTRIES."""
+
+
 # Two zeros of a Spectrum whose theta differ by at most this much in every
 # component are duplicates.
 DUPLICATE_THETA_TOL = 1e-12
-
-# Fixed by the annihilation calibration on the worked triple-zero example
-# (see tests/test_calibration.py): the convention with the final sign flip
-# is the one under which the annihilation equivalence holds.
-DEFAULT_CONVENTION = "with_sigma_minus"
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,9 @@ def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
     """Minimal-degree fundamentals via the collocation matrix, increasing the
     degree until the dual functionals become independent; minimum-norm
     solutions break ties.  The search starts at the first degree d >= max
-    deg Q_theta with dim Pi_d >= n, the total multiplicity."""
+    deg Q_theta with dim Pi_d >= n, the total multiplicity; a degree whose
+    collocation matrix has more than MAX_COLLOCATION_ENTRIES entries
+    n dim Pi_d raises CollocationLimitError before it is built."""
     if not spec.zeros:
         return FundamentalSystem(spec, ())
     n = spec.total_multiplicity
@@ -209,6 +218,11 @@ def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
     while math.comb(start + spec.dim, spec.dim) < n:
         start += 1
     for d in range(start, d0 + n + 1):
+        entries = n * math.comb(d + spec.dim, spec.dim)
+        if entries > MAX_COLLOCATION_ENTRIES:
+            raise CollocationLimitError(
+                f"the Hermite collocation matrix at degree {d} has {entries} entries, "
+                f"above the limit of {MAX_COLLOCATION_ENTRIES}")
         monos = monomials_upto(spec.dim, d)
         V = _functional_rows(spec, monos)
         if numerical_rank(V) == n:
@@ -233,10 +247,12 @@ def certify_hermite(spec: Spectrum) -> Dict:
     Returns the FundamentalSystem under "system", its dual matrix under
     "dual" and one record (residual, tolerance, pass) under "kronecker";
     when hermite_fundamentals raises ValueError, only "error", its message,
-    and "pass", False.
+    and "pass", False.  CollocationLimitError, an input limit, is raised.
     """
     try:
         system = hermite_fundamentals(spec)
+    except CollocationLimitError:
+        raise
     except ValueError as exc:
         return {"pass": False, "error": str(exc)}
     dual = system.dual_matrix()
@@ -275,7 +291,6 @@ def require_kernel_windows(spec: Spectrum, pad: int = 0) -> int:
 
 
 def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
-                   convention: Optional[str] = None,
                    tol: float = DEFAULT_TOL, pad: int = 0) -> Dict:
     """Decide ker H >= direct sum of P_theta e_theta for the spectrum.
 
@@ -290,19 +305,15 @@ def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
     """
     from .newton import build_p_theta
 
-    convention = convention or DEFAULT_CONVENTION
     require_kernel_windows(spec, pad)
     report = verify_zero_dim(H, spec, tol=tol)
     oracle, kernel = [], []
     if report["pass"]:
         h_scale = max(1.0, max(h.l1() for h in H))
-        kernel = [(zero.theta, build_p_theta(zero.mult, zero.theta, convention))
-                  for zero in spec.zeros]
+        kernel = [(zero.theta, build_p_theta(zero.mult, zero.theta)) for zero in spec.zeros]
         # one oracle stack over the elements of every zero's P_theta
         elements = [(theta, p) for theta, P in kernel for p in P.elements]
-        residuals = kernel_residual(H, [ExpPolySeq.single(theta, p) for theta, p in elements],
-                                    pad=pad)
-        for (theta, p), (res, _) in zip(elements, residuals):
+        for (theta, p), res in zip(elements, kernel_residual(H, elements, pad=pad)):
             bound = max(tol, ORACLE_TOL) * (h_scale * max(1.0, p.norm()))
             oracle.append({"theta": theta, "degree": p.degree(),
                            "residual": res, "tolerance": bound, "pass": res <= bound})
@@ -310,12 +321,10 @@ def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
             "conditions": report["conditions"], "oracle": oracle, "kernel": kernel}
 
 
-def kernel_basis(H: Sequence[Impulse], spec: Spectrum,
-                 convention: Optional[str] = None,
-                 tol: float = DEFAULT_TOL):
+def kernel_basis(H: Sequence[Impulse], spec: Spectrum, tol: float = DEFAULT_TOL):
     """Assemble ker H = direct sum of P_theta e_theta with certify_kernel and
     return its (theta, P_theta) bases; raises unless every check passes."""
-    cert = certify_kernel(H, spec, convention, tol)
+    cert = certify_kernel(H, spec, tol)
     bad = [r for r in cert["conditions"] if not r["pass"]]
     if bad:
         raise ValueError(f"dual conditions fail for {len(bad)} (filter, zero, q) triples")

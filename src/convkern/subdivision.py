@@ -10,14 +10,14 @@ Kernel questions reduce to convolution kernels of the subsymbols, one per
 coset.  The derivative tests take jet tables from linalg times the symbol's
 coefficients, each symbol taken as its Impulse.normalized_symbol: one
 stacked table over all modulation points for a symmetric zero, which serves
-a sequence of orders at once, and one table at theta^-1 over the union of
+every order asked at once, and one table at theta^-1 over the union of
 the subsymbol supports, from which each subsymbol reads its columns.
 subdivision_kernel_check decides each distinct theta once: one
 is_symmetric_zero call and one subsymbol table at the top order asked for
-theta, and one oracle call for all of its theta; every candidate (theta, k)
-reads its rows.  Rows and columns are copied contiguous before their
-product, so each value is bit-identical to that of a table built for the
-candidate alone.  The oracle test decides at max(tol, ORACLE_TOL), like
+theta, and one oracle call over the terms x^beta e_theta of every theta;
+every candidate (theta, k) reads its rows.  Rows and columns are copied
+contiguous before their product, so each value is bit-identical to that of
+a table built for the candidate alone.  The oracle test decides at max(tol, ORACLE_TOL), like
 every other oracle.  Each candidate record carries the residual and
 tolerance of the test that decides it, which the subdivide command prints.
 """
@@ -36,7 +36,7 @@ import numpy as np
 
 from .filters import (DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual,
                       require_window_pairs)
-from .linalg import coeff_matrix, diff_table, diff_tables, joint_support, monomials_upto
+from .linalg import coeff_matrix, diff_tables, joint_support, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key
 
 
@@ -228,19 +228,16 @@ def modulation_points(Xi: Dilation, zeta: Sequence[complex]) -> List[Tuple[compl
 
 
 def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
-                      order: "int | Sequence[int]" = 0, tol: float = DEFAULT_TOL
-                      ) -> "Tuple[bool, float] | List[Tuple[bool, float]]":
-    """True iff every derivative D^beta a*, |beta| <= order, vanishes at all
-    modulation translates of zeta.  Returns the maximal normalized
-    violation alongside.
+                      orders: Sequence[int], tol: float = DEFAULT_TOL) -> List[Tuple[bool, float]]:
+    """Per order k in orders, (ok, worst): ok iff every derivative D^beta a*,
+    |beta| <= k, vanishes at all modulation translates of zeta, and worst
+    the maximal normalized violation.
 
-    A sequence of orders gives one (ok, worst) per order, all read from one
-    jet table at the top order: order k takes the first dim Pi_k rows
-    (graded-lex), copied contiguous so that its product equals that of a
-    table built at order k alone.
+    Every order reads one jet table at the top order: order k takes the
+    first dim Pi_k rows (graded-lex), copied contiguous so that its product
+    equals that of a table built at order k alone.
     """
-    single = np.ndim(order) == 0
-    orders = [order] if single else list(order)
+    orders = list(orders)
     if any(k < 0 for k in orders):
         raise ValueError("order must be nonnegative")
     g = a.normalized_symbol
@@ -256,7 +253,7 @@ def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
         vals = np.abs(rows @ coeffs[:, 0])
         worst = float(np.max(vals / point_scales[:, None], initial=0.0))  # propagates NaN
         out.append((worst <= tol, worst))
-    return out[0] if single else out
+    return out
 
 
 def symmetric_zero_order(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
@@ -265,7 +262,7 @@ def symmetric_zero_order(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
     -1 if not even a symmetric zero of order 0.  One jet table at max_order
     serves every k."""
     best = -1
-    for ok, _ in is_symmetric_zero(a, Xi, zeta, order=range(max_order + 1), tol=tol):
+    for ok, _ in is_symmetric_zero(a, Xi, zeta, range(max_order + 1), tol=tol):
         if not ok:
             break
         best += 1
@@ -374,7 +371,7 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         for theta, exps in orders.items():
             point = tuple(1.0 / t for t in theta)
             scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
-            table = diff_table(exps, union, point)
+            table = diff_tables(exps, union, [point])[0]
             sub_vals = np.zeros(len(exps))
             for coeffs, cols in sub_coeffs:
                 vals = np.abs(np.ascontiguousarray(table[:, cols]) @ coeffs)
@@ -383,16 +380,16 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
             oracle[theta] = np.zeros(len(exps))
         if sub_impulses:
             residuals = iter(kernel_residual(sub_impulses, [
-                ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
+                (theta, LaurentPoly.monomial(a.dim, exp))
                 for theta, exps in orders.items() for exp in exps]))
             for theta, exps in orders.items():
-                oracle[theta] = np.array([next(residuals)[0] / l1 for _ in exps])
+                oracle[theta] = np.array([next(residuals) / l1 for _ in exps])
         # theta -> order -> the symmetric-zero violation, one call per theta
         sym_violation: Dict[Tuple[complex, ...], Dict[int, float]] = {}
         for theta, ks in asked.items():
             ks = sorted(ks)
             zeta = canonical_zero_representative(Xi, theta)
-            found = is_symmetric_zero(a, Xi, zeta, order=ks, tol=tol)
+            found = is_symmetric_zero(a, Xi, zeta, ks, tol=tol)
             sym_violation[theta] = {k: worst for k, (_, worst) in zip(ks, found)}
         results = []
         overall = True

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from convkern import (DInvariantSpace, Dilation, ExpPolySeq, Impulse,
-                      LaurentPoly, L_op, Spectrum, WITHOUT_SIGMA_MINUS,
+                      LaurentPoly, L_inv, L_op, Spectrum,
                       Window, Zero, adjoint_check, build_p_theta, convolve,
                       coset_reps, fat_point_space, hermite_fundamentals,
                       ideal_complement_filters, impulse_from_symbol,
@@ -135,12 +135,13 @@ def test_criterion_01_newton_operator_worked_example():
     # the construction itself applies the theta-scaling
     ell0 = x + y
     space = DInvariantSpace((const(2, 1), ell0, ell0 * ell0))
-    P = build_p_theta(space, (t1, t2), WITHOUT_SIGMA_MINUS)
+    # L^-1 sigma_theta Q, before the final sign flip of P_theta
+    elements = [L_inv(q.scale_vars((t1, t2))) for q in space.ortho_basis]
     scaled = x + 2 * y
     target = [const(2, 1), scaled, scaled * scaled - (x + 4 * y)]
     from convkern.linalg import coeff_matrix
-    A, _ = coeff_matrix(list(P.elements) + target)
-    ok = ok and np.linalg.matrix_rank(A, tol=1e-9) == 3 == len(P.elements)
+    A, _ = coeff_matrix(elements + target)
+    ok = ok and np.linalg.matrix_rank(A, tol=1e-9) == 3 == len(elements)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     report(1, "scaled linear-power space: operator identities and basis span "
@@ -155,8 +156,7 @@ def test_criterion_02_randomized_annihilation(randomized_cases):
         kb = kernel_basis(H, spec)
         scale = max(h.l1() for h in H)
         for theta, P in kb:
-            for p in P.elements:
-                res, _ = kernel_residual(H, ExpPolySeq.single(theta, p))
+            for p, res in zip(P.elements, kernel_residual(H, [(theta, p) for p in P.elements])):
                 worst = max(worst, res / (scale * max(1.0, p.norm())))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 30.0
@@ -175,8 +175,7 @@ def test_criterion_03_perturbation_detected(randomized_cases):
         kb = kernel_basis(H, spec)
         case_worst = 0.0
         for theta, P in kb:
-            for p in P.elements:
-                res, _ = kernel_residual([bad], ExpPolySeq.single(theta, p))
+            for res in kernel_residual([bad], [(theta, p) for p in P.elements]):
                 case_worst = max(case_worst, res)
         worst_detection = min(worst_detection, case_worst)
     ok = worst_detection >= 1e-4
@@ -190,15 +189,9 @@ def test_criterion_04_univariate_factored_symbol():
     h = impulse_from_symbol((z - two) * (z - two) * (z - three))
     x = z
     members = [((0.5,), const(1, 1)), ((0.5,), x), ((1 / 3,), const(1, 1))]
-    ok = True
-    seqs = []
-    for theta, p in members:
-        seq = ExpPolySeq.single(theta, p)
-        res, _ = kernel_residual([h], seq)
-        ok = ok and res <= 1e-8
-        seqs.append(seq)
-    probe = ExpPolySeq.single((0.5,), x * x)
-    res, _ = kernel_residual([h], probe)
+    ok = all(res <= 1e-8 for res in kernel_residual([h], members))
+    seqs = [ExpPolySeq.single(theta, p) for theta, p in members]
+    res, = kernel_residual([h], [((0.5,), x * x)])
     ok = ok and res >= 1e-3
     window = range(0, 8)
     A = np.array([[s.value((a,)) for a in window] for s in seqs])
@@ -367,7 +360,7 @@ def test_criterion_08_subdivision_suite():
                 tap = tuple(v + w for v, w in zip(xi, Xi.apply(alpha)))
                 taps[tap] = taps.get(tap, 0) + c
         a = Impulse(dim, taps)
-        sym_ok, _ = is_symmetric_zero(a, Xi, zeta, 0)
+        [(sym_ok, _)] = is_symmetric_zero(a, Xi, zeta, [0])
         scale = max(1.0, a.l1())
         sub_ok = all(abs(p.evaluate(target)) <= 1e-9 * scale
                      for p in subs.values())

@@ -352,7 +352,7 @@ class TestAgainstReferences:
         partials = [p for p in partials if not p.is_zero]
         if partials:
             batch = span_residual(partials, basis)
-            single = [span_residual(p, basis)[0] for p in partials]
+            single = [span_residual([p], basis)[0] for p in partials]
             reference = [reference_span_residual(p, basis) for p in partials]
             assert np.allclose(batch, single, rtol=0, atol=1e-12)
             assert np.allclose(batch, reference, rtol=0, atol=1e-12)
@@ -397,7 +397,7 @@ class TestOverflow:
     def test_span_residual_overflow(self):
         x = LaurentPoly.variable(1, 0)
         with pytest.raises(OverflowError):
-            span_residual(x.scale(2e200), [const(1, 1e200), (x * x).scale(1e200)])
+            span_residual([x.scale(2e200)], [const(1, 1e200), (x * x).scale(1e200)])
         with pytest.raises(OverflowError):
             span_residual([const(1, 1e200)], [const(1, 1e200), x.scale(1e200)])
 

@@ -96,12 +96,6 @@ class TestBuildKernel:
         report = json.loads(out)
         assert report["kernel"] == [] and report["pass"]
 
-    def test_convention_flag(self, capsys):
-        code, out = run(capsys, "--convention", "without-sigma",
-                        "build-kernel", fx("spectrum_qpspaces.json"))
-        assert code == 0
-        assert json.loads(out)["convention"] == "without_sigma_minus"
-
 
 class TestHermite:
     def test_two_points_lagrange(self, capsys):
@@ -789,3 +783,50 @@ class TestOverflowingSpan:
         assert captured.out == ""
         assert captured.err == ("error: span residual overflows: input magnitudes "
                                 "overflow double precision\n")
+
+
+class TestCollocationCap:
+    """hermite refuses a degree whose collocation matrix has more than
+    MAX_COLLOCATION_ENTRIES entries n dim Pi_d, with exit 2 and a message
+    naming the count, before it builds that matrix; a spectrum in many
+    variables runs without walking a (d + 1)^s box of exponents."""
+
+    def _hermite(self, capsys, tmp_path, spectrum):
+        import time
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spectrum))
+        start = time.perf_counter()
+        code = main(["hermite", str(path)])
+        return code, capsys.readouterr(), time.perf_counter() - start
+
+    @staticmethod
+    def _chain(dim, order):
+        """theta = 1 with Q = span{x_1^j : j <= order}."""
+        return {"dim": dim, "zeros": [{"theta": [ONE] * dim, "Q_basis": [
+            [_mono((j,) + (0,) * (dim - 1))] for j in range(order + 1)]}]}
+
+    @pytest.mark.parametrize("dim, order", [(5, 20), (6, 16)])
+    def test_chain_exits_2(self, dim, order, capsys, tmp_path):
+        from math import comb
+        from convkern.spectrum import MAX_COLLOCATION_ENTRIES
+        code, captured, elapsed = self._hermite(capsys, tmp_path, self._chain(dim, order))
+        # n = order + 1 conditions; the search starts at degree order
+        count = (order + 1) * comb(order + dim, dim)
+        assert code == 2 and captured.out == "" and elapsed < 1.0
+        assert captured.err == (f"error: the Hermite collocation matrix at degree {order} "
+                                f"has {count} entries, above the limit of "
+                                f"{MAX_COLLOCATION_ENTRIES}\n")
+
+    def test_count_at_the_cap_runs(self, capsys, tmp_path, monkeypatch):
+        from convkern import spectrum
+        # Q = span{1, x_1} in two variables: 2 conditions times dim Pi_1 = 3
+        for cap, code in ((6, 0), (5, 2)):
+            monkeypatch.setattr(spectrum, "MAX_COLLOCATION_ENTRIES", cap)
+            assert self._hermite(capsys, tmp_path, self._chain(2, 1))[0] == code
+
+    def test_two_zeros_in_dimension_40(self, capsys, tmp_path):
+        spectrum = {"dim": 40, "zeros": [{"theta": [{"re": t, "im": 0.0}] * 40,
+                                          "Q_basis": [[_mono((0,) * 40)]]} for t in (1.0, 2.0)]}
+        code, captured, elapsed = self._hermite(capsys, tmp_path, spectrum)
+        assert code == 0 and elapsed < 1.0
+        assert len(json.loads(captured.out)["fundamentals"]) == 2

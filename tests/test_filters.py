@@ -23,6 +23,12 @@ def delta_diff():
     return Impulse(1, {(0,): 1.0, (1,): -1.0})
 
 
+def _convolve_seq(h, seq, w):
+    """h * seq on the window as a dict keyed by window point: the sum of the
+    rows of its terms."""
+    return dict(zip(w.points(), convolve(h, seq.terms, w).sum(axis=0).tolist()))
+
+
 class TestSymbol:
     def test_first_difference(self):
         z = LaurentPoly.variable(1, 0)
@@ -50,17 +56,14 @@ class TestSymbol:
 
 class TestConvolve:
     def test_difference_kills_constants(self):
-        seq = ExpPolySeq.single((1.0,), const(1, 1))
-        w = Window((-3,), (5,))
-        vals = convolve(delta_diff(), seq, w)
-        assert all(abs(v) == 0 for v in vals.values())
+        vals = convolve(delta_diff(), [((1.0,), const(1, 1))], Window((-3,), (5,)))
+        assert vals.shape == (1, 9) and not vals.any()
 
     def test_second_difference_of_square(self):
         h = Impulse(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})
         x = LaurentPoly.variable(1, 0)
-        seq = ExpPolySeq.single((1.0,), x * x)
-        vals = convolve(h, seq, Window((0,), (6,)))
-        assert all(abs(v - 2) < 1e-12 for v in vals.values())
+        [vals] = convolve(h, [((1.0,), x * x)], Window((0,), (6,)))
+        assert all(abs(v - 2) < 1e-12 for v in vals)
 
     def test_exponential_rule(self, rng):
         # h * e_theta = h*(theta^-1) e_theta
@@ -72,7 +75,7 @@ class TestConvolve:
             seq = ExpPolySeq.single(tuple(theta), const(dim, 1.0))
             factor = symbol(h).evaluate(1.0 / theta)
             w = Window((0,) * dim, (2,) * dim)
-            for alpha, v in convolve(h, seq, w).items():
+            for alpha, v in _convolve_seq(h, seq, w).items():
                 expect = factor * seq.value(alpha)
                 assert abs(v - expect) <= 1e-10 * (1 + abs(expect))
 
@@ -96,21 +99,21 @@ class TestConvolve:
 
 class TestCertifiedWindow:
     def test_constants(self):
-        seq = ExpPolySeq.single((1.0, 1.0), const(2, 1))
-        w = certified_window(seq)
+        w = certified_window(2, const(2, 1).degree())
         assert w.lower == (0, 0) and w.upper == (0, 0)
 
     def test_linear(self):
         x = LaurentPoly.variable(1, 0)
-        seq = ExpPolySeq.single((0.5,), const(1, 1) + x)
-        w = certified_window(seq)
+        w = certified_window(1, (const(1, 1) + x).degree())
         assert w.lower == (0,) and w.upper == (1,)
+        assert certified_window(1, 1, pad=2).upper == (3,)
 
     def test_quadratic_2d(self):
         x, y = variables(2)
-        seq = ExpPolySeq.single((1.0, 2.0), (x + y) * (x + y))
-        w = certified_window(seq)
+        w = certified_window(2, ((x + y) * (x + y)).degree())
         assert w.upper == (2, 2)
+        # the zero polynomial, degree -1, is checked on {0}^s
+        assert certified_window(2, const(2, 0).degree()).upper == (0, 0)
 
     def test_soundness_outside_window(self, rng):
         # Sequences certified zero on the window stay zero at random
@@ -120,7 +123,7 @@ class TestCertifiedWindow:
         x = LaurentPoly.variable(1, 0)
         for p in (const(1, 1), x):
             seq = ExpPolySeq.single((2.0,), p)
-            res, _ = kernel_residual([h], seq)
+            res, = kernel_residual([h], seq.terms)
             assert res <= 1e-12
             for _ in range(100):
                 alpha = (int(rng.integers(-20, 40)),)
@@ -131,22 +134,18 @@ class TestCertifiedWindow:
 
 class TestKernelResidual:
     def test_constants_in_difference_kernel(self):
-        seq = ExpPolySeq.single((1.0,), const(1, 1))
-        res, per = kernel_residual([delta_diff()], seq)
-        assert res == 0
+        assert kernel_residual([delta_diff()], [((1.0,), const(1, 1))]) == [0.0]
 
     def test_linear_in_second_difference_kernel(self):
         h = Impulse(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})
         x = LaurentPoly.variable(1, 0)
-        seq = ExpPolySeq.single((1.0,), x)
-        res, _ = kernel_residual([h], seq)
+        res, = kernel_residual([h], [((1.0,), x)])
         assert res <= 1e-12
 
     def test_square_not_in_kernel(self):
         h = Impulse(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})
         x = LaurentPoly.variable(1, 0)
-        seq = ExpPolySeq.single((1.0,), x * x)
-        res, _ = kernel_residual([h], seq)
+        res, = kernel_residual([h], [((1.0,), x * x)])
         assert res == pytest.approx(1.0)  # |2| / (1 + 1)
 
     def test_kernel_1d_specialization(self):
@@ -156,11 +155,8 @@ class TestKernelResidual:
         h = impulse_from_symbol((z - two) * (z - two) * (z - three))
         x = LaurentPoly.variable(1, 0)
         members = [((0.5,), const(1, 1)), ((0.5,), x), ((1 / 3,), const(1, 1))]
-        for theta, p in members:
-            res, _ = kernel_residual([h], ExpPolySeq.single(theta, p))
-            assert res <= 1e-8
-        probe = ExpPolySeq.single((0.5,), x * x)
-        res, _ = kernel_residual([h], probe)
+        assert all(res <= 1e-8 for res in kernel_residual([h], members))
+        res, = kernel_residual([h], [((0.5,), x * x)])
         assert res >= 1e-3
 
 
@@ -189,19 +185,17 @@ class TestEigen:
         assert rep["pass"]
 
     def test_residual_constants(self):
-        seq = ExpPolySeq.single((1.0,), const(1, 1))
-        assert eigen_residual(self.averaging(), 1.0, (0,), seq) == 0
+        assert eigen_residual(self.averaging(), 1.0, (0,), [((1.0,), const(1, 1))]) == [0.0]
 
     def test_residual_shift(self):
         h = Impulse(1, {(1,): 1.0})
         theta = 2.0
-        seq = ExpPolySeq.single((theta,), const(1, 1))
-        assert eigen_residual(h, 1.0 / theta, (0,), seq) <= 1e-12
+        res, = eigen_residual(h, 1.0 / theta, (0,), [((theta,), const(1, 1))])
+        assert res <= 1e-12
 
     def test_residual_linear_failure(self):
         x = LaurentPoly.variable(1, 0)
-        seq = ExpPolySeq.single((1.0,), x)
-        res = eigen_residual(self.averaging(), 1.0, (0,), seq)
+        res, = eigen_residual(self.averaging(), 1.0, (0,), [((1.0,), x)])
         assert res == pytest.approx(0.25)  # |1/2| / (1 + 1)
 
 
@@ -210,10 +204,10 @@ def _pointwise_eigen_residual(h, lam, alpha_h, seq, pad=0):
     kernel_residual, kept as a reference: max over the certified window of
     |h*seq - lam seq(. + alpha_h)| / (1 + sum |theta^alpha|), where Python's
     max skips a NaN point.  Returns (that max, whether a point was NaN)."""
-    w = certified_window(seq, pad=pad)
+    w = certified_window(seq.dim, max(p.degree() for _, p in seq.terms), pad=pad)
     worst, nan_seen = 0.0, False
     with np.errstate(over="ignore", invalid="ignore"):
-        for alpha, v in convolve(h, seq, w).items():
+        for alpha, v in _convolve_seq(h, seq, w).items():
             shifted = seq.value(tuple(a + b for a, b in zip(alpha, alpha_h)))
             scale = 1.0 + sum(abs(math.prod((t ** a for t, a in zip(theta, alpha) if a),
                                             start=1 + 0j))
@@ -241,7 +235,7 @@ class TestEigenResidualAsKernelResidual:
         lam = complex(rng.normal(), rng.normal())
         seq = ExpPolySeq.single(theta, const(dim, 1))
         reference, nan_seen = _pointwise_eigen_residual(h, lam, alpha_h, seq, pad)
-        got = eigen_residual(h, lam, alpha_h, seq, pad)
+        got, = eigen_residual(h, lam, alpha_h, seq.terms, pad)
         assert not nan_seen
         assert abs(got - reference) <= 1e-12 * (h.l1() + abs(lam))
 
@@ -256,7 +250,7 @@ class TestEigenResidualAsKernelResidual:
         seq = ExpPolySeq.single((theta,), const(1, 1))
         reference, nan_seen = _pointwise_eigen_residual(h, 0.0, (0,), seq, pad)
         assert nan_seen and math.isfinite(reference)
-        assert math.isnan(eigen_residual(h, 0.0, (0,), seq, pad))
+        assert math.isnan(eigen_residual(h, 0.0, (0,), seq.terms, pad)[0])
 
     def test_tap_at_minus_alpha_h_absorbs_lambda(self):
         """A tap of h at -alpha_h absorbs -lam: h = delta_1 + delta_{-1}
@@ -264,10 +258,10 @@ class TestEigenResidualAsKernelResidual:
         lam = 1.25 the impulse is delta_1 - 0.25 delta_{-1}; lam = 1 cancels
         the tap at -1 and leaves delta_1."""
         h = Impulse(1, {(1,): 1.0, (-1,): 1.0})
-        seq = ExpPolySeq.single((2.0,), const(1, 1))
-        assert eigen_residual(h, 1.25, (1,), seq, pad=3) == 0.0
-        assert eigen_residual(h, 1.0, (1,), seq, pad=3) == \
-            kernel_residual([Impulse(1, {(1,): 1.0})], seq, pad=3)[0] > 0
+        terms = [((2.0,), const(1, 1))]
+        assert eigen_residual(h, 1.25, (1,), terms, pad=3) == [0.0]
+        res, = eigen_residual(h, 1.0, (1,), terms, pad=3)
+        assert [res] == kernel_residual([Impulse(1, {(1,): 1.0})], terms, pad=3) and res > 0
 
 
 class TestCertifyEigen:
@@ -284,9 +278,9 @@ class TestCertifyEigen:
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     def test_oracle_bound(self, tol):
         h = Impulse(1, {(0,): 3.0, (1,): -1.0})
-        seq = ExpPolySeq.single((1.0,), const(1, 1))
+        res, = eigen_residual(h, 2.0, (0,), [((1.0,), const(1, 1))], pad=2)
         cert = certify_eigen(h, (1.0,), fat_point_space(1, 0), 2.0, (0,), tol=tol, pad=2)
-        assert cert["oracle"] == {"residual": eigen_residual(h, 2.0, (0,), seq, pad=2),
+        assert cert["oracle"] == {"residual": res,
                                   "tolerance": max(tol, ORACLE_TOL) * 4.0, "pass": True}
         assert cert["pass"]
 
@@ -303,7 +297,7 @@ def _scalar_convolve(h, c, w):
 
 
 def _assert_matches_scalar(h, c, w, rtol=1e-12):
-    got = convolve(h, c, w)
+    got = _convolve_seq(h, c, w)
     ref = _scalar_convolve(h, c, w)
     assert list(got) == list(ref)  # same points, same order
     scale = max([abs(v) for v in ref.values()], default=0.0)
@@ -343,11 +337,9 @@ class TestBlockConvolve:
             _assert_matches_scalar(h, seq, Window((0,) * dim, (3,) * dim))
 
     def test_empty_filter(self):
-        seq = ExpPolySeq.single((2.0, 0.5), const(2, 1))
         w = Window((-1, -1), (1, 2))
-        vals = convolve(Impulse(2, {}), seq, w)
-        assert list(vals) == list(w.points())
-        assert all(v == 0 for v in vals.values())
+        vals = convolve(Impulse(2, {}), [((2.0, 0.5), const(2, 1))], w)
+        assert vals.shape == (1, 12) and not vals.any()
 
     def test_window_spanning_several_blocks(self, rng):
         from convkern import filters
@@ -373,45 +365,44 @@ class TestBlockConvolve:
     def test_memory_does_not_grow_with_window_and_taps(self):
         import tracemalloc
         x = LaurentPoly.variable(1, 0)
-        seq = ExpPolySeq.single((np.exp(0.7j),), const(1, 1) + 0.5 * x)
+        terms = [((np.exp(0.7j),), const(1, 1) + 0.5 * x)]
         h = Impulse(1, {(k - 8,): 1.0 / (k + 1) for k in range(16)})
         w = Window((0,), (99_999,))
         tracemalloc.start()
         try:
-            vals = convolve(h, seq, w)
+            vals = convolve(h, terms, w)
             result, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(vals) == 100_000
-        # beyond the returned dict, the working memory stays far below the
+        assert vals.shape == (1, 100_000)
+        # beyond the returned array, the working memory stays far below the
         # 25.6 MB that one array over all (point, tap) pairs would need
         assert peak - result <= 8e6
 
 
 def _random_stack(rng, dim, radius):
-    """Sequences sharing one theta with degrees 0..4, two-term sequences that
-    share it with a second theta, and a sequence with no terms."""
+    """Terms sharing one theta with degrees 0..4, then terms of a second
+    theta interleaved with the first, one of them the zero polynomial."""
     theta, other = _random_theta(rng, dim, radius), _random_theta(rng, dim, 1 / radius)
-    stack = [ExpPolySeq.single(theta, random_poly(rng, dim, d, complex_coeffs=True))
-             for d in (2, 0, 4, 1, 3)]
-    stack += [ExpPolySeq(((other, random_poly(rng, dim, 2)),
-                          (theta, random_poly(rng, dim, 3, complex_coeffs=True)))),
-              ExpPolySeq(()),
-              ExpPolySeq(((theta, random_poly(rng, dim, 1)),
-                          (other, random_poly(rng, dim, 4, complex_coeffs=True))))]
+    stack = [(theta, random_poly(rng, dim, d, complex_coeffs=True)) for d in (2, 0, 4, 1, 3)]
+    stack += [(other, random_poly(rng, dim, 2)),
+              (theta, random_poly(rng, dim, 3, complex_coeffs=True)),
+              (other, const(dim, 0)),
+              (theta, random_poly(rng, dim, 1)),
+              (other, random_poly(rng, dim, 4, complex_coeffs=True))]
     return stack
 
 
 def _assert_rows_are_single_calls(h, stack, w):
     got = convolve(h, stack, w)
     assert got.shape == (len(stack), len(list(w.points())))
-    for row, seq in zip(got, stack):
-        assert row.tolist() == list(convolve(h, seq, w).values())  # exactly
+    for row, term in zip(got, stack):
+        assert row.tolist() == convolve(h, [term], w)[0].tolist()  # exactly
 
 
 class TestStackedConvolve:
-    """convolve(h, [seqs], w) is one row per sequence, each exactly the
-    single-sequence result."""
+    """convolve(h, [(theta, p), ...], w) is one row per term, each exactly
+    the one-term result."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("radius", [0.3, 3.0])
@@ -442,7 +433,7 @@ class TestStackedConvolve:
                                           Window((-1,) * dim, (2,) * dim))
 
     def test_dimension_mismatch(self):
-        stack = [ExpPolySeq.single((2.0,), const(1, 1)), ExpPolySeq.single((2.0, 1.0), const(2, 1))]
+        stack = [((2.0,), const(1, 1)), ((2.0, 1.0), const(2, 1))]
         with pytest.raises(ValueError, match="dimensions differ"):
             convolve(Impulse(2, {(0, 0): 1.0}), stack, Window((0, 0), (1, 1)))
 
@@ -452,11 +443,9 @@ class TestStackedConvolve:
             H = [impulse_from_symbol(random_poly(rng, dim, 3, complex_coeffs=True,
                                                  laurent=True)) for _ in range(3)]
             stack = _random_stack(rng, dim, 3.0)
-            stack.append(stack[0])  # a repeated sequence shares its group
+            stack.append(stack[0])  # a repeated term shares its group
             got = kernel_residual(H, stack, pad=pad)
-            assert got == [kernel_residual(H, seq, pad=pad) for seq in stack]
-            assert [list(per) for _, per in got] == [[t for t, _ in seq.terms]
-                                                    for seq in stack]
+            assert got == [kernel_residual(H, [term], pad=pad)[0] for term in stack]
 
     def test_kernel_residual_one_convolve_per_filter_and_window(self, monkeypatch):
         from convkern import filters
@@ -470,42 +459,16 @@ class TestStackedConvolve:
         monkeypatch.setattr(filters, "convolve", counting)
         x = LaurentPoly.variable(1, 0)
         H = [delta_diff(), Impulse(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})]
-        stack = [ExpPolySeq.single((1.0,), p) for p in (const(1, 1), x, 2 * x, x * x)]
+        stack = [((1.0,), p) for p in (const(1, 1), x, 2 * x, x * x)]
         kernel_residual(H, stack)
         # windows {0}, {0..1} and {0..2}, each stacked once per filter
         assert calls == [(1, (0,))] * 2 + [(2, (1,))] * 2 + [(1, (2,))] * 2
-
-    def test_one_term_sequence_is_its_own_term(self, monkeypatch):
-        """A one-term sequence is stacked as it is; only the terms of a
-        longer sequence are split off through ExpPolySeq.single."""
-        from convkern import filters
-        stacked, split = [], []
-        real_convolve, real_single = filters.convolve, filters.ExpPolySeq.single.__func__
-
-        def convolving(h, c, w):
-            stacked.extend(c)
-            return real_convolve(h, c, w)
-
-        def single(cls, theta, p):
-            split.append(theta)
-            return real_single(cls, theta, p)
-
-        x = LaurentPoly.variable(1, 0)
-        ones = [ExpPolySeq.single((t,), p) for t, p in ((1.0, x), (2.0, const(1, 1)))]
-        pair = ExpPolySeq((((3.0,), x), ((0.5,), const(1, 1))))
-        expected = kernel_residual([delta_diff()], ones + [pair])
-        monkeypatch.setattr(filters, "convolve", convolving)
-        monkeypatch.setattr(filters.ExpPolySeq, "single", classmethod(single))
-        assert kernel_residual([delta_diff()], ones + [pair]) == expected
-        assert split == [(3.0,), (0.5,)]
-        assert sum(any(c is seq for c in stacked) for seq in ones) == 2
 
     def test_memory_of_a_stack(self):
         import tracemalloc
         x = LaurentPoly.variable(1, 0)
         theta = (np.exp(0.7j),)
-        stack = [ExpPolySeq.single(theta, const(1, 1) + (k / 8) * x if k % 2 else const(1, k))
-                 for k in range(8)]
+        stack = [(theta, const(1, 1) + (k / 8) * x if k % 2 else const(1, k)) for k in range(8)]
         h = Impulse(1, {(k - 8,): 1.0 / (k + 1) for k in range(16)})
         w = Window((0,), (99_999,))
         tracemalloc.start()
@@ -555,9 +518,81 @@ def _same(a, b):
     return a == b or (np.isnan(a) and np.isnan(b))
 
 
+def _sequence_residual_reference(H, seqs, pad=0):
+    """kernel_residual as it was when it took sequences, kept as a
+    reference: per sequence, (overall, {theta: residual}), each term split
+    off into a one-term sequence and stacked theta-major with the terms that
+    share its window, over tables gathered per block for the theta of each
+    row."""
+    from convkern.filters import BLOCK_PAIRS, _arguments, _window_powers
+
+    def closed_form(h, stack, w):
+        sides = tuple(u - l + 1 for l, u in zip(w.lower, w.upper))
+        n = math.prod(sides)
+        out = np.zeros((len(stack), n), dtype=complex)
+        if not h.taps:
+            return out
+        taus = np.array(list(h.taps), dtype=np.int64)
+        hvec = np.array(list(h.taps.values()), dtype=complex)
+        axes = [_arguments(l, u, taus[:, j].tolist())
+                for j, (l, u) in enumerate(zip(w.lower, w.upper))]
+        degree = {}
+        for c in stack:
+            for theta, p in c.terms:
+                degree[theta] = max(degree.get(theta, 0), p.degree())
+        tables = {theta: [np.fromiter(map(t.__pow__, axis.tolist()), complex, len(axis))
+                          * axis.astype(float) ** np.arange(top + 1)[:, None]
+                          for t, axis in zip(theta, axes)]
+                  for theta, top in degree.items()}
+        step = max(1, BLOCK_PAIRS // len(taus))
+        for start in range(0, n, step):
+            points = np.unravel_index(np.arange(start, min(n, start + step)), sides)
+            idx = [np.searchsorted(axis, (x + l)[:, None] - taus[None, :, j])
+                   for j, (axis, x, l) in enumerate(zip(axes, points, w.lower))]
+            for r, c in enumerate(stack):
+                values = np.zeros((len(points[0]), len(taus)), dtype=complex)
+                for theta, p in c.terms:
+                    g0, *rest = [table[:, i] for table, i in zip(tables[theta], idx)]
+                    for exp, coeff in p.terms.items():
+                        mono = coeff * g0[exp[0]]
+                        for g, k in zip(rest, exp[1:]):
+                            mono *= g[k]
+                        values += mono
+                out[r, start:start + len(points[0])] = values @ hvec
+        return out
+
+    groups = {}
+    for r, c in enumerate(seqs):
+        for i, (theta, p) in enumerate(c.terms):
+            term = ExpPolySeq.single(theta, p)
+            side = max(p.degree(), 0) + pad
+            groups.setdefault(Window((0,) * c.dim, (side,) * c.dim), {}) \
+                .setdefault(theta, []).append(((r, i), term))
+    found = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, by_theta in groups.items():
+            entries = [entry for same in by_theta.values() for entry in same]
+            stack = [term for _, term in entries]
+            scale = np.concatenate([np.tile(1.0 + np.abs(_window_powers(theta, w)),
+                                            (len(same), 1))
+                                    for theta, same in by_theta.items()])
+            worst = np.zeros(len(stack))
+            for h in H:
+                residual = np.abs(closed_form(h, stack, w)) / scale
+                worst = np.maximum(worst, np.max(residual, axis=1, initial=0.0))
+            found.update(zip((position for position, _ in entries), worst.tolist()))
+    out = []
+    for r, c in enumerate(seqs):
+        per_theta = {theta: found[r, i] for i, (theta, _) in enumerate(c.terms)}
+        out.append((float(np.max(list(per_theta.values()), initial=0.0)), per_theta))
+    return out
+
+
 class TestResidualAcrossTheta:
     """kernel_residual stacks the terms of every theta that share a window;
-    each result is exactly that of the per-theta call."""
+    each result is exactly that of the one-term call, and the terms of a
+    sequence give the per-theta residuals that the sequence gave when
+    kernel_residual took sequences."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
@@ -572,29 +607,30 @@ class TestResidualAcrossTheta:
             thetas[-1] = (complex(float("nan"), 0.0),) + thetas[-1][1:]
         H = [impulse_from_symbol(random_poly(rng, dim, 2, complex_coeffs=True, laurent=True))
              for _ in range(int(rng.integers(1, 3)))]
-        stack = []
-        for _ in range(int(rng.integers(1, 7))):
-            picks = rng.choice(len(thetas), size=min(len(thetas), int(rng.integers(1, 3))),
+        # a random term stack: theta repeated across terms, degrees 0..4
+        stack = [(thetas[int(rng.integers(len(thetas)))],
+                  random_poly(rng, dim, int(rng.integers(0, 5)), complex_coeffs=True))
+                 for _ in range(int(rng.integers(1, 12)))]
+        stack.append((thetas[-1], random_poly(rng, dim, 3)))
+        got = kernel_residual(H, stack, pad=pad)
+        assert len(got) == len(stack)
+        for value, term in zip(got, stack):
+            assert _same(value, kernel_residual(H, [term], pad=pad)[0])
+        # sequences of distinct theta: their .terms reproduce the per-theta
+        # residuals of the sequence reference bit for bit
+        seqs = []
+        for _ in range(int(rng.integers(1, 5))):
+            picks = rng.choice(len(thetas), size=int(rng.integers(1, len(thetas) + 1)),
                                replace=False)
-            stack.append(ExpPolySeq(tuple(
+            seqs.append(ExpPolySeq(tuple(
                 (thetas[i], random_poly(rng, dim, int(rng.integers(0, 5)), complex_coeffs=True))
                 for i in picks)))
-        stack.append(ExpPolySeq.single(thetas[-1], random_poly(rng, dim, 3)))
-        got = kernel_residual(H, stack, pad=pad)
-        # one call per theta over its terms, as a reference
-        alone = {}
-        for theta in thetas:
-            terms = [(r, t) for r, seq in enumerate(stack)
-                     for t, (th, _) in enumerate(seq.terms) if th == theta]
-            singles = [ExpPolySeq.single(theta, stack[r].terms[t][1]) for r, t in terms]
-            for (r, t), (res, per) in zip(terms, kernel_residual(H, singles, pad=pad)):
-                assert list(per) == [theta]
-                alone[r, t] = res
-        for r, (overall, per) in enumerate(got):
-            assert len(per) == len(stack[r].terms)
-            for t, value in enumerate(per.values()):
-                assert _same(value, alone[r, t])
-            assert _same(overall, float(np.max([alone[r, t] for t in range(len(per))])))
+        reference = _sequence_residual_reference(H, seqs, pad)
+        for seq, (overall, per) in zip(seqs, reference):
+            values = kernel_residual(H, seq.terms, pad=pad)
+            assert len(values) == len(per)
+            assert all(_same(a, b) for a, b in zip(values, per.values()))
+            assert _same(overall, float(np.max(values)))
 
     def test_memory_across_theta(self):
         """Twelve theta stacked on the windows of Pi_4 need at most 3x the
@@ -608,19 +644,19 @@ class TestResidualAcrossTheta:
         assert len(h.taps) == 56
         thetas = [tuple(rng.uniform(0.8, 1.25, size=3)
                         * np.exp(2j * np.pi * rng.uniform(size=3))) for _ in range(12)]
-        per_theta = [[ExpPolySeq.single(theta, LaurentPoly.monomial(3, exp))
-                      for exp in monomials_upto(3, 4)] for theta in thetas]
+        per_theta = [[(theta, LaurentPoly.monomial(3, exp)) for exp in monomials_upto(3, 4)]
+                     for theta in thetas]
 
-        def peak(seqs):
+        def peak(terms):
             tracemalloc.start()
             try:
-                kernel_residual([h], seqs)
+                kernel_residual([h], terms)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        single = max(peak(seqs) for seqs in per_theta)
-        stacked = peak([seq for seqs in per_theta for seq in seqs])
+        single = max(peak(terms) for terms in per_theta)
+        stacked = peak([term for terms in per_theta for term in terms])
         assert stacked <= 3 * single, (stacked, single)
 
 

@@ -1,12 +1,15 @@
-"""diff_table and dual_rows against the LaurentPoly reference path
+"""diff_tables and dual_rows against the LaurentPoly reference path
 (diff, apply_poly_diff, evaluate)."""
+
+from itertools import product
 
 import numpy as np
 import pytest
 
 from convkern import (DInvariantSpace, Dilation, LaurentPoly, fat_point_space,
                       modulation_points, ortho_homog_basis)
-from convkern.linalg import coeff_matrix, diff_table, diff_tables, dual_rows, monomials_upto
+from convkern.linalg import coeff_matrix, diff_tables, dual_rows, monomials_upto
+from convkern.mpoly import grlex_key
 from convkern.spectrum import dual_apply
 
 from conftest import random_poly
@@ -29,7 +32,7 @@ class TestDiffTable:
         support = [tuple(int(v) for v in rng.integers(-4, 5, size=dim)) for _ in range(12)]
         orders = monomials_upto(dim, 3)
         point = _point(rng, dim, radius)
-        T = diff_table(orders, support, point)
+        T = diff_tables(orders, support, [point])[0]
         assert T.shape == (len(orders), len(support))
         for i, beta in enumerate(orders):
             for k, e in enumerate(support):
@@ -44,30 +47,30 @@ class TestDiffTable:
             g = random_poly(rng, dim, 5, complex_coeffs=True, laurent=True)
             point = _point(rng, dim, radius)
             coeffs, support = coeff_matrix([g])
-            values = diff_table(orders, support, point) @ coeffs[:, 0]
+            values = diff_tables(orders, support, [point])[0] @ coeffs[:, 0]
             for beta, v in zip(orders, values):
                 ref = g.diff(beta).evaluate(point)
                 assert abs(v - ref) <= 1e-12 * _abs_jet(g, beta, point)
 
     def test_falling_factorial_vanishes_below_the_order(self):
         # D^3 z^2 = 0 and D^2 z^-1 = 2 z^-3
-        T = diff_table([(3,), (2,)], [(2,), (-1,)], (0.5,))
+        T = diff_tables([(3,), (2,)], [(2,), (-1,)], [(0.5,)])[0]
         assert T[0, 0] == 0
         assert T[1, 1] == pytest.approx(2 * 0.5 ** -3, rel=1e-15)
 
     def test_zero_coordinate(self):
         # nonnegative exponents evaluate at the origin, as LaurentPoly does
-        T = diff_table([(0, 0), (1, 0)], [(0, 2), (1, 0), (2, 1)], (0.0, 2.0))
+        T = diff_tables([(0, 0), (1, 0)], [(0, 2), (1, 0), (2, 1)], [(0.0, 2.0)])[0]
         assert np.array_equal(T, [[4, 0, 0], [0, 1, 0]])
         # a dead term may carry a negative exponent at a zero coordinate ...
-        assert diff_table([(1,)], [(0,)], (0.0,))[0, 0] == 0
+        assert diff_tables([(1,)], [(0,)], [(0.0,)])[0][0, 0] == 0
         # ... a live one may not
         with pytest.raises(ZeroDivisionError):
-            diff_table([(0,)], [(-1,)], (0.0,))
+            diff_tables([(0,)], [(-1,)], [(0.0,)])[0]
 
     def test_empty_support_and_orders(self):
-        assert diff_table([(0, 0)], [], (1.0, 2.0)).shape == (1, 0)
-        assert diff_table([], [(1, 1)], (1.0, 2.0)).shape == (0, 1)
+        assert diff_tables([(0, 0)], [], [(1.0, 2.0)])[0].shape == (1, 0)
+        assert diff_tables([], [(1, 1)], [(1.0, 2.0)])[0].shape == (0, 1)
 
 
 # the six benchmark dilations, one more with negative determinant and one
@@ -79,7 +82,7 @@ STACK_DILATIONS = [((2, 0), (0, 2)), ((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((1, 1),
 
 class TestDiffTables:
     """The stacked table over the modulation points of a dilation, against
-    one diff_table per point and against diff(beta).evaluate."""
+    a one-point table per point and against diff(beta).evaluate."""
 
     @pytest.mark.parametrize("Xi", STACK_DILATIONS, ids=str)
     def test_modulation_points(self, rng, Xi):
@@ -96,7 +99,7 @@ class TestDiffTables:
         values = T[:, :, :len(coeffs)] @ coeffs[:, 0]
         for T_p, point, vals in zip(T, points, values):
             # one code path: bit-identical to the one-point table
-            assert np.array_equal(T_p, diff_table(orders, support, point))
+            assert np.array_equal(T_p, diff_tables(orders, support, [point])[0])
             for i, beta in enumerate(orders):
                 for k, e in enumerate(support):
                     ref = LaurentPoly.monomial(dim, e).diff(beta).evaluate(point)
@@ -142,3 +145,30 @@ class TestDualRows:
         R = dual_rows([], [(0, 0), (1, 2)], (1.0, 2.0))
         assert R.shape == (0, 2)
         assert (R @ np.ones(2)).shape == (0,)
+
+
+def _box_monomials(dim, degree):
+    """monomials_upto as it was, kept as a reference: the box
+    {0..degree}^dim filtered to |gamma| <= degree, sorted graded-lex."""
+    out = [exp for exp in product(range(degree + 1), repeat=dim) if sum(exp) <= degree]
+    out.sort(key=grlex_key)
+    return out
+
+
+class TestMonomialsUpto:
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
+    def test_matches_box_filter(self, dim):
+        for degree in range(-1, 7):
+            assert monomials_upto(dim, degree) == _box_monomials(dim, degree)
+
+    def test_walks_no_box(self):
+        """Degree 1 in 24 and 40 variables: the 25 and 41 exponents, where
+        the box holds 2^24 and 2^40 tuples."""
+        import time
+        start = time.perf_counter()
+        for dim in (24, 40):
+            exps = monomials_upto(dim, 1)
+            assert exps[0] == (0,) * dim and len(exps) == dim + 1
+            assert exps[1:] == sorted(exps[1:]) and all(sum(e) == 1 for e in exps[1:])
+        assert len(monomials_upto(12, 4)) == 1820  # C(16, 4)
+        assert time.perf_counter() - start < 1.0

@@ -311,21 +311,21 @@ class TestModulationPoints:
 class TestIsSymmetricZero:
     def test_difference_squared_symbol(self):
         a = mask_1d(1, 0, -1)  # 1 - z^2 vanishes at +/-1
-        ok, _ = is_symmetric_zero(a, TWO, (1.0,), 0)
+        [(ok, _)] = is_symmetric_zero(a, TWO, (1.0,), [0])
         assert ok
 
     def test_hat_mask_fails(self):
         a = mask_1d(0.5, 1.0, 0.5)  # (1+z)^2/2, a*(1) = 2
-        ok, violation = is_symmetric_zero(a, TWO, (-1.0,), 0)
+        [(ok, violation)] = is_symmetric_zero(a, TWO, (-1.0,), [0])
         assert not ok and violation > 1e-3
 
     def test_order_one(self):
         z = LaurentPoly.variable(1, 0)
         f = (const(1, 1) - z * z)
         a = Impulse(1, dict((f * f).terms))  # (1 - z^2)^2
-        ok, _ = is_symmetric_zero(a, TWO, (1.0,), 1)
+        [(ok, _)] = is_symmetric_zero(a, TWO, (1.0,), [1])
         assert ok
-        ok2, _ = is_symmetric_zero(a, TWO, (1.0,), 2)
+        [(ok2, _)] = is_symmetric_zero(a, TWO, (1.0,), [2])
         assert not ok2
 
     def test_order_detection(self):
@@ -339,7 +339,7 @@ class TestIsSymmetricZero:
     def test_spurious_origin_factor_ignored(self):
         # z^3 (1 - z^2) carries the same zero data as 1 - z^2
         a = Impulse(1, {(3,): 1.0, (5,): -1.0})
-        ok, _ = is_symmetric_zero(a, TWO, (1.0,), 0)
+        [(ok, _)] = is_symmetric_zero(a, TWO, (1.0,), [0])
         assert ok
 
 
@@ -384,8 +384,8 @@ class TestSubdivide:
                 if sub.is_zero:
                     continue
                 a_xi = Impulse(Xi.dim, dict(sub.terms))
-                decimated = convolve(a_xi, seq, inner)
-                for alpha, v in decimated.items():
+                [decimated] = convolve(a_xi, seq.terms, inner)
+                for alpha, v in zip(inner.points(), decimated.tolist()):
                     point = tuple(x + y for x, y in zip(xi, Xi.apply(alpha)))
                     if point in full:
                         assert abs(full[point] - v) <= 1e-10 * (1 + abs(v))
@@ -498,7 +498,7 @@ class TestCommonSymmetricZeroAgreement:
         disagreements = 0
         for Xi, zeta, subs, expect in self._corpus(rng):
             a = mask_from_subsymbols(Xi, subs)
-            sym_ok, _ = is_symmetric_zero(a, Xi, zeta, 0)
+            [(sym_ok, _)] = is_symmetric_zero(a, Xi, zeta, [0])
             target = z_pow_Xi(zeta, Xi)
             scale = max(1.0, a.l1())
             sub_ok = all(abs(p.evaluate(target)) <= 1e-9 * scale
@@ -600,7 +600,7 @@ def planted_mask(rng, Xi, theta, k):
 
 
 class TestSymmetricZeroJets:
-    """is_symmetric_zero and the subsymbol test use linalg.diff_table; the
+    """is_symmetric_zero and the subsymbol test use linalg.diff_tables; the
     scalar diff/evaluate loop is the reference."""
 
     DILATIONS = [dil((5, 2), (-1, 4)), QUINCUNX, DIAG_23, dil((2, 1), (0, 2)),
@@ -613,7 +613,7 @@ class TestSymmetricZeroJets:
             a = planted_mask(rng, Xi, theta, k)
             zeta = canonical_zero_representative(Xi, theta)
             for order in (k, k + 1):
-                ok, worst = is_symmetric_zero(a, Xi, zeta, order)
+                [(ok, worst)] = is_symmetric_zero(a, Xi, zeta, [order])
                 ref_ok, ref_worst = _scalar_symmetric_zero(a, Xi, zeta, order)
                 assert ok == ref_ok == (order == k)
                 assert worst == pytest.approx(ref_worst, rel=1e-12, abs=1e-15)
@@ -668,9 +668,9 @@ class TestSharedCandidates:
         seen = []
         real = subdivision.kernel_residual
 
-        def counting(H, seqs, *args, **kwargs):
-            seen.append(seqs)
-            return real(H, seqs, *args, **kwargs)
+        def counting(H, terms, *args, **kwargs):
+            seen.append(terms)
+            return real(H, terms, *args, **kwargs)
 
         monkeypatch.setattr(subdivision, "kernel_residual", counting)
         return seen
@@ -682,16 +682,16 @@ class TestSharedCandidates:
         subdivision_kernel_check(a, Xi, [(theta, 1), (other, 0), (theta, 3), (theta, 0)])
         # one call over the monomials of Pi_{K_theta} for every theta,
         # theta-major: dim Pi_3 and dim Pi_0 in two variables
-        [seqs] = residual_calls
-        assert len(seqs) == 10 + 1
-        assert [seq.terms[0][0] for seq in seqs] == \
+        [terms] = residual_calls
+        assert len(terms) == 10 + 1
+        assert [t for t, _ in terms] == \
             [tuple(complex(t) for t in theta)] * 10 + [tuple(complex(t) for t in other)]
-        assert [seq.max_degree() for seq in seqs] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 0]
+        assert [p.degree() for _, p in terms] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 0]
 
     def test_nan_oracle_residual_fails(self, rng, monkeypatch):
         from convkern import subdivision
         monkeypatch.setattr(subdivision, "kernel_residual",
-                            lambda H, seqs, *args, **kwargs: [(float("nan"), {})] * len(seqs))
+                            lambda H, terms, *args, **kwargs: [float("nan")] * len(terms))
         theta = (1.0,)
         z = LaurentPoly.variable(1, 0)
         a = Impulse(1, dict((const(1, 1) - z * z).terms))
@@ -710,7 +710,7 @@ def _per_candidate_check(a, Xi, candidates, tol=1e-9):
     tables, with one is_symmetric_zero call per candidate and one subsymbol
     jet table per (theta, subsymbol)."""
     from convkern.filters import ORACLE_TOL, kernel_residual
-    from convkern.linalg import coeff_matrix, diff_table, monomials_upto
+    from convkern.linalg import coeff_matrix, diff_tables, monomials_upto
     with np.errstate(over="ignore", invalid="ignore"):
         subs = subsymbols(a, Xi)
         sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
@@ -728,20 +728,20 @@ def _per_candidate_check(a, Xi, candidates, tol=1e-9):
             scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
             sub_vals = np.zeros(len(exps))
             for coeffs, support in sub_coeffs:
-                vals = np.abs(diff_table(exps, support, point) @ coeffs[:, 0])
+                vals = np.abs(diff_tables(exps, support, [point])[0] @ coeffs[:, 0])
                 sub_vals = np.maximum(sub_vals, vals / scale)
             sub_violation[theta] = sub_vals
             oracle[theta] = np.zeros(len(exps))
         if sub_impulses:
             residuals = iter(kernel_residual(sub_impulses, [
-                ExpPolySeq.single(theta, LaurentPoly.monomial(a.dim, exp))
+                (theta, LaurentPoly.monomial(a.dim, exp))
                 for theta, exps in orders.items() for exp in exps]))
             for theta, exps in orders.items():
-                oracle[theta] = np.array([next(residuals)[0] / l1 for _ in exps])
+                oracle[theta] = np.array([next(residuals) / l1 for _ in exps])
         results, overall = [], True
         for theta, k in candidates:
             zeta = canonical_zero_representative(Xi, theta)
-            _, sym_violation = is_symmetric_zero(a, Xi, zeta, order=k, tol=tol)
+            [(_, sym_violation)] = is_symmetric_zero(a, Xi, zeta, [k], tol=tol)
             n = len(monomials_upto(a.dim, k))
             sub_worst = float(np.max(sub_violation[theta][:n], initial=0.0))
             oracle_worst = float(np.max(oracle[theta][:n], initial=0.0))
@@ -790,26 +790,27 @@ class TestPerThetaTables:
         a = planted_mask(rng, Xi, theta, 1)
         zeta = canonical_zero_representative(Xi, theta)
         orders = [2, 0, 3, 0, 1]
-        assert is_symmetric_zero(a, Xi, zeta, order=orders) == \
-            [is_symmetric_zero(a, Xi, zeta, order=k) for k in orders]
-        assert is_symmetric_zero(a, Xi, zeta, order=[]) == []
+        assert is_symmetric_zero(a, Xi, zeta, orders) == \
+            [is_symmetric_zero(a, Xi, zeta, [k])[0] for k in orders]
+        assert is_symmetric_zero(a, Xi, zeta, []) == []
         with pytest.raises(ValueError):
-            is_symmetric_zero(a, Xi, zeta, order=[1, -1])
+            is_symmetric_zero(a, Xi, zeta, [1, -1])
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Names of the is_symmetric_zero, modulation_points, diff_table
-        (subsymbol) and diff_tables (symmetric-zero) calls."""
+        """Names of the is_symmetric_zero, modulation_points and diff_tables
+        calls; a jet table is named with its number of points, one for the
+        subsymbols at theta^-1 and |det Xi| for a symmetric zero."""
         from convkern import subdivision
         seen = []
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
-                seen.append(name)
+                seen.append((name, len(args[2])) if name == "diff_tables" else name)
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("is_symmetric_zero", "modulation_points", "diff_table", "diff_tables"):
+        for name in ("is_symmetric_zero", "modulation_points", "diff_tables"):
             monkeypatch.setattr(subdivision, name, counting(name, getattr(subdivision, name)))
         return seen
 
@@ -821,8 +822,10 @@ class TestPerThetaTables:
         report = subdivision_kernel_check(a, Xi, candidates)
         assert [c["pass"] for c in report["candidates"]] == \
             [True, False, False, True, False, True]
-        for name in ("is_symmetric_zero", "modulation_points", "diff_table", "diff_tables"):
+        for name in ("is_symmetric_zero", "modulation_points",
+                     ("diff_tables", 1), ("diff_tables", Xi.det)):
             assert calls.count(name) == 2, name
+        assert len(calls) == 8
 
     def test_symmetric_zero_order_builds_one_table(self, calls, rng):
         Xi = dil((2, 1), (0, 2))
@@ -830,7 +833,7 @@ class TestPerThetaTables:
         a = planted_mask(rng, Xi, theta, 2)
         zeta = canonical_zero_representative(Xi, theta)
         assert symmetric_zero_order(a, Xi, zeta, max_order=5) == 2
-        assert calls == ["is_symmetric_zero", "modulation_points", "diff_tables"]
+        assert calls == ["is_symmetric_zero", "modulation_points", ("diff_tables", Xi.det)]
 
 
 def _scan_decompose(d, adj, alpha, reps):
@@ -975,7 +978,7 @@ class TestDerivedDataOwned:
         theta = random_point(rng, 2)
         a = planted_mask(rng, Xi, theta, 1)
         zeta = canonical_zero_representative(Xi, theta)
-        assert [is_symmetric_zero(a, Xi, zeta, order=k)[0] for k in range(3)] == \
+        assert [is_symmetric_zero(a, Xi, zeta, [k])[0][0] for k in range(3)] == \
             [True, True, False]
         assert symmetric_zero_order(a, Xi, zeta) == 1
         assert len(normalize_calls) == 1
@@ -1049,6 +1052,6 @@ class TestDecidingTest:
         from convkern import subdivision
         # the check asks once per theta, for a sequence of orders
         monkeypatch.setattr(subdivision, "is_symmetric_zero",
-                            lambda a, Xi, zeta, order, tol: [(True, 0.0) for _ in order])
+                            lambda a, Xi, zeta, orders, tol: [(True, 0.0) for _ in orders])
         [rec] = self.check(mask_1d(1, 0, -1), [((1.0,), 0)], tol=0.0)
         assert rec["pass"] and (rec["residual"], rec["tolerance"]) == (0.0, 0.0)
