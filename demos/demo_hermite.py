@@ -6,7 +6,7 @@ Run with:  python3 demos/demo_hermite.py
 
 import numpy as np
 
-from convkern import (LaurentPoly, Spectrum, Zero, fat_point_space,
+from convkern import (Impulse, Spectrum, Zero, certify_eigen, fat_point_space,
                       hermite_fundamentals, lower_set_space)
 
 print("== two simple interpolation points ==")
@@ -32,10 +32,10 @@ print("   constant 1: it already has value 1 and vanishing gradient)")
 
 print()
 print("== eigen-sequences of the averaging filter ==")
-from convkern import ExpPolySeq, Impulse, eigen_conditions, fat_point_space
-
+# e_1 is an eigen-sequence with eigenvalue 1 exactly when it lies in the
+# kernel of h - delta: certify_eigen checks its dual conditions and oracle
 avg = Impulse(1, {(0,): 0.5, (1,): 0.5})
-rep = eigen_conditions(avg, (1.0,), fat_point_space(1, 0), 1.0, (0,))
-print("  constants are fixed by averaging:", rep["pass"])
-rep = eigen_conditions(avg, (1.0,), fat_point_space(1, 1), 1.0, (0,))
-print("  linear polynomials are not:", not rep["pass"])
+cert = certify_eigen(avg, (1.0,), fat_point_space(1, 0), 1.0, (0,))
+print("  constants are fixed by averaging:", cert["pass"])
+cert = certify_eigen(avg, (1.0,), fat_point_space(1, 1), 1.0, (0,))
+print("  linear polynomials are not:", not cert["pass"])

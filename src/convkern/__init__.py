@@ -10,14 +10,14 @@ from .apolar import (DInvariantSpace, adjoint_check, bombieri, bombieri_norm,
                      ortho_expansion_residual, ortho_homog_basis,
                      taylor_identity_residual)
 from .filters import (ExpPolySeq, Impulse, Window, certified_window, convolve,
-                      certify_eigen, convolve_impulses, eigen_conditions, eigen_residual,
-                      impulse_from_symbol, kernel_residual, symbol)
+                      convolve_impulses, eigen_residual, impulse_from_symbol,
+                      kernel_residual, symbol)
 from .mpoly import (LaurentPoly, apply_poly_diff, falling_factorial,
                     laurent_normalize)
 from .newton import (PThetaBasis, WITH_SIGMA_MINUS, L_inv, L_op, build_p_theta,
                      forward_difference, newton_coeffs, shift_matrix)
-from .spectrum import (FundamentalSystem, Spectrum, Zero, certify_hermite, certify_kernel,
-                       dual_apply, hermite_fundamentals, ideal_complement_filters,
+from .spectrum import (FundamentalSystem, Spectrum, Zero, certify_eigen, certify_hermite,
+                       certify_kernel, dual_apply, hermite_fundamentals, ideal_complement_filters,
                        kernel_basis, quotient_dim_estimate, verify_zero_dim)
 from .subdivision import (Dilation, NotExpandingError, canonical_zero_representative,
                           coset_reps, is_expanding, is_symmetric_zero, modulation_points,
@@ -36,7 +36,7 @@ __all__ = [
     "build_p_theta", "shift_matrix", "WITH_SIGMA_MINUS",
     "Impulse", "ExpPolySeq", "Window", "symbol", "impulse_from_symbol",
     "convolve", "convolve_impulses", "certified_window", "kernel_residual",
-    "eigen_conditions", "eigen_residual", "certify_eigen",
+    "eigen_residual", "certify_eigen",
     "Zero", "Spectrum", "FundamentalSystem", "dual_apply", "verify_zero_dim",
     "hermite_fundamentals", "certify_hermite", "ideal_complement_filters", "certify_kernel",
     "kernel_basis",

@@ -19,11 +19,11 @@ import sys
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from . import serialize as ser
-from .filters import MAX_TOL, ExpPolySeq, WindowLimitError, certified_window, certify_eigen
+from .filters import MAX_TOL, ExpPolySeq, WindowLimitError, certified_window
 from .newton import WITH_SIGMA_MINUS, build_p_theta
 from .serialize import FormatError
-from .spectrum import (DEFAULT_TOL, CollocationLimitError, certify_hermite, certify_kernel,
-                       require_kernel_windows)
+from .spectrum import (DEFAULT_TOL, CollocationLimitError, certify_eigen, certify_hermite,
+                       certify_kernel, require_kernel_windows)
 from .subdivision import NotExpandingError, subdivision_kernel_check
 
 EXIT_PASS = 0

@@ -24,13 +24,14 @@ checked through its .terms.
 
 kernel_residual is the library's one window oracle.  An eigen-sequence c of
 h with eigenvalue lam and shift alpha_h is a kernel element of the impulse
-h - lam delta_{-alpha_h}, so eigen_residual is that impulse's
-kernel_residual, and certify_eigen, spectrum.certify_kernel and
-subdivision.subdivision_kernel_check all decide their oracle checks
-through it, each at max(tol, ORACLE_TOL) times its scale.  Each of them
-first counts the (row, window point) pairs of its windows with
-require_window_pairs and refuses more than MAX_WINDOW_PAIRS, before any
-window is built.
+eigen_impulse(h, lam, alpha_h) = h - lam delta_{-alpha_h}, so
+eigen_residual is that impulse's kernel_residual.  spectrum.certify_eigen
+(whose conditions are that impulse's dual conditions),
+spectrum.certify_kernel and subdivision.subdivision_kernel_check all decide
+their oracle checks through it, each at max(tol, ORACLE_TOL) times its
+scale.  Each of them first counts the (row, window point) pairs of its
+windows with require_window_pairs and refuses more than MAX_WINDOW_PAIRS,
+before any window is built.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import dual_rows
 from .mpoly import Exponent, LaurentPoly, grlex_key, laurent_normalize
 
 
@@ -173,8 +173,8 @@ class Window:
 
 SequenceSamples = Mapping[Exponent, complex]
 
-# Default tolerance of every check: dual conditions, eigen conditions and the
-# subdivision tests; the CLI's --tol overrides it.
+# Default tolerance of every check: the dual conditions of verify and eigen
+# and the subdivision tests; the CLI's --tol overrides it.
 DEFAULT_TOL = 1e-9
 
 # Largest tolerance the CLI accepts: --tol scales bounds that are finite for
@@ -370,62 +370,19 @@ def kernel_residual(H: Sequence[Impulse], terms: Sequence[Term], pad: int = 0) -
     return out
 
 
-def eigen_conditions(h: Impulse, theta: Sequence[complex], Q,
-                     lam: complex, alpha_h: Sequence[int],
-                     tol: float = DEFAULT_TOL) -> Dict:
-    """Check q(D) h*(theta^-1) = lam (q(D) (.)^alpha_h)(theta^-1) for every
-    orthonormal basis element q of Q; with alpha_h = 0 this is
-    h*(theta^-1) = lam plus vanishing higher dual conditions."""
-    theta = tuple(complex(t) for t in theta)
-    if any(t == 0 for t in theta):
-        raise ValueError("theta must lie in C_x^s")
-    point = [1.0 / t for t in theta]
-    basis = Q.ortho_basis
-    # the taps of h, then the shift monomial z^alpha_h
-    support = list(h.taps) + [tuple(int(a) for a in alpha_h)]
-    rows = dual_rows(basis, support, point)
-    lhs_all = rows[:, :-1] @ np.array(list(h.taps.values()), dtype=complex)
-    rhs_all = complex(lam) * rows[:, -1]
-    bound = tol * max(1.0, h.l1())
-    records = []
-    ok = True
-    for q, lhs, rhs in zip(basis, lhs_all.tolist(), rhs_all.tolist()):
-        res = abs(lhs - rhs)
-        passed = res <= bound
-        ok = ok and passed
-        records.append({"q_degree": q.degree(), "lhs": lhs, "rhs": rhs,
-                        "residual": res, "tolerance": bound, "pass": passed})
-    return {"pass": ok, "conditions": records}
+def eigen_impulse(h: Impulse, lam: complex, alpha_h: Sequence[int]) -> Impulse:
+    """h - lam delta_{-alpha_h}, whose convolution with any c is
+    h*c - lam c(. + alpha_h): its kernel is the eigen-sequences of h with
+    eigenvalue lam and shift alpha_h."""
+    shift = tuple(-int(a) for a in alpha_h)
+    taps = dict(h.taps)
+    taps[shift] = taps.get(shift, 0) - complex(lam)
+    return Impulse(h.dim, taps)
 
 
 def eigen_residual(h: Impulse, lam: complex, alpha_h: Sequence[int],
                    terms: Sequence[Term], pad: int = 0) -> List[float]:
     """Per term c = p e_theta, the max over its certified window of
-    |h*c - lam c(. + alpha_h)|: the kernel_residual of the impulse
-    h - lam delta_{-alpha_h}, whose convolution with c is exactly that
-    difference, normalized the same way and NaN when it overflows."""
-    shift = tuple(-int(a) for a in alpha_h)
-    taps = dict(h.taps)
-    taps[shift] = taps.get(shift, 0) - complex(lam)
-    return kernel_residual([Impulse(h.dim, taps)], terms, pad)
-
-
-def certify_eigen(h: Impulse, theta: Sequence[complex], Q, lam: complex,
-                  alpha_h: Sequence[int], tol: float = DEFAULT_TOL, pad: int = 0) -> Dict:
-    """Decide that e_theta is an eigen-sequence of h with eigenvalue lam and
-    shift alpha_h.
-
-    Returns the eigen_conditions records under "conditions" and one oracle
-    record under "oracle": the eigen_residual of e_theta (residual,
-    tolerance, pass), checked against max(tol, ORACLE_TOL) max(1, |h|_1).
-    A window {0..pad}^s of more than MAX_WINDOW_PAIRS points raises
-    WindowLimitError.
-    """
-    require_window_pairs(h.dim, pad, [(0, 1)])
-    cond = eigen_conditions(h, theta, Q, lam, alpha_h, tol=tol)
-    e_theta = (tuple(complex(t) for t in theta), LaurentPoly.constant(h.dim, 1.0))
-    res, = eigen_residual(h, lam, alpha_h, [e_theta], pad)
-    bound = max(tol, ORACLE_TOL) * max(1.0, h.l1())
-    oracle = {"residual": res, "tolerance": bound, "pass": res <= bound}
-    return {"pass": cond["pass"] and oracle["pass"],
-            "conditions": cond["conditions"], "oracle": oracle}
+    |h*c - lam c(. + alpha_h)|: the kernel_residual of eigen_impulse(h,
+    lam, alpha_h), normalized the same way and NaN when it overflows."""
+    return kernel_residual([eigen_impulse(h, lam, alpha_h)], terms, pad)

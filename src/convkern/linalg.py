@@ -4,8 +4,8 @@ Every derivative condition of the library is a value (q(D) g)(z).  diff_tables
 tabulates the jets (D^alpha z^e)(z) of a monomial support at a stack of
 points with numpy, from per-coordinate tables of falling factorials (shared
 by the points) and integer powers (per point), so such a value is one matrix
-product with g's coefficients, and dual_rows applies the coefficients of
-a basis of q's on the other side, at one point.
+product with g's coefficients, and the coefficients of a basis of q's apply
+on the other side.
 """
 
 from __future__ import annotations
@@ -94,14 +94,6 @@ def diff_tables(orders: Sequence[Exponent], support: Sequence[Exponent],
         factor *= ff
         T *= factor
     return T
-
-
-def dual_rows(qs: Sequence[LaurentPoly], support: Sequence[Exponent],
-              point: Sequence[complex]) -> np.ndarray:
-    """R[i, k] = (qs[i](D) z^support[k])(point); R @ g_coeffs over the same
-    support gives every (q(D) g)(point) at once."""
-    Q, orders = coeff_matrix(qs)
-    return Q.T @ diff_tables(orders, support, [point])[0]
 
 
 def span_residual(fs: Sequence[LaurentPoly], basis: Sequence[LaurentPoly]) -> List[float]:

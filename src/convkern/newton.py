@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .apolar import DInvariantSpace
-from .linalg import coeff_matrix, from_coeff_vector, joint_support, monomials_upto
-from .mpoly import (Exponent, LaurentPoly, falling_factorial, grlex_key,
-                    multi_factorial)
+from .linalg import coeff_matrix, joint_support, monomials_upto
+from .mpoly import Exponent, LaurentPoly, multi_factorial
 
 # The sign convention of P_theta, named in the reports: the final flip
 # sigma_- is the one under which the annihilation equivalence holds, as the

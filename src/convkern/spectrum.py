@@ -8,9 +8,12 @@ the filter set is then assembled as the direct sum of the spaces
 P_theta e_theta and certified against the filters by the window oracle.
 certify_kernel is the one place that decides this certificate, dual
 conditions at tol and the oracle at max(tol, ORACLE_TOL); the verify command
-reports its records and kernel_basis raises on them.  certify_hermite
-likewise decides the Kronecker check of the Hermite fundamentals, at
-KRONECKER_TOL, for the hermite command.
+reports its records and kernel_basis raises on them.  certify_eigen decides
+the eigen command as the same certificate for the one impulse
+h - lam delta_{-alpha_h}: its dual conditions from verify_zero_dim and the
+oracle of e_theta at certify_kernel's tolerance.  certify_hermite likewise
+decides the Kronecker check of the Hermite fundamentals, at KRONECKER_TOL,
+for the hermite command.
 
 The collocation matrix of the Hermite problem and the dual matrix of the
 fundamentals are built block by block, one block per zero, from one jet
@@ -35,8 +38,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .apolar import DInvariantSpace
-from .filters import (DEFAULT_TOL, ORACLE_TOL, Impulse, kernel_residual, require_window_pairs,
-                      symbol)
+from .filters import (DEFAULT_TOL, ORACLE_TOL, Impulse, eigen_impulse, eigen_residual,
+                      kernel_residual, require_window_pairs, symbol)
 from .linalg import (RANK_TOL, coeff_matrix, diff_tables, from_coeff_vector,
                      monomials_upto, numerical_rank, nullspace)
 from .mpoly import LaurentPoly, apply_poly_diff
@@ -136,15 +139,17 @@ def _dual_scale(g: LaurentPoly, point: Sequence[complex]) -> float:
 def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
                     tol: float = DEFAULT_TOL) -> Dict:
     """Check q(D) h*(theta^-1) = 0 over all filters, zeros, and orthonormal
-    basis elements.  Symbols are Laurent-normalized first so that spurious
-    zeros at the origin cannot interfere."""
+    basis elements, each at tol (1 + sum |c| |theta^-e|) over the terms
+    c z^e of the normalized symbol.  Symbols are Laurent-normalized first so that
+    spurious zeros at the origin cannot interfere; a zero filter annihilates
+    every sequence, and its conditions read 0."""
     dims = {h.dim for h in H}
     if len(dims) != 1 or (spec.zeros and spec.dim not in dims):
         raise ValueError("filters and spectrum must share one dimension")
     records = []
     ok = True
     for hi, h in enumerate(H):
-        g = h.normalized_symbol
+        g = h.normalized_symbol if h.taps else LaurentPoly.zero(h.dim)
         for zi, zero in enumerate(spec.zeros):
             scale = _dual_scale(g, zero.point)
             for qi, q in enumerate(zero.mult.ortho_basis):
@@ -162,8 +167,8 @@ def _functional_rows(spec: Spectrum, support: Sequence) -> np.ndarray:
     one block per zero, in zero order; columns: the monomials of support.
 
     Zeros that share a DInvariantSpace share one jet table over their
-    points; each block is the 2-D product Q^T T[point], exactly the
-    dual_rows of its zero alone."""
+    points; each block is the 2-D product Q^T T[point], exactly that of a
+    table built for its zero alone."""
     if not spec.zeros:
         return np.zeros((0, len(support)), dtype=complex)
     # id(space) -> (space, indices of its zeros), in first-occurrence order
@@ -319,6 +324,31 @@ def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
                            "residual": res, "tolerance": bound, "pass": res <= bound})
     return {"pass": report["pass"] and all(r["pass"] for r in oracle),
             "conditions": report["conditions"], "oracle": oracle, "kernel": kernel}
+
+
+def certify_eigen(h: Impulse, theta: Sequence[complex], Q: DInvariantSpace, lam: complex,
+                  alpha_h: Sequence[int], tol: float = DEFAULT_TOL, pad: int = 0) -> Dict:
+    """Decide that e_theta is an eigen-sequence of h with eigenvalue lam and
+    shift alpha_h, as the kernel certificate of h' = eigen_impulse(h, lam,
+    alpha_h).
+
+    Returns the verify_zero_dim records of h' at (theta, Q) under
+    "conditions", and under "oracle" one record (residual, tolerance, pass)
+    of the eigen_residual of e_theta, at certify_kernel's oracle tolerance
+    for h'.  The oracle checks e_theta only, not every element of P_theta,
+    and runs whether or not the conditions pass.  A window {0..pad}^s of
+    more than MAX_WINDOW_PAIRS points raises WindowLimitError.
+    """
+    require_window_pairs(h.dim, pad, [(0, 1)])
+    shifted = eigen_impulse(h, lam, alpha_h)
+    zero = Zero(theta, Q)
+    conditions = verify_zero_dim([shifted], Spectrum((zero,)), tol)["conditions"]
+    res, = eigen_residual(h, lam, alpha_h, [(zero.theta, LaurentPoly.constant(h.dim, 1.0))], pad)
+    # certify_kernel's bound at p = 1, whose norm is 1
+    bound = max(tol, ORACLE_TOL) * max(1.0, shifted.l1())
+    oracle = {"residual": res, "tolerance": bound, "pass": res <= bound}
+    return {"pass": all(r["pass"] for r in conditions) and oracle["pass"],
+            "conditions": conditions, "oracle": oracle}
 
 
 def kernel_basis(H: Sequence[Impulse], spec: Spectrum, tol: float = DEFAULT_TOL):

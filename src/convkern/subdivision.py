@@ -15,11 +15,14 @@ the subsymbol supports, from which each subsymbol reads its columns.
 subdivision_kernel_check decides each distinct theta once: one
 is_symmetric_zero call and one subsymbol table at the top order asked for
 theta, and one oracle call over the terms x^beta e_theta of every theta;
-every candidate (theta, k) reads its rows.  Rows and columns are copied
-contiguous before their product, so each value is bit-identical to that of
-a table built for the candidate alone.  The oracle test decides at max(tol, ORACLE_TOL), like
-every other oracle.  Each candidate record carries the residual and
-tolerance of the test that decides it, which the subdivide command prints.
+every candidate (theta, k) reads its rows.  The row values of a matrix
+product depend on its row count, so the derivative tests multiply, per
+order k asked, the first dim Pi_k rows of their table and a symbol's
+columns, copied contiguous; each value is then bit-identical to that of a
+check of the candidate alone.  The oracle test decides at
+max(tol, ORACLE_TOL), like every other oracle.  Each candidate record
+carries the residual and tolerance of the test that decides it, which the
+subdivide command prints.
 """
 
 from __future__ import annotations
@@ -327,9 +330,10 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     the top order K requested for that theta: (i) is one is_symmetric_zero
     call over the orders asked for theta, from one jet table at K; (ii) is
     one jet table at theta^-1 over the union of the subsymbol supports, each
-    subsymbol reading its own columns (copied contiguous, so that its
-    product equals that of its own table); (iii) is one kernel_residual call
-    over the monomials of every theta, theta-major.  The graded monomials of
+    order k asked reading its first dim Pi_k rows and each subsymbol its own
+    columns (copied contiguous, so that the product equals that of the
+    candidate's own table); (iii) is one kernel_residual call over the
+    monomials of every theta, theta-major.  The graded monomials of
     Pi_k are a prefix of those of Pi_K, so a candidate of order k reads the
     first dim Pi_k values.  The report also carries the subsymbols, keyed by
     coset representative.  A dilation that is not expanding raises
@@ -364,19 +368,23 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         require_window_pairs(a.dim, 0, ((d, math.comb(d + a.dim - 1, d))
                                         for ks in asked.values() for d in range(max(ks) + 1)))
         orders = {theta: monomials_upto(a.dim, max(ks)) for theta, ks in asked.items()}
-        # theta -> subsymbol violation and oracle residual per monomial of
-        # Pi_{K_theta}; the oracle is one stack over every theta, theta-major
-        sub_violation: Dict[Tuple[complex, ...], np.ndarray] = {}
+        # theta -> order -> the subsymbol violation
+        sub_violation: Dict[Tuple[complex, ...], Dict[int, float]] = {}
+        # theta -> oracle residual per monomial of Pi_{K_theta}; one stack
+        # over every theta, theta-major
         oracle: Dict[Tuple[complex, ...], np.ndarray] = {}
         for theta, exps in orders.items():
             point = tuple(1.0 / t for t in theta)
             scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
             table = diff_tables(exps, union, [point])[0]
-            sub_vals = np.zeros(len(exps))
-            for coeffs, cols in sub_coeffs:
-                vals = np.abs(np.ascontiguousarray(table[:, cols]) @ coeffs)
-                sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
-            sub_violation[theta] = sub_vals
+            sub_violation[theta] = {}
+            for k in asked[theta]:
+                rows = table[:math.comb(a.dim + k, k)]
+                sub_vals = np.zeros(len(rows))
+                for coeffs, cols in sub_coeffs:
+                    vals = np.abs(np.ascontiguousarray(rows[:, cols]) @ coeffs)
+                    sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
+                sub_violation[theta][k] = float(np.max(sub_vals, initial=0.0))
             oracle[theta] = np.zeros(len(exps))
         if sub_impulses:
             residuals = iter(kernel_residual(sub_impulses, [
@@ -396,7 +404,7 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         for theta, k in candidates:
             n = math.comb(a.dim + k, k)  # dim Pi_k
             sym_worst = sym_violation[theta][k]
-            sub_worst = float(np.max(sub_violation[theta][:n], initial=0.0))
+            sub_worst = sub_violation[theta][k]
             oracle_worst = float(np.max(oracle[theta][:n], initial=0.0))  # propagates NaN
             # (value, tolerance) of the three tests, in report order
             tests = [(sym_worst, tol), (sub_worst, tol),

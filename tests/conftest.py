@@ -35,6 +35,15 @@ def random_poly(rng, dim, degree, complex_coeffs=False, laurent=False):
     return p
 
 
+def dual_rows(qs, support, point):
+    """R[i, k] = (qs[i](D) z^support[k])(point), from one jet table at the
+    point alone: R @ g_coeffs over the same support gives every
+    (q(D) g)(point) at once."""
+    from convkern.linalg import coeff_matrix, diff_tables
+    Q, orders = coeff_matrix(qs)
+    return Q.T @ diff_tables(orders, support, [point])[0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240329)
@@ -79,6 +88,10 @@ CLI_CORPUS = [
     (("eigen", "filter_avg.json", "eigen_const.json"), 0),
     (("eigen", "filter_avg.json", "eigen_linear.json"), 1),
     (("eigen", "filter_delta1.json", "eigen_shift.json"), 0),
+    # delta_1 maps e_2 to e_2(. - 1): an eigen-sequence with lambda = 1 at
+    # alpha = -1, and not at alpha = 1
+    (("eigen", "filter_delta1.json", "eigen_shift_alpha_minus1.json"), 0),
+    (("eigen", "filter_delta1.json", "eigen_shift_alpha1.json"), 1),
     # finite inputs whose report values overflow to inf or NaN
     (("verify", "filters_overflow.json", "spectrum_theta1_const.json"), 2),
     (("subdivide", "mask_overflow.json", "dilation_2.json",

@@ -15,7 +15,7 @@ import pytest
 
 from convkern import (DInvariantSpace, Dilation, ExpPolySeq, Impulse,
                       LaurentPoly, L_inv, L_op, Spectrum,
-                      Window, Zero, adjoint_check, build_p_theta, convolve,
+                      Zero, adjoint_check, build_p_theta,
                       coset_reps, fat_point_space, hermite_fundamentals,
                       ideal_complement_filters, impulse_from_symbol,
                       is_symmetric_zero, kernel_basis, kernel_residual,

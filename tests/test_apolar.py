@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convkern import (DInvariantSpace, LaurentPoly, adjoint_check, bombieri,
-                      bombieri_norm, is_d_invariant, lower_set_space,
+                      bombieri_norm, is_d_invariant,
                       ortho_expansion_residual, ortho_homog_basis,
                       taylor_identity_residual)
 from convkern import apolar

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convkern import (DInvariantSpace, ExpPolySeq, Impulse, LaurentPoly,
-                      Window, certified_window, certify_eigen, convolve, convolve_impulses,
-                      eigen_conditions, eigen_residual, fat_point_space,
-                      impulse_from_symbol, kernel_residual, symbol)
+from convkern import (ExpPolySeq, Impulse, LaurentPoly, Window, certified_window,
+                      certify_eigen, convolve, convolve_impulses, eigen_residual,
+                      fat_point_space, impulse_from_symbol, kernel_residual, symbol)
 from convkern.filters import ORACLE_TOL
 
 from conftest import const, random_poly, variables
@@ -166,23 +165,45 @@ class TestEigen:
 
     def test_averaging_fixes_constants(self):
         Q = fat_point_space(1, 0)
-        rep = eigen_conditions(self.averaging(), (1.0,), Q, 1.0, (0,))
-        assert rep["pass"]
+        cert = certify_eigen(self.averaging(), (1.0,), Q, 1.0, (0,))
+        assert cert["pass"]
 
     def test_averaging_fails_first_order(self):
         Q = fat_point_space(1, 1)
-        rep = eigen_conditions(self.averaging(), (1.0,), Q, 1.0, (0,))
-        assert not rep["pass"]
-        # the degree-1 condition carries the failure: (h*)'(1) = 1/2
-        failing = [r for r in rep["conditions"] if not r["pass"]]
-        assert failing and all(r["q_degree"] == 1 for r in failing)
+        cert = certify_eigen(self.averaging(), (1.0,), Q, 1.0, (0,))
+        assert not cert["pass"] and cert["oracle"]["pass"]
+        # the degree-1 condition carries the failure: (h* - 1)'(1) = 1/2
+        failing = [r for r in cert["conditions"] if not r["pass"]]
+        assert failing and all(Q.ortho_basis[r["q"]].degree() == 1 for r in failing)
 
     def test_shift_eigenvalue(self):
         h = Impulse(1, {(1,): 1.0})
         Q = fat_point_space(1, 0)
         theta = 2.0
-        rep = eigen_conditions(h, (theta,), Q, 1.0 / theta, (0,))
-        assert rep["pass"]
+        cert = certify_eigen(h, (theta,), Q, 1.0 / theta, (0,))
+        assert cert["pass"]
+
+    @pytest.mark.parametrize("alpha, passed", [(-1, True), (1, False)])
+    def test_shift_alpha(self, alpha, passed):
+        """delta_1 maps e_2 to e_2(. - 1): an eigen-sequence with lam = 1
+        at alpha = -1, and not at alpha = 1, where both halves read
+        |1/2 - 2| / 2 = 0.75."""
+        cert = certify_eigen(Impulse(1, {(1,): 1.0}), (2.0,), fat_point_space(1, 0), 1.0,
+                             (alpha,))
+        [cond] = cert["conditions"]
+        assert cond["pass"] == cert["oracle"]["pass"] == cert["pass"] == passed
+        assert cond["residual"] == cert["oracle"]["residual"] == (0.0 if passed else 0.75)
+
+    def test_zero_eigen_impulse_passes(self):
+        """h = lam delta_{-alpha}: every sequence is an eigen-sequence, so
+        every check reads 0 and passes, at tol for the conditions."""
+        h = Impulse(2, {(1, -1): 0.5 - 2j})
+        Q = fat_point_space(2, 2)
+        cert = certify_eigen(h, (0.7, 2j), Q, 0.5 - 2j, (-1, 1), tol=1e-7)
+        assert cert["pass"] and len(cert["conditions"]) == Q.size
+        for rec in cert["conditions"]:
+            assert (rec["residual"], rec["tolerance"], rec["pass"]) == (0.0, 1e-7, True)
+        assert cert["oracle"] == {"residual": 0.0, "tolerance": 1e-7, "pass": True}
 
     def test_residual_constants(self):
         assert eigen_residual(self.averaging(), 1.0, (0,), [((1.0,), const(1, 1))]) == [0.0]
@@ -280,8 +301,9 @@ class TestCertifyEigen:
         h = Impulse(1, {(0,): 3.0, (1,): -1.0})
         res, = eigen_residual(h, 2.0, (0,), [((1.0,), const(1, 1))], pad=2)
         cert = certify_eigen(h, (1.0,), fat_point_space(1, 0), 2.0, (0,), tol=tol, pad=2)
+        # certify_kernel's bound for h - 2 delta = 1 - z: max(1, |1 - z|_1) = 2
         assert cert["oracle"] == {"residual": res,
-                                  "tolerance": max(tol, ORACLE_TOL) * 4.0, "pass": True}
+                                  "tolerance": max(tol, ORACLE_TOL) * 2.0, "pass": True}
         assert cert["pass"]
 
 
@@ -485,32 +507,57 @@ class TestStackedConvolve:
 
 
 class TestEigenConditionsJets:
-    """eigen_conditions against the apply_poly_diff reference, on Laurent
+    """certify_eigen's conditions are the dual conditions of
+    h - lam delta_{-alpha}: q(D) applied to the normalized symbol of
+    h* - lam z^-alpha at theta^-1, by the apply_poly_diff reference, each
+    at tol (1 + sum |c| |theta^-e|) over its terms c z^e, on Laurent
     filters, shifted eigen-monomials and |theta| away from 1."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("radius", [0.3, 3.0])
     def test_against_apply_poly_diff(self, rng, dim, radius):
         from convkern.apolar import ortho_homog_basis
-        from convkern.mpoly import apply_poly_diff
+        from convkern.mpoly import apply_poly_diff, laurent_normalize
         Q = fat_point_space(dim, 2)
         for _ in range(3):
-            h = impulse_from_symbol(random_poly(rng, dim, 4, complex_coeffs=True,
-                                                laurent=True))
+            g = random_poly(rng, dim, 4, complex_coeffs=True, laurent=True)
             theta = _random_theta(rng, dim, radius)
             alpha = tuple(int(v) for v in rng.integers(-2, 3, size=dim))
             lam = complex(rng.normal(), rng.normal())
-            rep = eigen_conditions(h, theta, Q, lam, alpha)
+            cert = certify_eigen(impulse_from_symbol(g), theta, Q, lam, alpha)
+            shifted = g - LaurentPoly(dim, {tuple(-a for a in alpha): lam})
+            normalized, _ = laurent_normalize(shifted)
             point = [1.0 / t for t in theta]
+            jet_scale = 1.0 + sum(abs(c) * abs(LaurentPoly.monomial(dim, e).evaluate(point))
+                                  for e, c in normalized.terms.items())
             basis = ortho_homog_basis(Q)
-            assert len(rep["conditions"]) == len(basis)
-            for q, rec in zip(basis, rep["conditions"]):
-                lhs = apply_poly_diff(q, symbol(h)).evaluate(point)
-                rhs = lam * apply_poly_diff(q, LaurentPoly.monomial(dim, alpha)).evaluate(point)
-                scale = max(abs(lhs), abs(rhs), 1e-300)
-                assert abs(rec["lhs"] - lhs) <= 1e-12 * scale
-                assert abs(rec["rhs"] - rhs) <= 1e-12 * scale
-                assert rec["q_degree"] == q.degree()
+            assert len(cert["conditions"]) == len(basis)
+            for qi, (q, rec) in enumerate(zip(basis, cert["conditions"])):
+                ref = apply_poly_diff(q, normalized).evaluate(point)
+                assert rec["q"] == qi
+                assert abs(rec["value"] - ref) <= 1e-12 * jet_scale
+                assert rec["residual"] == abs(rec["value"])
+                assert rec["tolerance"] == pytest.approx(1e-9 * jet_scale, rel=1e-14)
+
+
+class TestEigenHalvesAgree:
+    """The conditions and the oracle of certify_eigen read one impulse,
+    h - lam delta_{-alpha}: at the eigenvalue lam = h*(theta^-1) theta^-alpha
+    both pass, and at lam (1 + 1e-3) both fail, whatever the shift alpha."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3))
+    def test_both_halves_decide_alike(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        g = random_poly(rng, dim, 4, complex_coeffs=True, laurent=True)
+        theta = _random_theta(rng, dim, rng.uniform(0.3, 3.0))
+        alpha = tuple(int(v) for v in rng.integers(-2, 3, size=dim))
+        lam = g.evaluate([1 / t for t in theta]) * math.prod(t ** -a for t, a in zip(theta, alpha))
+        for factor, passed in ((1.0, True), (1 + 1e-3, False)):
+            cert = certify_eigen(impulse_from_symbol(g), theta, fat_point_space(dim, 0),
+                                 lam * factor, alpha)
+            assert [rec["pass"] for rec in cert["conditions"]] == [passed]
+            assert cert["oracle"]["pass"] == passed
 
 
 def _same(a, b):
@@ -663,7 +710,7 @@ class TestResidualAcrossTheta:
 def test_every_check_defaults_to_one_tolerance():
     import inspect
     from convkern import filters, spectrum, subdivision
-    for check in (filters.eigen_conditions, spectrum.verify_zero_dim, spectrum.certify_kernel,
+    for check in (spectrum.certify_eigen, spectrum.verify_zero_dim, spectrum.certify_kernel,
                   spectrum.kernel_basis, subdivision.is_symmetric_zero,
                   subdivision.symmetric_zero_order, subdivision.subdivision_kernel_check):
         assert inspect.signature(check).parameters["tol"].default is filters.DEFAULT_TOL
@@ -688,8 +735,8 @@ class TestWindowCap:
             require_window_pairs(10 ** 6, 1, [(0, 1)])
 
     def test_library_checks_refuse_before_building(self):
-        from convkern import Dilation, Spectrum, Zero, certify_kernel, fat_point_space
-        from convkern.filters import WindowLimitError, certify_eigen
+        from convkern import Dilation, Spectrum, Zero, certify_kernel
+        from convkern.filters import WindowLimitError
         from convkern.subdivision import subdivision_kernel_check
         x = Impulse(3, {(0, 0, 0): 1.0, (1, 0, 0): -1.0})
         Xi = Dilation(((2, 0, 0), (0, 2, 0), (0, 0, 2)))

@@ -1,6 +1,6 @@
 """Golden digests of the fixture-corpus CLI reports.
 
-Each of the 28 CLI_CORPUS invocations runs with the default flags, with
+Each of the 30 CLI_CORPUS invocations runs with the default flags, with
 --window-pad 3 and with --tol 1e-6 (an invocation's own flags follow
 these, and argparse keeps the last value); its exit code and the sha256 of its
 standard output are pinned below.  A change that alters report bytes on
@@ -48,13 +48,17 @@ DIGESTS = {
     "subdivide mask_delta_2d.json dilation_nonexpanding.json candidates_2d_k0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_2d_k0to3.json":
-        (1, "9a6aec60f141dfd56cf0b719df9cc66caa216efca697e68a33f57144d39e8c29"),
+        (1, "87776075c057fb5738d47e69af23fafab62ffd96542d103e0ef926a8c59ce459"),
     "eigen filter_avg.json eigen_const.json":
-        (0, "1e6f7c92f177dbb3459ea97e7ab1f378e616023f521e8d0ea5f34e1557a12efe"),
+        (0, "c5acfabc56d7362d4487e0b22ccbf0697aab6c21db6ba5468edd08cc0c44f469"),
     "eigen filter_avg.json eigen_linear.json":
-        (1, "a438821d5afa218c2f557ba7ed13d509130ee38486f47066c7ea20cd467807e4"),
+        (1, "7f2dbed4d83626eab0bea2503ca427ebf9a43f924f22619b2a44b61cb5d27f0f"),
     "eigen filter_delta1.json eigen_shift.json":
-        (0, "ef6518fb46240a337eb31250f7cb49b52d059db64979966128dff48327d7d06b"),
+        (0, "575905c3be5f7d0195fec8a24924c635f6c1cf5611593332edca28f60ef7a73b"),
+    "eigen filter_delta1.json eigen_shift_alpha_minus1.json":
+        (0, "ec12cb2c30e83cc2e824ba0005a2dd8ae56cc35042eeb26d2d9295796be74acd"),
+    "eigen filter_delta1.json eigen_shift_alpha1.json":
+        (1, "77546c093e195aec39062b3d5ba68353f0a11b13431e2d8485b7db9cd48c30e0"),
     "verify filters_overflow.json spectrum_theta1_const.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "subdivide mask_overflow.json dilation_2.json candidates_1d_k0.json":
@@ -104,13 +108,17 @@ DIGESTS = {
     "--window-pad 3 subdivide mask_delta_2d.json dilation_nonexpanding.json candidates_2d_k0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_2d_k0to3.json":
-        (1, "9a6aec60f141dfd56cf0b719df9cc66caa216efca697e68a33f57144d39e8c29"),
+        (1, "87776075c057fb5738d47e69af23fafab62ffd96542d103e0ef926a8c59ce459"),
     "--window-pad 3 eigen filter_avg.json eigen_const.json":
-        (0, "1e6f7c92f177dbb3459ea97e7ab1f378e616023f521e8d0ea5f34e1557a12efe"),
+        (0, "c5acfabc56d7362d4487e0b22ccbf0697aab6c21db6ba5468edd08cc0c44f469"),
     "--window-pad 3 eigen filter_avg.json eigen_linear.json":
-        (1, "a438821d5afa218c2f557ba7ed13d509130ee38486f47066c7ea20cd467807e4"),
+        (1, "7f2dbed4d83626eab0bea2503ca427ebf9a43f924f22619b2a44b61cb5d27f0f"),
     "--window-pad 3 eigen filter_delta1.json eigen_shift.json":
-        (0, "ef6518fb46240a337eb31250f7cb49b52d059db64979966128dff48327d7d06b"),
+        (0, "575905c3be5f7d0195fec8a24924c635f6c1cf5611593332edca28f60ef7a73b"),
+    "--window-pad 3 eigen filter_delta1.json eigen_shift_alpha_minus1.json":
+        (0, "ec12cb2c30e83cc2e824ba0005a2dd8ae56cc35042eeb26d2d9295796be74acd"),
+    "--window-pad 3 eigen filter_delta1.json eigen_shift_alpha1.json":
+        (1, "28613166cffe64aacd9bf1cb2d193c9817e0bf6f84d8275ae92fb4414677e187"),
     "--window-pad 3 verify filters_overflow.json spectrum_theta1_const.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 subdivide mask_overflow.json dilation_2.json candidates_1d_k0.json":
@@ -160,13 +168,17 @@ DIGESTS = {
     "--tol 1e-6 subdivide mask_delta_2d.json dilation_nonexpanding.json candidates_2d_k0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_2d_k0to3.json":
-        (1, "bc4056c7ad3734c9c958b2abf9fdec7be23bf95dc251c9d2b0d3d56379262313"),
+        (1, "82cb77a1c11518bbc8b40d4a0f8f7d893387ebcd5970029a8d3c582183d98f12"),
     "--tol 1e-6 eigen filter_avg.json eigen_const.json":
-        (0, "87f618e8d679a71be7dbece81abd55e0c3a119f6e78a0bb672284089959d19a8"),
+        (0, "8353031bcda419753244f0b4d1f21fbbe8c831d37241941eec626a82ceba4d62"),
     "--tol 1e-6 eigen filter_avg.json eigen_linear.json":
-        (1, "f2d1dd08fd348171d962820ecec5839f5d74894613843bbc504742b22ceafde6"),
+        (1, "0ff1692b394b04d905eec54ca3396ce39002e233c9f779a930168b57bb5cbb93"),
     "--tol 1e-6 eigen filter_delta1.json eigen_shift.json":
-        (0, "2c159b5c2a4047c5432234a674a81bad070fec4ac29aebfc25099d06a240cca7"),
+        (0, "8ab09474a8353a8e448fdfc6f0c20f29ea88855faf6b6d32fa353267d003ecac"),
+    "--tol 1e-6 eigen filter_delta1.json eigen_shift_alpha_minus1.json":
+        (0, "698a6a3ed7a254a768c00b3368cc6624c4afd3fa83e0d4f2bb204b1c368dcd7a"),
+    "--tol 1e-6 eigen filter_delta1.json eigen_shift_alpha1.json":
+        (1, "4056deb3273582501eaf5c557b5462201655aeb9fb58a6371c316e43481fdf4a"),
     "--tol 1e-6 verify filters_overflow.json spectrum_theta1_const.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 subdivide mask_overflow.json dilation_2.json candidates_1d_k0.json":

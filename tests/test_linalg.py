@@ -1,5 +1,5 @@
-"""diff_tables and dual_rows against the LaurentPoly reference path
-(diff, apply_poly_diff, evaluate)."""
+"""diff_tables, alone and as dual rows Q^T T, against the LaurentPoly
+reference path (diff, apply_poly_diff, evaluate)."""
 
 from itertools import product
 
@@ -8,11 +8,11 @@ import pytest
 
 from convkern import (DInvariantSpace, Dilation, LaurentPoly, fat_point_space,
                       modulation_points, ortho_homog_basis)
-from convkern.linalg import coeff_matrix, diff_tables, dual_rows, monomials_upto
+from convkern.linalg import coeff_matrix, diff_tables, monomials_upto
 from convkern.mpoly import grlex_key
 from convkern.spectrum import dual_apply
 
-from conftest import random_poly
+from conftest import dual_rows, random_poly
 
 
 def _point(rng, dim, radius):

@@ -15,7 +15,7 @@ from convkern import spectrum
 from convkern.linalg import span_residual
 from convkern.spectrum import KRONECKER_TOL
 
-from conftest import FIXTURES, const, random_poly, run_cli, variables
+from conftest import FIXTURES, const, dual_rows, random_poly, run_cli, variables
 
 
 def tensor_difference():
@@ -583,7 +583,7 @@ class TestSharedAcrossZeros:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
     def test_one_jet_table_per_space(self, rng, monkeypatch, shared):
         from convkern import spectrum
-        from convkern.linalg import dual_rows, monomials_upto
+        from convkern.linalg import monomials_upto
         spaces = [fat_point_space(2, 0), fat_point_space(2, 1)]
         thetas = [tuple(complex(t) for t in rng.uniform(0.8, 1.25, size=2)
                         * np.exp(2j * np.pi * rng.uniform(size=2))) for _ in range(8)]

@@ -26,6 +26,10 @@ TWO_I = dil((2, 0), (0, 2))
 DIAG_23 = dil((2, 0), (0, 3))
 TWO = dil((2,))
 
+# the six dilations of the subdivision-mix benchmark workload
+BENCHMARK_DILATIONS = [TWO_I, dil((2, 0, 0), (0, 2, 0), (0, 0, 2)), QUINCUNX, DIAG_23,
+                       dil((2, 1), (0, 2)), dil((5, 2), (-1, 4))]
+
 
 def mask_1d(*coeffs):
     """Mask with taps coeffs[k] at k."""
@@ -659,8 +663,21 @@ class TestSharedCandidates:
             assert rec["pass"] == alone["pass"] and rec["order"] == alone["order"]
             assert rec["oracle_residual"] == alone["oracle_residual"]
             assert rec["symmetric_zero_violation"] == alone["symmetric_zero_violation"]
-            assert rec["subsymbol_violation"] == pytest.approx(
-                alone["subsymbol_violation"], rel=1e-12, abs=1e-15)
+            assert rec["subsymbol_violation"] == alone["subsymbol_violation"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(BENCHMARK_DILATIONS), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+    def test_every_value_equals_the_candidate_alone(self, Xi, k, seed):
+        """Orders 0..k+1 of one planted theta and one random theta, batched:
+        each of the three values equals that of the candidate run alone."""
+        rng = np.random.default_rng(seed)
+        theta, other = random_point(rng, Xi.dim), random_point(rng, Xi.dim)
+        a = planted_mask(rng, Xi, theta, k)
+        candidates = [(theta, j) for j in range(k + 2)] + [(other, 0)]
+        report = subdivision_kernel_check(a, Xi, candidates)
+        for cand, rec in zip(candidates, report["candidates"]):
+            alone = subdivision_kernel_check(a, Xi, [cand])["candidates"][0]
+            assert rec == alone
 
     @pytest.fixture
     def residual_calls(self, monkeypatch):
@@ -707,8 +724,8 @@ class TestSharedCandidates:
 
 def _per_candidate_check(a, Xi, candidates, tol=1e-9):
     """Reference: subdivision_kernel_check as it was before the per-theta
-    tables, with one is_symmetric_zero call per candidate and one subsymbol
-    jet table per (theta, subsymbol)."""
+    tables, with one is_symmetric_zero call and one subsymbol jet table per
+    (candidate, subsymbol), at the candidate's order."""
     from convkern.filters import ORACLE_TOL, kernel_residual
     from convkern.linalg import coeff_matrix, diff_tables, monomials_upto
     with np.errstate(over="ignore", invalid="ignore"):
@@ -722,16 +739,7 @@ def _per_candidate_check(a, Xi, candidates, tol=1e-9):
         for theta, k in candidates:
             top[theta] = max(k, top.get(theta, k))
         orders = {theta: monomials_upto(a.dim, K) for theta, K in top.items()}
-        sub_violation, oracle = {}, {}
-        for theta, exps in orders.items():
-            point = tuple(1.0 / t for t in theta)
-            scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
-            sub_vals = np.zeros(len(exps))
-            for coeffs, support in sub_coeffs:
-                vals = np.abs(diff_tables(exps, support, [point])[0] @ coeffs[:, 0])
-                sub_vals = np.maximum(sub_vals, vals / scale)
-            sub_violation[theta] = sub_vals
-            oracle[theta] = np.zeros(len(exps))
+        oracle = {theta: np.zeros(len(exps)) for theta, exps in orders.items()}
         if sub_impulses:
             residuals = iter(kernel_residual(sub_impulses, [
                 (theta, LaurentPoly.monomial(a.dim, exp))
@@ -742,8 +750,15 @@ def _per_candidate_check(a, Xi, candidates, tol=1e-9):
         for theta, k in candidates:
             zeta = canonical_zero_representative(Xi, theta)
             [(_, sym_violation)] = is_symmetric_zero(a, Xi, zeta, [k], tol=tol)
-            n = len(monomials_upto(a.dim, k))
-            sub_worst = float(np.max(sub_violation[theta][:n], initial=0.0))
+            exps = monomials_upto(a.dim, k)
+            n = len(exps)
+            point = tuple(1.0 / t for t in theta)
+            scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
+            sub_vals = np.zeros(n)
+            for coeffs, support in sub_coeffs:
+                vals = np.abs(diff_tables(exps, support, [point])[0] @ coeffs[:, 0])
+                sub_vals = np.maximum(sub_vals, vals / scale)
+            sub_worst = float(np.max(sub_vals, initial=0.0))
             oracle_worst = float(np.max(oracle[theta][:n], initial=0.0))
             tests = [(sym_violation, tol), (sub_worst, tol),
                      (oracle_worst, max(tol, ORACLE_TOL))]
@@ -757,11 +772,6 @@ def _per_candidate_check(a, Xi, candidates, tol=1e-9):
                             "oracle_residual": oracle_worst,
                             "residual": value, "tolerance": bound})
         return {"pass": overall, "candidates": results, "subsymbols": subs}
-
-
-# the six dilations of the subdivision-mix benchmark workload
-BENCHMARK_DILATIONS = [TWO_I, dil((2, 0, 0), (0, 2, 0), (0, 0, 2)), QUINCUNX, DIAG_23,
-                       dil((2, 1), (0, 2)), dil((5, 2), (-1, 4))]
 
 
 class TestPerThetaTables:
