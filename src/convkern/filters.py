@@ -9,18 +9,24 @@ into a finite check.
 Convolving an exponential-polynomial term p e_theta evaluates it at every
 (window point, tap) pair with numpy, from per-coordinate tables of
 x^e theta^x, in blocks of at most BLOCK_PAIRS pairs so that memory does not
-grow with the window; each block is then one matrix product with the tap
-vector.
+grow with the window; each block is then one matrix product per filter with
+its tap vector.
 
-The oracle works on terms (theta, p), one row each: convolve(h, [(theta,
-p), ...], w) builds the tables once per distinct theta and, per block,
-gathers a theta's columns when its run of rows starts, and
+The oracle works on terms (theta, p), one row each, and on filter banks: a
+FilterBank reads filters h_1..h_m as one vector-valued impulse whose taps
+are the union of their supports.  convolve(bank, [(theta, p), ...], w)
+builds the argument axes, the tables (once per distinct theta), the table
+indices and each row's (point, tap) values once over that union, gathering
+a theta's columns when its run of rows starts, and takes each filter's
+product over its own columns; an Impulse is the one-filter case.
 kernel_residual(H, [(theta, p), ...]) stacks the terms that share a
-certified window, whatever their theta, one convolve per filter and window,
-with one normalization row per theta, and returns one residual per term.
-Each row gets exactly the arithmetic of its term alone, so a residual does
-not depend on what is stacked with it.  A sequence of several terms is
-checked through its .terms.
+certified window, whatever their theta, with one normalization row per
+theta, makes one convolve per window for the whole of H (H split into
+consecutive banks when one result would hold more than MAX_WINDOW_PAIRS
+values) and returns one residual per term.  Each row of each filter gets
+exactly the arithmetic of that filter and term alone, within one block, so
+a residual does not depend on what is stacked with it.  A sequence of
+several terms is checked through its .terms.
 
 kernel_residual is the library's one window oracle.  An eigen-sequence c of
 h with eigenvalue lam and shift alpha_h is a kernel element of the impulse
@@ -90,8 +96,9 @@ class Impulse:
 
 
 def symbol(h: Impulse) -> LaurentPoly:
-    """h*(z) = sum_alpha h(alpha) z^alpha."""
-    return LaurentPoly(h.dim, dict(h.taps))
+    """h*(z) = sum_alpha h(alpha) z^alpha.  Impulse has already made each
+    index a tuple of dim ints and dropped the zero taps."""
+    return LaurentPoly._of(h.dim, h.taps)
 
 
 def impulse_from_symbol(f: LaurentPoly) -> Impulse:
@@ -239,30 +246,52 @@ def _arguments(lower: int, upper: int, shifts) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _convolve_closed_form(h: Impulse, terms: Sequence[Term], w: Window) -> np.ndarray:
-    """(h * p e_theta) at w.points(), in that order, one row per term
-    (theta, p), block by block.
+class FilterBank:
+    """Filters h_1..h_m read as one vector-valued impulse.
+
+    .taps is the union of their supports in order of first occurrence; each
+    filter keeps the columns of its taps in that union and its tap vector,
+    both in its own tap order, so that its product with a block of (point,
+    tap) values is the one it would get alone.
+    """
+
+    def __init__(self, H: Sequence[Impulse]):
+        dims = {h.dim for h in H if h.taps}
+        if len(dims) > 1:
+            raise ValueError("filter dimensions differ")
+        self.dim = dims.pop() if dims else None
+        index: Dict[Exponent, int] = {}
+        self.columns = [np.array([index.setdefault(tau, len(index)) for tau in h.taps],
+                                 dtype=np.intp) for h in H]
+        self.taps: Tuple[Exponent, ...] = tuple(index)
+        self.vectors = [np.fromiter(h.taps.values(), complex, len(h.taps)) for h in H]
+
+
+def _convolve_closed_form(bank: FilterBank, terms: Sequence[Term], w: Window) -> np.ndarray:
+    """(h * p e_theta) at w.points(), in that order, for each filter h of
+    the bank and each term (theta, p): shape (filters, terms, points),
+    block by block.
 
     Per coordinate j a term factors through the tables
     G[e, i] = x_i^e theta_j^x_i over the distinct arguments x_i, so each
     (point, tap) pair costs one table lookup per coordinate and monomial.
-    The arguments depend only on h and w, so the rows share them: per
-    distinct theta the tables are built once, up to the top degree, and per
-    block a theta's table columns are gathered when its run of rows starts,
-    so the working memory does not grow with the number of theta.  Row e of
-    a table does not depend on how many rows it has, and each row's tap
-    product gets the same matrix as its term alone, so every row equals its
-    one-term result exactly.
+    The arguments depend only on the union taps and w, so the rows and the
+    filters share them: per distinct theta the tables are built once, up to
+    the top degree, and per block a theta's table columns are gathered when
+    its run of rows starts, so the working memory does not grow with the
+    number of theta.  Each table entry and (point, tap) value is computed
+    on its own, and each filter's product reads its own columns, copied
+    contiguous, so every (filter, row) equals its one-filter, one-term
+    result exactly whenever the blocks have the same points.
     """
     sides = tuple(u - l + 1 for l, u in zip(w.lower, w.upper))
     n = math.prod(sides)
-    out = np.zeros((len(terms), n), dtype=complex)
-    if not h.taps or not terms:
+    out = np.zeros((len(bank.vectors), len(terms), n), dtype=complex)
+    if not bank.taps or not terms:
         return out
-    if h.dim != w.dim or any(len(theta) != w.dim or p.dim != w.dim for theta, p in terms):
+    if bank.dim != w.dim or any(len(theta) != w.dim or p.dim != w.dim for theta, p in terms):
         raise ValueError("filter, term and window dimensions differ")
-    taus = np.array(list(h.taps), dtype=np.int64)
-    hvec = np.array(list(h.taps.values()), dtype=complex)
+    taus = np.array(bank.taps, dtype=np.int64)
     axes = [_arguments(l, u, taus[:, j].tolist())
             for j, (l, u) in enumerate(zip(w.lower, w.upper))]
     degree: Dict[Tuple[complex, ...], int] = {}
@@ -275,6 +304,7 @@ def _convolve_closed_form(h: Impulse, terms: Sequence[Term], w: Window) -> np.nd
     step = max(1, BLOCK_PAIRS // len(taus))
     for start in range(0, n, step):
         points = np.unravel_index(np.arange(start, min(n, start + step)), sides)
+        stop = start + len(points[0])
         # table column of every (point, tap) pair, per coordinate
         idx = [np.searchsorted(axis, (x + l)[:, None] - taus[None, :, j])
                for j, (axis, x, l) in enumerate(zip(axes, points, w.lower))]
@@ -288,22 +318,30 @@ def _convolve_closed_form(h: Impulse, terms: Sequence[Term], w: Window) -> np.nd
             for exp, coeff in p.terms.items():
                 mono = coeff * g0[exp[0]]
                 for g, k in zip(rest, exp[1:]):
-                    mono *= g[k]
+                    # not in place: numpy multiplies one element in place as
+                    # Python does, not as its vector loop, so a pair would
+                    # round differently in a one-element block
+                    mono = mono * g[k]
                 values += mono
-            out[r, start:start + len(points[0])] = values @ hvec
+            for f, (cols, hvec) in enumerate(zip(bank.columns, bank.vectors)):
+                out[f, r, start:stop] = np.ascontiguousarray(values[:, cols]) @ hvec
     return out
 
 
-def convolve(h: Impulse, c: "Sequence[Term] | SequenceSamples", w: Window):
+def convolve(h: "Impulse | FilterBank", c: "Sequence[Term] | SequenceSamples", w: Window):
     """(h * c)(alpha) = sum_beta h(beta) c(alpha - beta) on the window.
 
     A list of terms (theta, p) gives an array with one row per term, the
-    values of h * (p e_theta), its columns in w.points() order.  A sampled
-    input gives a dict keyed by window point; it must cover the window
-    dilated by the support of h.
+    values of h * (p e_theta), its columns in w.points() order; for a
+    FilterBank, one such array per filter, stacked (filters, terms,
+    points), from one pass over the union of their taps.  A sampled input
+    gives a dict keyed by window point; it must cover the window dilated by
+    the support of the impulse h.
     """
-    if not isinstance(c, Mapping):
+    if isinstance(h, FilterBank):
         return _convolve_closed_form(h, c, w)
+    if not isinstance(c, Mapping):
+        return _convolve_closed_form(FilterBank([h]), c, w)[0]
     out: Dict[Exponent, complex] = {}
     for alpha in w.points():
         total = 0j
@@ -343,10 +381,14 @@ def kernel_residual(H: Sequence[Impulse], terms: Sequence[Term], pad: int = 0) -
     checked on its own (a summed check could hide failures by
     cancellation), over its own certified window.  Pointwise values are
     normalized by 1 + |theta^alpha|.  A residual that overflows is reported
-    as NaN, which passes no tolerance, without numpy's overflow and
-    invalid-value warnings.  The terms that share a window are convolved as
-    one stack, theta-major, one convolve per filter; each result equals that
-    of its term alone.
+    as inf or NaN, neither of which passes a tolerance, without numpy's
+    overflow and invalid-value warnings.  The terms that share a window are
+    convolved as one stack, theta-major, by one convolve for the whole of H
+    read as a FilterBank; H is split into consecutive banks so that one
+    call's result holds at most MAX_WINDOW_PAIRS (filter and row, point)
+    values, and each result is reduced to its row maxima as it comes.
+    Within one block, each result equals that of its filter and term
+    alone.
     """
     # window -> theta -> the rows of its terms there
     groups: Dict[Window, Dict[Tuple[complex, ...], List[int]]] = {}
@@ -361,10 +403,14 @@ def kernel_residual(H: Sequence[Impulse], terms: Sequence[Term], pad: int = 0) -
             scale = np.concatenate([np.tile(1.0 + np.abs(_window_powers(theta, w)),
                                             (len(same), 1))
                                     for theta, same in by_theta.items()])
+            stack = [terms[r] for r in rows]
             worst = np.zeros(len(rows))
-            for h in H:
-                residual = np.abs(convolve(h, [terms[r] for r in rows], w)) / scale
-                worst = np.maximum(worst, np.max(residual, axis=1, initial=0.0))  # propagates NaN
+            # consecutive banks of H, each result at most MAX_WINDOW_PAIRS values
+            size = max(1, MAX_WINDOW_PAIRS // scale.size)
+            for lo in range(0, len(H), size):
+                residual = np.abs(convolve(FilterBank(H[lo:lo + size]), stack, w)) / scale
+                # propagates NaN
+                worst = np.maximum(worst, np.max(residual, axis=(0, 2), initial=0.0))
             for r, value in zip(rows, worst.tolist()):
                 out[r] = value
     return out

@@ -469,22 +469,24 @@ class TestStackedConvolve:
             got = kernel_residual(H, stack, pad=pad)
             assert got == [kernel_residual(H, [term], pad=pad)[0] for term in stack]
 
-    def test_kernel_residual_one_convolve_per_filter_and_window(self, monkeypatch):
+    def test_kernel_residual_one_convolve_per_window(self, monkeypatch):
         from convkern import filters
         calls = []
         real = filters.convolve
 
-        def counting(h, c, w):
-            calls.append((len(c), w.upper))
-            return real(h, c, w)
+        def counting(bank, c, w):
+            calls.append((len(bank.vectors), bank.taps, len(c), w.upper))
+            return real(bank, c, w)
 
         monkeypatch.setattr(filters, "convolve", counting)
         x = LaurentPoly.variable(1, 0)
-        H = [delta_diff(), Impulse(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})]
+        H = [Impulse(1, {(1,): 1.0, (0,): -1.0}), Impulse(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})]
         stack = [((1.0,), p) for p in (const(1, 1), x, 2 * x, x * x)]
         kernel_residual(H, stack)
-        # windows {0}, {0..1} and {0..2}, each stacked once per filter
-        assert calls == [(1, (0,))] * 2 + [(2, (1,))] * 2 + [(1, (2,))] * 2
+        # windows {0}, {0..1} and {0..2}, each stacked once for the whole of
+        # H, whose union support keeps the order of first occurrence
+        taps = ((1,), (0,), (2,))
+        assert calls == [(2, taps, 1, (0,)), (2, taps, 2, (1,)), (2, taps, 1, (2,))]
 
     def test_memory_of_a_stack(self):
         import tracemalloc
@@ -504,6 +506,23 @@ class TestStackedConvolve:
         # per theta and one block at a time) stays far below the 8 x 25.6 MB
         # that arrays over all (point, tap) pairs would need
         assert peak - result <= 8e6
+
+    def test_memory_of_a_bank(self):
+        """500 one-tap filters on a window of 10^4 points: each convolve's
+        result holds at most MAX_WINDOW_PAIRS values, where one result for
+        the whole bank would take 500 x 10^4 x 16 bytes = 80 MB."""
+        import tracemalloc
+        H = [Impulse(1, {(k % 3,): 1.0 + k}) for k in range(500)]
+        terms = [((np.exp(0.7j),), const(1, 1))]
+        tracemalloc.start()
+        try:
+            got = kernel_residual(H, terms, pad=9_999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # |theta| = 1, so the largest tap, 500, gives 500 / (1 + 1)
+        assert got == [pytest.approx(250.0, rel=1e-12)]
+        assert peak < 16e6
 
 
 class TestEigenConditionsJets:
@@ -603,7 +622,7 @@ def _sequence_residual_reference(H, seqs, pad=0):
                     for exp, coeff in p.terms.items():
                         mono = coeff * g0[exp[0]]
                         for g, k in zip(rest, exp[1:]):
-                            mono *= g[k]
+                            mono = mono * g[k]  # numpy's vector loop at every size
                         values += mono
                 out[r, start:start + len(points[0])] = values @ hvec
         return out
@@ -705,6 +724,88 @@ class TestResidualAcrossTheta:
         single = max(peak(terms) for terms in per_theta)
         stacked = peak([term for terms in per_theta for term in terms])
         assert stacked <= 3 * single, (stacked, single)
+
+
+def _bank_case(data, dim):
+    """1-6 filters drawn from a random filter, its copy far off (disjoint
+    support), a repeat and the zero filter, and a stack of degree 0-3 terms
+    over a shared theta, a second theta, a NaN theta and one whose (point,
+    tap) values overflow."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    far = LaurentPoly.monomial(dim, (9,) + (0,) * (dim - 1))
+    H = []
+    for kind in data.draw(st.lists(st.sampled_from(["random", "far", "repeat", "zero"]),
+                                   min_size=1, max_size=6), label="filters"):
+        g = random_poly(rng, dim, 2, complex_coeffs=True, laurent=True)
+        if kind == "far":
+            g = (symbol(H[-1]) if H else g) * far
+        h = impulse_from_symbol(g)
+        if kind == "repeat" and H:
+            h = H[int(rng.integers(len(H)))]
+        H.append(Impulse(dim, {}) if kind == "zero" else h)
+    thetas = [_random_theta(rng, dim, rng.uniform(0.8, 1.25)) for _ in range(2)]
+    thetas.append((complex(float("nan"), 0.0),) + thetas[0][1:])
+    # theta^x stays finite up to the largest argument, 5, but the products
+    # over two or three coordinates overflow
+    thetas.append((complex(1e60, 0.0),) * dim)
+    picks = data.draw(st.lists(st.integers(0, len(thetas) - 1), min_size=1, max_size=8),
+                      label="thetas")
+    terms = [(thetas[i], random_poly(rng, dim, int(rng.integers(0, 4)), complex_coeffs=True))
+             for i in picks]
+    return H, terms
+
+
+def _max_over_filters(H, terms):
+    """Per term, the max over h in H of kernel_residual([h], terms), NaN
+    when any is NaN."""
+    alone = np.array([kernel_residual([h], terms) for h in H])
+    return np.max(alone, axis=0, initial=0.0).tolist()
+
+
+class TestFilterBank:
+    """kernel_residual reads H as one FilterBank, one convolve per window:
+    with single-block windows each residual is bit for bit the max over the
+    filters alone; with smaller blocks it agrees to rounding."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_single_blocks_are_exact(self, data, dim):
+        from convkern.filters import FilterBank
+        H, terms = _bank_case(data, dim)
+        got = kernel_residual(H, terms)
+        assert all(_same(a, b) for a, b in zip(got, _max_over_filters(H, terms)))
+        # and the bank's rows are the one-filter rows, value for value
+        w = certified_window(dim, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = convolve(FilterBank(H), terms, w)
+            for f, h in enumerate(H):
+                assert np.array_equal(rows[f], convolve(h, terms, w), equal_nan=True)
+        # stacking more terms never changes a residual
+        more = terms + _bank_case(data, dim)[1]
+        assert all(_same(a, b) for a, b in zip(kernel_residual(H, more), got))
+        for value, term in zip(got, terms):
+            assert _same(value, kernel_residual(H, [term])[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), block=st.sampled_from([7, 64]))
+    def test_small_blocks_agree(self, data, dim, block):
+        """The (point, tap) values do not depend on the blocks, but a gemv
+        row's rounding may depend on the block's row count, and so may
+        whether an overflowed residual comes out inf or NaN; neither passes
+        a tolerance."""
+        from convkern import filters
+        H, terms = _bank_case(data, dim)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "BLOCK_PAIRS", block)
+            got = kernel_residual(H, terms)
+            expected = _max_over_filters(H, terms)
+        h_scale = max(1.0, max(h.l1() for h in H))
+        for a, b, (_, p) in zip(got, expected, terms):
+            if math.isfinite(a) or math.isfinite(b):
+                # relative above 1: theta = 1e60 in one variable leaves
+                # residuals near 1e120
+                bound = 1e-10 * h_scale * max(1.0, p.norm()) * max(1.0, abs(b))
+                assert abs(a - b) <= bound
 
 
 def test_every_check_defaults_to_one_tolerance():

@@ -547,8 +547,7 @@ class TestSharedAcrossZeros:
         return (ser.filters_from_json(_fixture("filters_manyzeros_2d.json")),
                 ser.spectrum_from_json(_fixture("spectrum_manyzeros_2d.json")))
 
-    def test_certify_kernel_one_convolve_per_filter_and_window(self, manyzeros,
-                                                               monkeypatch):
+    def test_certify_kernel_one_convolve_per_window(self, manyzeros, monkeypatch):
         from convkern import filters, spectrum
         from convkern.filters import certified_window
         H, spec = manyzeros
@@ -559,9 +558,9 @@ class TestSharedAcrossZeros:
             residual_calls.append(len(terms))
             return real_residual(H, terms, pad)
 
-        def counting_convolve(h, c, w):
-            convolve_calls.append((H.index(h), w))
-            return real_convolve(h, c, w)
+        def counting_convolve(bank, c, w):
+            convolve_calls.append((len(bank.vectors), w))
+            return real_convolve(bank, c, w)
 
         monkeypatch.setattr(spectrum, "kernel_residual", counting_residual)
         monkeypatch.setattr(filters, "convolve", counting_convolve)
@@ -571,8 +570,9 @@ class TestSharedAcrossZeros:
         windows = {certified_window(p.dim, p.degree()) for _, p in terms}
         assert residual_calls == [len(terms)] == [4 * 1 + 4 * 3]
         assert len(windows) == 2
+        # one convolve per window for the whole of H
         assert sorted(convolve_calls, key=repr) == sorted(
-            ((hi, w) for hi in range(len(H)) for w in windows), key=repr)
+            ((len(H), w) for w in windows), key=repr)
         # the residuals are those of one call per zero, exactly
         monkeypatch.undo()
         alone = []

@@ -1,4 +1,5 @@
 import cmath
+import json
 from itertools import product
 
 import numpy as np
@@ -14,7 +15,7 @@ from convkern import (Dilation, ExpPolySeq, Impulse, LaurentPoly, NotExpandingEr
 from convkern.mpoly import grlex_key
 from convkern.subdivision import _coset_decompose, int_adjugate, int_det
 
-from conftest import const, variables
+from conftest import const, run_cli, variables
 
 
 def dil(*rows):
@@ -704,6 +705,26 @@ class TestSharedCandidates:
         assert [t for t, _ in terms] == \
             [tuple(complex(t) for t in theta)] * 10 + [tuple(complex(t) for t in other)]
         assert [p.degree() for _, p in terms] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 0]
+
+    def test_cli_one_convolve_per_window(self, monkeypatch):
+        """subdivide mask_quincunx_k3 over candidates of orders 0..3: one
+        convolve per distinct window {0..d}^2, each for every nonzero
+        subsymbol at once."""
+        from convkern import filters
+        calls = []
+        real = filters.convolve
+
+        def counting(bank, c, w):
+            calls.append((len(bank.vectors), w))
+            return real(bank, c, w)
+
+        monkeypatch.setattr(filters, "convolve", counting)
+        code, out = run_cli("subdivide", "mask_quincunx_k3.json", "dilation_quincunx.json",
+                            "candidates_2d_k0to3.json")
+        assert code == 1
+        subs = [rec for rec in json.loads(out)["subsymbols"] if rec["symbol"]]
+        assert len(subs) == 2
+        assert sorted(calls, key=repr) == [(2, Window((0, 0), (d, d))) for d in range(4)]
 
     def test_nan_oracle_residual_fails(self, rng, monkeypatch):
         from convkern import subdivision
