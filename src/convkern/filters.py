@@ -61,6 +61,8 @@ class Impulse:
     taps: Mapping[Exponent, complex]
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dimension must be positive, got {self.dim}")
         clean: Dict[Exponent, complex] = {}
         for idx, c in dict(self.taps).items():
             idx = tuple(int(i) for i in idx)
@@ -336,9 +338,11 @@ def convolve(h: "Impulse | FilterBank", c: "Sequence[Term] | SequenceSamples", w
     FilterBank, one such array per filter, stacked (filters, terms,
     points), from one pass over the union of their taps.  A sampled input
     gives a dict keyed by window point; it must cover the window dilated by
-    the support of the impulse h.
+    the support of the impulse h, and a FilterBank does not take one.
     """
     if isinstance(h, FilterBank):
+        if isinstance(c, Mapping):
+            raise TypeError("a FilterBank convolves terms (theta, p), not samples")
         return _convolve_closed_form(h, c, w)
     if not isinstance(c, Mapping):
         return _convolve_closed_form(FilterBank([h]), c, w)[0]

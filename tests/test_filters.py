@@ -53,6 +53,13 @@ class TestSymbol:
             assert (prod - direct).norm() <= 1e-12 * max(1.0, direct.norm())
 
 
+class TestImpulse:
+    @pytest.mark.parametrize("taps", [{(): 1.0}, {}])
+    def test_dimension_must_be_positive(self, taps):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            Impulse(0, taps)
+
+
 class TestConvolve:
     def test_difference_kills_constants(self):
         vals = convolve(delta_diff(), [((1.0,), const(1, 1))], Window((-3,), (5,)))
@@ -506,6 +513,43 @@ class TestStackedConvolve:
         # per theta and one block at a time) stays far below the 8 x 25.6 MB
         # that arrays over all (point, tap) pairs would need
         assert peak - result <= 8e6
+
+    @pytest.mark.parametrize("block", [None, 39])
+    def test_several_blocks_of_a_bank(self, monkeypatch, block):
+        """A bank cuts its window into blocks of BLOCK_PAIRS // |union taps|
+        points, so on a window of several blocks a filter's blocks depend on
+        the filters beside it.  With its one-filter blocks cut the same way,
+        each filter's rows are the bank's bit for bit; with its own blocks
+        they differ only by gemv rounding, a few ulp of the row's largest
+        value (at most 2.2e-16 where measured, at the blocks of one to three
+        points, whose gemv sums in another order)."""
+        from convkern import filters
+        from convkern.filters import FilterBank
+        if block is not None:
+            monkeypatch.setattr(filters, "BLOCK_PAIRS", block)
+        rng = np.random.default_rng(11)
+        H = [Impulse(1, {(k,): complex(rng.normal(), rng.normal()) for k in taus})
+             for taus in (range(3), range(-2, 3), range(5, 13))]
+        bank = FilterBank(H)
+        assert len(bank.taps) == 13
+        step = filters.BLOCK_PAIRS // len(bank.taps)
+        w = Window((0,), (3 * step,))  # three full blocks and one of one point
+        x = LaurentPoly.variable(1, 0)
+        terms = [((np.exp(0.3j),), const(1, 1) + 0.25 * x), ((0.9 * np.exp(-1.1j),), x * x)]
+        rows = convolve(bank, terms, w)
+        for f, h in enumerate(H):
+            alone = convolve(h, terms, w)
+            assert np.max(np.abs(rows[f] - alone)) <= 1e-15 * np.max(np.abs(alone))
+        for f, h in enumerate(H):
+            monkeypatch.setattr(filters, "BLOCK_PAIRS", step * len(h.taps))
+            assert np.array_equal(rows[f], convolve(h, terms, w))
+
+    def test_bank_refuses_samples(self):
+        from convkern.filters import FilterBank
+        h = delta_diff()
+        samples = {(k,): 1.0 for k in range(-2, 4)}
+        with pytest.raises(TypeError, match="not samples"):
+            convolve(FilterBank([h]), samples, Window((0,), (2,)))
 
     def test_memory_of_a_bank(self):
         """500 one-tap filters on a window of 10^4 points: each convolve's

@@ -1,25 +1,22 @@
 """Run the benchmark's correctness gate over many seeds, untimed.
 
-Usage: python tools/gate_seeds.py [--workloads W [W ...]] [--seeds 1-20] [--jobs 2]
+Usage: python tools/gate_seeds.py [--workloads W [W ...]] [--seeds 1-20]
 
 For every workload and seed given, runs
 
     python3 bench/run.py --workload W --seed S --seconds 0 --trace 1
 
-in its own process: five set-up passes, then one untraced and one traced
-pass over the seed's whole request cycle, each response checked by the
-gate.  Every failing (workload, seed, exit code) is printed with the first
-gate failures of its run; the exit code is 1 when any run failed.  --seeds
-takes a range A-B or a comma-separated list; --jobs runs that many processes
-at once, at most one per CPU.
+in its own process, one run after another: five set-up passes, then one
+untraced and one traced pass over the seed's whole request cycle, each
+response checked by the gate.  Every failing (workload, seed, exit code) is
+printed with the first gate failures of its run; the exit code is 1 when
+any run failed.  --seeds takes a range A-B or a comma-separated list.
 """
 
 import argparse
 import json
-import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,11 +48,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seeds", type=seeds, default=seeds("1-20"))
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
     runs = [(w, s) for w in args.workloads for s in args.seeds]
-    with ThreadPoolExecutor(max(1, min(args.jobs, os.cpu_count() or 1))) as pool:
-        results = list(pool.map(gate, *zip(*runs)))
+    results = [gate(workload, seed) for workload, seed in runs]
     failed = 0
     for (workload, seed), (code, failures) in zip(runs, results):
         if code != 0:
