@@ -136,6 +136,8 @@ def cmd_subdivide(args) -> int:
     candidates = ser.candidates_from_json(cand_obj)
     if a.dim != Xi.dim:
         raise FormatError("mask and dilation dimensions differ")
+    if any(len(theta) != a.dim for theta, _ in candidates):
+        raise FormatError("candidate theta has wrong dimension")
     try:
         report = subdivision_kernel_check(a, Xi, candidates, tol=args.tol)
     except NotExpandingError as exc:

@@ -299,7 +299,7 @@ def _convolve_closed_form(bank: FilterBank, terms: Sequence[Term], w: Window) ->
     degree: Dict[Tuple[complex, ...], int] = {}
     for theta, p in terms:
         degree[theta] = max(degree.get(theta, 0), p.degree())
-    tables = {theta: [np.fromiter(map(complex(t).__pow__, axis.tolist()), complex, len(axis))
+    tables = {theta: [_powers(t, axis.tolist())
                       * axis.astype(float) ** np.arange(top + 1)[:, None]
                       for t, axis in zip(theta, axes)]
               for theta, top in degree.items()}
@@ -358,11 +358,32 @@ def convolve(h: "Impulse | FilterBank", c: "Sequence[Term] | SequenceSamples", w
     return out
 
 
+def _powers(t: complex, exps: List[int]) -> np.ndarray:
+    """t ** e for each e in exps, NaN where complex ** cannot represent the
+    power: it raises OverflowError past double range and ZeroDivisionError
+    for e < 0 once t^|e| underflows, while other negative powers past range
+    already come out NaN.  The per-element path runs only after the fast
+    one raises."""
+    t = complex(t)
+    try:
+        return np.fromiter(map(t.__pow__, exps), complex, len(exps))
+    except (OverflowError, ZeroDivisionError):
+        return np.array([_power_or_nan(t, e) for e in exps], dtype=complex)
+
+
+def _power_or_nan(t: complex, e: int) -> complex:
+    try:
+        return t ** e
+    except (OverflowError, ZeroDivisionError):
+        return complex("nan+nanj")
+
+
 def _window_powers(theta: Sequence[complex], w: Window) -> np.ndarray:
-    """theta^alpha at w.points(), in that order."""
+    """theta^alpha at w.points(), in that order; NaN where a power is out of
+    range (_powers)."""
     out = np.ones(1, dtype=complex)
-    for t, l, u in zip(map(complex, theta), w.lower, w.upper):
-        out = np.multiply.outer(out, np.array([t ** a for a in range(l, u + 1)])).ravel()
+    for t, l, u in zip(theta, w.lower, w.upper):
+        out = np.multiply.outer(out, _powers(t, list(range(l, u + 1)))).ravel()
     return out
 
 

@@ -1,28 +1,26 @@
 """Stationary subdivision operators with expanding integer dilation matrices.
 
 Coset membership has one rule, the exact integer floor map
-rho(alpha) = alpha - M floor(adj alpha / det) onto M [0,1)^s, M = Xi or Xi^T.
-A Dilation owns its determinant and adjugate, from O(s^3) exact elimination,
-and (lazily, per orientation) its coset representatives, the closure of {0}
-under alpha -> rho(alpha + e_j); subsymbols, modulation points and subdivide
-read them, with adj(Xi^T) = adj(Xi)^T, and split a tap by the same map.
-Kernel questions reduce to convolution kernels of the subsymbols, one per
-coset.  The derivative tests take jet tables from linalg times the symbol's
-coefficients, each symbol taken as its Impulse.normalized_symbol: one
-stacked table over all modulation points for a symmetric zero, which serves
-every order asked at once, and one table at theta^-1 over the union of
-the subsymbol supports, from which each subsymbol reads its columns.
-subdivision_kernel_check decides each distinct theta once: one
-is_symmetric_zero call and one subsymbol table at the top order asked for
-theta, and one oracle call over the terms x^beta e_theta of every theta;
-every candidate (theta, k) reads its rows.  The row values of a matrix
-product depend on its row count, so the derivative tests multiply, per
-order k asked, the first dim Pi_k rows of their table and a symbol's
-columns, copied contiguous; each value is then bit-identical to that of a
-check of the candidate alone.  The oracle test decides at
-max(tol, ORACLE_TOL), like every other oracle.  Each candidate record
-carries the residual and tolerance of the test that decides it, which the
-subdivide command prints.
+rho(alpha) = alpha - Xi floor(adj alpha / det) onto Xi [0,1)^s.  A Dilation
+owns its determinant and adjugate, from O(s^3) exact elimination, and
+(lazily) two closures of {0} under v -> (v + step) mod det: the coset
+representatives of E_Xi, carried as adj xi, and the dual residues
+adj(Xi^T) Z^s mod det, the vectors det Xi^-T xi' over xi' in E'_Xi, from
+which the modulation points e^{-2 pi i Xi^-T xi'} zeta are read.
+Subsymbols and subdivide split a tap by the floor map.  Kernel questions
+reduce to convolution kernels of the subsymbols, one per coset.
+
+Both derivative tests are one jet routine: symbols (each an
+Impulse.normalized_symbol) laid out once over their union support, at
+groups of points, each group one jet table at its top order, scaled by
+max(1, ||a||_1) max(1, |z|_inf^deg); a symmetric zero puts the mask's
+symbol at every modulation point, the subsymbol test every subsymbol at
+each theta^-1.  The row values of a matrix product depend on its row
+count, so order k multiplies the first dim Pi_k rows of the table and a
+symbol's columns, copied contiguous: each value is bit-identical to that
+of a table built for that order and symbol alone.  The oracle test decides at max(tol, ORACLE_TOL), like every other oracle.
+Each candidate record carries the residual and tolerance of the test that
+decides it, which the subdivide command prints.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 
 from .filters import (DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual,
                       require_window_pairs)
-from .linalg import coeff_matrix, diff_tables, joint_support, monomials_upto
+from .linalg import diff_tables, joint_support, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key
 
 
@@ -99,9 +97,9 @@ def int_adjugate(M: Sequence[Sequence[int]]) -> List[List[int]]:
 class Dilation:
     """Integer dilation matrix; expanding means every eigenvalue has
     modulus > 1.  det and adj (Xi adj = det I) are exact and computed once;
-    Xi^T has the same determinant and the adjugate adj^T.  reps and
-    transposed_reps, E_Xi and E'_Xi from coset_reps, are computed on first
-    use; serialize caps their number, |det|."""
+    Xi^T has the same determinant and the adjugate adj^T.  reps, E_Xi from
+    coset_reps, and dual_residues are computed on first use; serialize caps
+    their number, |det|."""
 
     Xi: Tuple[Tuple[int, ...], ...]
     det: int = field(init=False, repr=False, compare=False)
@@ -136,8 +134,11 @@ class Dilation:
         return tuple(coset_reps(self))
 
     @cached_property
-    def transposed_reps(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(coset_reps(self, transpose=True))
+    def dual_residues(self) -> Tuple[Tuple[int, ...], ...]:
+        """adj(Xi^T) Z^s mod det, zero first: exactly the vectors adj(Xi^T) xi'
+        = det Xi^-T xi' over xi' in E'_Xi = Xi^T [0,1)^s cap Z^s.  The steps
+        adj(Xi^T) e_j are the rows of adj."""
+        return tuple(_closure(self.det, self.adj))
 
     def apply(self, alpha: Sequence[int]) -> Tuple[int, ...]:
         return _matvec(self.Xi, alpha)
@@ -157,27 +158,22 @@ def is_expanding(Xi: Dilation) -> bool:
     return bool(np.min(np.abs(eigvals)) > 1.0 + EXPANDING_MARGIN)
 
 
-def _coset_decompose(Xi: Dilation, alpha: Sequence[int], transpose: bool = False
+def _coset_decompose(Xi: Dilation, alpha: Sequence[int]
                      ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Write alpha = xi + M beta with xi = rho(alpha) in M [0,1)^s, the
-    representative coset_reps lists, for M = Xi (or Xi^T); exact.
+    """Write alpha = xi + Xi beta with xi = rho(alpha) in Xi [0,1)^s, the
+    representative coset_reps lists; exact.
 
-    beta = floor(M^-1 alpha) = floor(adj alpha / det), by floor division,
+    beta = floor(Xi^-1 alpha) = floor(adj alpha / det), by floor division,
     which rounds down for either sign of det.
     """
-    M, adj = (Xi.transpose(), Xi.adj_transpose()) if transpose else (Xi.Xi, Xi.adj)
-    beta = tuple(v // Xi.det for v in _matvec(adj, alpha))
-    return tuple(t - v for t, v in zip(alpha, _matvec(M, beta))), beta
+    beta = tuple(v // Xi.det for v in _matvec(Xi.adj, alpha))
+    return tuple(t - v for t, v in zip(alpha, _matvec(Xi.Xi, beta))), beta
 
 
-def coset_reps(Xi: Dilation, transpose: bool = False) -> List[Tuple[int, ...]]:
-    """E_Xi = Xi [0,1)^s cap Z^s (or the transpose variant), graded-lex sorted:
-    the closure of {0} under alpha -> rho(alpha + e_j), rho the floor map of
-    _coset_decompose, since the e_j generate Z^s / M Z^s.  Each xi is carried
-    as adj xi, where rho reads adj rho(xi + e_j) = (adj xi + adj e_j) mod det,
-    so |det| s steps cost O(s) each; xi = M (adj xi) / det at the end."""
-    M, adj = (Xi.transpose(), Xi.adj_transpose()) if transpose else (Xi.Xi, Xi.adj)
-    d, steps, origin = Xi.det, list(zip(*adj)), (0,) * Xi.dim  # steps: adj e_j
+def _closure(d: int, steps: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """The closure of {0} under v -> (v + step) mod d, breadth first from 0,
+    each step O(s)."""
+    origin = (0,) * len(steps)
     seen, found = {origin}, [origin]
     for v in found:  # breadth first; the loop reaches what it appends
         for step in steps:
@@ -185,8 +181,18 @@ def coset_reps(Xi: Dilation, transpose: bool = False) -> List[Tuple[int, ...]]:
             if w not in seen:
                 seen.add(w)
                 found.append(w)
-    return sorted([tuple([sum(map(mul, row, v)) // d for row in M]) for v in found],
-                  key=grlex_key)
+    return found
+
+
+def coset_reps(Xi: Dilation) -> List[Tuple[int, ...]]:
+    """E_Xi = Xi [0,1)^s cap Z^s, graded-lex sorted: the closure of {0}
+    under alpha -> rho(alpha + e_j), rho the floor map of _coset_decompose,
+    since the e_j generate Z^s / Xi Z^s.  Each xi is carried as adj xi,
+    where rho reads adj rho(xi + e_j) = (adj xi + adj e_j) mod det, so
+    |det| s steps cost O(s) each; xi = Xi (adj xi) / det at the end."""
+    d = Xi.det  # the steps adj e_j are the rows of adj^T
+    return sorted([tuple([sum(map(mul, row, v)) // d for row in Xi.Xi])
+                   for v in _closure(d, Xi.adj_transpose())], key=grlex_key)
 
 
 def subsymbols(a: Impulse, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
@@ -216,47 +222,64 @@ def z_pow_Xi(z: Sequence[complex], Xi: Dilation) -> Tuple[complex, ...]:
 
 
 def modulation_points(Xi: Dilation, zeta: Sequence[complex]) -> List[Tuple[complex, ...]]:
-    """The points e^{-2 pi i Xi^-T xi'} zeta over xi' in E'_Xi; the first
-    (xi' = 0) is zeta itself."""
+    """The points e^{-2 pi i Xi^-T xi'} zeta over xi' in E'_Xi, read from the
+    dual residues w = adj(Xi^T) xi' as e^{-2 pi i w / det} zeta; the first
+    (w = 0) is zeta itself."""
     zeta = tuple(complex(v) for v in zeta)
     if any(v == 0 for v in zeta):
         raise ValueError("zeta must lie in C_x^s")
-    adjT = Xi.adj_transpose()
-    points = []
-    for xi_p in Xi.transposed_reps:
-        # Xi^-T xi' as exact rationals adj(Xi^T) xi' / det
-        mod = tuple(cmath.exp(-2j * cmath.pi * wi / Xi.det) for wi in _matvec(adjT, xi_p))
-        points.append(tuple(m * zv for m, zv in zip(mod, zeta)))
-    return points
+    return [tuple(cmath.exp(-2j * cmath.pi * wi / Xi.det) * zv for wi, zv in zip(w, zeta))
+            for w in Xi.dual_residues]
+
+
+def _jet_violations(symbols: Sequence[LaurentPoly], scale: float,
+                    groups: Sequence[Tuple[Sequence[Sequence[complex]], Sequence[int]]]
+                    ) -> List[List[float]]:
+    """Per group (points, orders) and order k in orders, the largest
+    |D^beta g(z)| / (scale max(1, |z|_inf^deg)) over |beta| <= k, g in
+    symbols and z in points, deg the top degree of the symbols; NaN
+    propagates.  The symbols are laid out once over their union support;
+    one jet table per group, at its top order, serves every order and
+    symbol (see the module docstring)."""
+    union = joint_support(symbols)
+    column = {exp: i for i, exp in enumerate(union)}
+    stacks = []
+    for g in symbols:
+        cols = sorted(column[exp] for exp in g.terms)  # g's support, graded-lex
+        coeffs = np.array([g.terms[union[i]] for i in cols], dtype=complex)
+        # a symbol over the whole union reads a slice, not a gather
+        stacks.append((coeffs, slice(None) if len(cols) == len(union) else cols))
+    degree = max((g.degree() for g in symbols), default=0)
+    out = []
+    for points, orders in groups:
+        dim = len(points[0])
+        point_scales = np.array([scale * max(1.0, max(abs(v) for v in point) ** degree)
+                                 for point in points])
+        table = diff_tables(monomials_upto(dim, max(orders, default=0)), union, points)
+        worst = []
+        for k in orders:
+            rows = table[:, :math.comb(dim + k, k)]
+            vals = np.zeros(rows.shape[:2])
+            for coeffs, cols in stacks:
+                # propagates NaN
+                vals = np.maximum(vals, np.abs(np.ascontiguousarray(rows[:, :, cols]) @ coeffs)
+                                  / point_scales[:, None])
+            worst.append(float(np.max(vals, initial=0.0)))
+        out.append(worst)
+    return out
 
 
 def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
                       orders: Sequence[int], tol: float = DEFAULT_TOL) -> List[Tuple[bool, float]]:
     """Per order k in orders, (ok, worst): ok iff every derivative D^beta a*,
     |beta| <= k, vanishes at all modulation translates of zeta, and worst
-    the maximal normalized violation.
-
-    Every order reads one jet table at the top order: order k takes the
-    first dim Pi_k rows (graded-lex), copied contiguous so that its product
-    equals that of a table built at order k alone.
-    """
+    the maximal normalized violation, from one jet table at the top order."""
     orders = list(orders)
     if any(k < 0 for k in orders):
         raise ValueError("order must be nonnegative")
-    g = a.normalized_symbol
-    coeffs, support = coeff_matrix([g])
-    points = modulation_points(Xi, zeta)
-    scale, degree = max(1.0, a.l1()), max(g.degree(), 0)
-    point_scales = np.array([scale * max(1.0, max(abs(v) for v in point) ** degree)
-                             for point in points])
-    table = diff_tables(monomials_upto(a.dim, max(orders, default=0)), support, points)
-    out = []
-    for k in orders:
-        rows = np.ascontiguousarray(table[:, :math.comb(a.dim + k, k)])
-        vals = np.abs(rows @ coeffs[:, 0])
-        worst = float(np.max(vals / point_scales[:, None], initial=0.0))  # propagates NaN
-        out.append((worst <= tol, worst))
-    return out
+    [worst] = _jet_violations([a.normalized_symbol], max(1.0, a.l1()),
+                              [(modulation_points(Xi, zeta), orders)])
+    return [(w <= tol, w) for w in worst]
 
 
 def symmetric_zero_order(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
@@ -326,22 +349,25 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     (ii), (iii), or when all pass the one with the largest value/tolerance,
     so that residual <= tolerance exactly when the candidate passes.
 
-    Each test is computed once per distinct theta, per monomial x^beta up to
-    the top order K requested for that theta: (i) is one is_symmetric_zero
-    call over the orders asked for theta, from one jet table at K; (ii) is
-    one jet table at theta^-1 over the union of the subsymbol supports, each
-    order k asked reading its first dim Pi_k rows and each subsymbol its own
-    columns (copied contiguous, so that the product equals that of the
-    candidate's own table); (iii) is one kernel_residual call over the
-    monomials of every theta, theta-major.  The graded monomials of
-    Pi_k are a prefix of those of Pi_K, so a candidate of order k reads the
-    first dim Pi_k values.  The report also carries the subsymbols, keyed by
-    coset representative.  A dilation that is not expanding raises
-    NotExpandingError, and oracle windows over more than MAX_WINDOW_PAIRS
-    (row, window point) pairs raise WindowLimitError before any Pi_K is
-    enumerated.  Overflowing input yields NaN values, which fail,
-    without numpy's overflow and invalid-value warnings.
+    One loop over the distinct theta fills a theta -> order -> (i, ii,
+    iii) table from work done once at K, the top order asked for theta: one
+    is_symmetric_zero call, one subsymbol jet table at theta^-1, and its
+    rows of one kernel_residual call over the monomials of Pi_K of every
+    theta (those of Pi_k are a prefix); each value equals that of the
+    candidate alone.  The report also carries the subsymbols, keyed by
+    coset representative.  A theta of the wrong length raises ValueError, a
+    dilation that is not expanding NotExpandingError, and oracle windows
+    over more than MAX_WINDOW_PAIRS (row, window point) pairs
+    WindowLimitError, before any Pi_K is enumerated.  Overflowing input
+    yields NaN values, which fail, without numpy's warnings.
     """
+    # one theta object per candidate keys the table below, so that even a
+    # NaN theta (hashed by identity) finds its entries
+    candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
+    for theta, _ in candidates:
+        if len(theta) != a.dim:
+            raise ValueError(f"candidate theta has length {len(theta)}, "
+                             f"the mask dimension is {a.dim}")
     if not is_expanding(Xi):
         raise NotExpandingError("dilation matrix is not expanding")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -350,16 +376,7 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         # a monomial factor is a unit away from the origin, so normalizing
         # each subsymbol leaves its vanishing order at theta^-1 unchanged
         sub_symbols = [h.normalized_symbol for h in sub_impulses]
-        sub_degree = max((g.degree() for g in sub_symbols), default=0)
-        # every subsymbol's coefficients and its columns of the union support
-        union = joint_support(sub_symbols)
-        column = {exp: i for i, exp in enumerate(union)}
-        sub_coeffs = [(coeffs[:, 0], [column[exp] for exp in support])
-                      for coeffs, support in (coeff_matrix([g]) for g in sub_symbols)]
         l1 = max(1.0, a.l1())
-        # one theta object per candidate keys the dicts below, so that even
-        # a NaN theta (hashed by identity) finds its entries
-        candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
         asked: Dict[Tuple[complex, ...], set] = {}
         for theta, k in candidates:
             asked.setdefault(theta, set()).add(k)
@@ -367,45 +384,24 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
         # {0..d}^s; counted, since monomials_upto walks (K+1)^s tuples
         require_window_pairs(a.dim, 0, ((d, math.comb(d + a.dim - 1, d))
                                         for ks in asked.values() for d in range(max(ks) + 1)))
-        orders = {theta: monomials_upto(a.dim, max(ks)) for theta, ks in asked.items()}
-        # theta -> order -> the subsymbol violation
-        sub_violation: Dict[Tuple[complex, ...], Dict[int, float]] = {}
-        # theta -> oracle residual per monomial of Pi_{K_theta}; one stack
-        # over every theta, theta-major
-        oracle: Dict[Tuple[complex, ...], np.ndarray] = {}
-        for theta, exps in orders.items():
-            point = tuple(1.0 / t for t in theta)
-            scale = l1 * max(1.0, max(abs(v) for v in point) ** sub_degree)
-            table = diff_tables(exps, union, [point])[0]
-            sub_violation[theta] = {}
-            for k in asked[theta]:
-                rows = table[:math.comb(a.dim + k, k)]
-                sub_vals = np.zeros(len(rows))
-                for coeffs, cols in sub_coeffs:
-                    vals = np.abs(np.ascontiguousarray(rows[:, cols]) @ coeffs)
-                    sub_vals = np.maximum(sub_vals, vals / scale)  # propagates NaN
-                sub_violation[theta][k] = float(np.max(sub_vals, initial=0.0))
-            oracle[theta] = np.zeros(len(exps))
-        if sub_impulses:
-            residuals = iter(kernel_residual(sub_impulses, [
-                (theta, LaurentPoly.monomial(a.dim, exp))
-                for theta, exps in orders.items() for exp in exps]))
-            for theta, exps in orders.items():
-                oracle[theta] = np.array([next(residuals) / l1 for _ in exps])
-        # theta -> order -> the symmetric-zero violation, one call per theta
-        sym_violation: Dict[Tuple[complex, ...], Dict[int, float]] = {}
-        for theta, ks in asked.items():
-            ks = sorted(ks)
-            zeta = canonical_zero_representative(Xi, theta)
-            found = is_symmetric_zero(a, Xi, zeta, ks, tol=tol)
-            sym_violation[theta] = {k: worst for k, (_, worst) in zip(ks, found)}
+        orders = {theta: sorted(ks) for theta, ks in asked.items()}
+        subsymbol_tests = _jet_violations(sub_symbols, l1, [
+            ([tuple(1.0 / t for t in theta)], ks) for theta, ks in orders.items()])
+        residuals = iter(kernel_residual(sub_impulses, [
+            (theta, LaurentPoly.monomial(a.dim, exp))
+            for theta, ks in orders.items() for exp in monomials_upto(a.dim, ks[-1])]))
+        # theta -> order -> (symmetric zero, subsymbol, oracle) violations
+        table: Dict[Tuple[complex, ...], Dict[int, Tuple[float, float, float]]] = {}
+        for (theta, ks), sub in zip(orders.items(), subsymbol_tests):
+            dims = [math.comb(a.dim + k, k) for k in ks]  # dim Pi_k
+            oracle = np.array([next(residuals) / l1 for _ in range(dims[-1])])
+            sym = is_symmetric_zero(a, Xi, canonical_zero_representative(Xi, theta), ks, tol=tol)
+            # np.max propagates NaN
+            table[theta] = {k: (sym_k, sub_k, float(np.max(oracle[:n], initial=0.0)))
+                            for k, n, (_, sym_k), sub_k in zip(ks, dims, sym, sub)}
         results = []
-        overall = True
         for theta, k in candidates:
-            n = math.comb(a.dim + k, k)  # dim Pi_k
-            sym_worst = sym_violation[theta][k]
-            sub_worst = sub_violation[theta][k]
-            oracle_worst = float(np.max(oracle[theta][:n], initial=0.0))  # propagates NaN
+            sym_worst, sub_worst, oracle_worst = table[theta][k]
             # (value, tolerance) of the three tests, in report order
             tests = [(sym_worst, tol), (sub_worst, tol),
                      (oracle_worst, max(tol, ORACLE_TOL))]
@@ -414,12 +410,10 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
             # test at tolerance 0 passes only at value 0
             value, bound = failed[0] if failed else max(
                 tests, key=lambda test: test[0] / test[1] if test[1] else 0.0)
-
-            passed = not failed
-            overall = overall and passed
-            results.append({"theta": theta, "order": k, "pass": passed,
+            results.append({"theta": theta, "order": k, "pass": not failed,
                             "symmetric_zero_violation": sym_worst,
                             "subsymbol_violation": sub_worst,
                             "oracle_residual": oracle_worst,
                             "residual": value, "tolerance": bound})
-        return {"pass": overall, "candidates": results, "subsymbols": subs}
+        return {"pass": all(rec["pass"] for rec in results), "candidates": results,
+                "subsymbols": subs}

@@ -1,11 +1,13 @@
 import os
 from contextlib import redirect_stdout
 from io import StringIO
+from itertools import product
 
 import numpy as np
 import pytest
 
 from convkern import LaurentPoly
+from convkern.mpoly import grlex_key
 
 
 def variables(dim):
@@ -42,6 +44,24 @@ def dual_rows(qs, support, point):
     from convkern.linalg import coeff_matrix, diff_tables
     Q, orders = coeff_matrix(qs)
     return Q.T @ diff_tables(orders, support, [point])[0]
+
+
+def scan_coset_reps(Xi, transpose=False):
+    """Reference: every point of the bounding box of M [0,1)^s (from the
+    vertices M v, v in {0,1}^s) whose M^-1 alpha = adj alpha / det lies in
+    [0,1)^s, graded-lex sorted; M = Xi or Xi^T."""
+    M, adj = (Xi.transpose(), Xi.adj_transpose()) if transpose else (Xi.Xi, Xi.adj)
+    n, d = len(M), Xi.det
+    vertices = [[sum(M[i][j] * v[j] for j in range(n)) for i in range(n)]
+                for v in product((0, 1), repeat=n)]
+    box = [range(min(v[i] for v in vertices), max(v[i] for v in vertices) + 1)
+           for i in range(n)]
+
+    def in_cell(alpha):
+        values = [sum(r * a for r, a in zip(row, alpha)) for row in adj]
+        return all(0 <= v < d if d > 0 else d < v <= 0 for v in values)
+
+    return sorted((alpha for alpha in product(*box) if in_cell(alpha)), key=grlex_key)
 
 
 @pytest.fixture
@@ -119,6 +139,9 @@ CLI_CORPUS = [
     # on, the oracle's tap products overflow to inf - inf = NaN
     (("--window-pad", "8", "eigen", "filter_eigen_overflow.json",
       "eigen_theta2_lambda0.json"), 2),
+    # a one-coordinate theta for a mask in two variables is malformed input
+    (("subdivide", "mask_quincunx_k3.json", "dilation_quincunx.json",
+      "candidates_1d_k1.json"), 2),
 ]
 
 

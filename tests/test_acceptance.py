@@ -27,7 +27,8 @@ from convkern.linalg import monomials_upto
 from convkern.mpoly import laurent_normalize
 from convkern.subdivision import int_adjugate, int_det
 
-from conftest import CLI_CORPUS, acceptance_log, const, random_poly, run_cli, variables
+from conftest import (CLI_CORPUS, acceptance_log, const, random_poly, run_cli,
+                      scan_coset_reps, variables)
 
 
 def report(num, description, passed):
@@ -286,7 +287,7 @@ def test_criterion_08_subdivision_suite():
         m = Xi.coset_count
         d = int_det(Xi.transpose())
         adjT = int_adjugate(Xi.transpose())
-        primes = coset_reps(Xi, transpose=True)
+        primes = scan_coset_reps(Xi, transpose=True)
         for _ in range(50):
             zpt = _random_point(rng, Xi.dim)
             zXi = z_pow_Xi(zpt, Xi)

@@ -562,6 +562,11 @@ class TestInputContract:
                                  {"Xi": [[2, 0], [0, 2]]},
                                  {"candidates": [{"theta": [ZERO, ONE], "order": 0}]}),
         "zero_theta_eigen": ("eigen", _filters()["filters"][0], {"theta": [ZERO]}),
+        "short_theta_candidate": ("subdivide", _filters(index=(1, 0), dim=2)["filters"][0],
+                                  {"Xi": [[2, 0], [0, 2]]},
+                                  {"candidates": [{"theta": [ONE], "order": 1}]}),
+        "long_theta_candidate": ("subdivide", _filters()["filters"][0], {"Xi": [[2]]},
+                                 {"candidates": [{"theta": [ONE, ONE], "order": 0}]}),
     }
 
     def _run(self, case, tmp_path, capsys):
@@ -593,6 +598,11 @@ class TestInputContract:
                                       "zero_theta_eigen"])
     def test_zero_theta_is_named(self, case, tmp_path, capsys):
         assert self._run(case, tmp_path, capsys)[1].err == "error: theta must lie in C_x^s\n"
+
+    @pytest.mark.parametrize("case", ["short_theta_candidate", "long_theta_candidate"])
+    def test_candidate_dimension_is_named(self, case, tmp_path, capsys):
+        assert self._run(case, tmp_path, capsys)[1].err == \
+            "error: candidate theta has wrong dimension\n"
 
     def test_eigen_reports_a_zero_filter(self, tmp_path, capsys):
         """eigen takes one filter, not a filter set: a zero filter fails its

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,19 @@ class TestKernelResidual:
         assert all(res <= 1e-8 for res in kernel_residual([h], members))
         res, = kernel_residual([h], [((0.5,), x * x)])
         assert res >= 1e-3
+
+
+    @pytest.mark.parametrize("theta", [1e155, 1e-155, 1e300, 1e-300])
+    def test_out_of_range_power_is_nan(self, theta):
+        """theta^2 past double range (1e155), or theta^-3 of an underflowed
+        theta^3 (1e-155), reads NaN like the negative powers past range: the
+        residual is not finite, with no exception and no RuntimeWarning."""
+        h = Impulse(1, {(0,): 1.0, (3,): -1.0})
+        x = LaurentPoly.variable(1, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, = kernel_residual([h], [((theta,), x * x)])
+        assert not math.isfinite(res)
 
 
 class TestEigen:

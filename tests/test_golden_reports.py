@@ -1,6 +1,6 @@
 """Golden digests of the fixture-corpus CLI reports.
 
-Each of the 30 CLI_CORPUS invocations runs with the default flags, with
+Each of the 31 CLI_CORPUS invocations runs with the default flags, with
 --window-pad 3 and with --tol 1e-6 (an invocation's own flags follow
 these, and argparse keeps the last value); its exit code and the sha256 of its
 standard output are pinned below.  A change that alters report bytes on
@@ -79,6 +79,8 @@ DIGESTS = {
         (0, "2c6615fdba4b9f5032e7b5a3a83c6046bb40ce489eecb262323d63a748def2f2"),
     "--window-pad 8 eigen filter_eigen_overflow.json eigen_theta2_lambda0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_1d_k1.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "480c7bebb7f5dc793a86ccf289c10c6f9afe7fda6b70e16ada8dc385c00e616a"),
     "--window-pad 3 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -139,6 +141,8 @@ DIGESTS = {
         (0, "2c6615fdba4b9f5032e7b5a3a83c6046bb40ce489eecb262323d63a748def2f2"),
     "--window-pad 3 --window-pad 8 eigen filter_eigen_overflow.json eigen_theta2_lambda0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_1d_k1.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "175c5794ef4ab7dce096909bbac963cd81df9be25f4912e35e2a91ff7e1f7bab"),
     "--tol 1e-6 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -198,6 +202,8 @@ DIGESTS = {
     "--tol 1e-6 subdivide mask_quarter_band.json dilation_2.json candidates_1d_quarter.json":
         (0, "4d4c5fa5a31df4a5e1e69c3fff6f26456aef62cca4d187bc083ba7a7fc9acb1a"),
     "--tol 1e-6 --window-pad 8 eigen filter_eigen_overflow.json eigen_theta2_lambda0.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_1d_k1.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 

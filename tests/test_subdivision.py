@@ -1,5 +1,6 @@
 import cmath
 import json
+import os
 from itertools import product
 
 import numpy as np
@@ -13,9 +14,10 @@ from convkern import (Dilation, ExpPolySeq, Impulse, LaurentPoly, NotExpandingEr
                       subdivide, subdivision_kernel_check, subsymbols,
                       symbol, symmetric_zero_order, z_pow_Xi)
 from convkern.mpoly import grlex_key
+from convkern.serialize import dilation_from_json
 from convkern.subdivision import _coset_decompose, int_adjugate, int_det
 
-from conftest import const, run_cli, variables
+from conftest import FIXTURES, const, run_cli, scan_coset_reps, variables
 
 
 def dil(*rows):
@@ -30,6 +32,22 @@ TWO = dil((2,))
 # the six dilations of the subdivision-mix benchmark workload
 BENCHMARK_DILATIONS = [TWO_I, dil((2, 0, 0), (0, 2, 0), (0, 0, 2)), QUINCUNX, DIAG_23,
                        dil((2, 1), (0, 2)), dil((5, 2), (-1, 4))]
+
+DECOMPOSE_DILATIONS = [dil((5, 2), (-1, 4)), QUINCUNX, DIAG_23, dil((2, 1), (0, 2)),
+                       dil((0, 2), (3, 0)), dil((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+                       dil((0, 0, 2), (1, 0, 0), (0, 1, 0)), TWO]
+
+
+def fixture_dilation(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        return dilation_from_json(json.load(fh))
+
+
+# every dilation of this suite and of the fixture corpus, once each
+SUITE_DILATIONS = list(dict.fromkeys(
+    BENCHMARK_DILATIONS + DECOMPOSE_DILATIONS +
+    [fixture_dilation(f"dilation_{name}.json")
+     for name in ("2", "quincunx", "det_minus6", "shear25", "nonexpanding")]))
 
 
 def mask_1d(*coeffs):
@@ -78,22 +96,15 @@ def laplace_adjugate(M):
              for i in range(n)] for j in range(n)]
 
 
-def scan_coset_reps(Xi, transpose=False):
-    """Reference: every point of the bounding box of M [0,1)^s (from the
-    vertices M v, v in {0,1}^s) whose M^-1 alpha = adj alpha / det lies in
-    [0,1)^s, graded-lex sorted; M = Xi or Xi^T."""
-    M, adj = (Xi.transpose(), Xi.adj_transpose()) if transpose else (Xi.Xi, Xi.adj)
-    n, d = len(M), Xi.det
-    vertices = [[sum(M[i][j] * v[j] for j in range(n)) for i in range(n)]
-                for v in product((0, 1), repeat=n)]
-    box = [range(min(v[i] for v in vertices), max(v[i] for v in vertices) + 1)
-           for i in range(n)]
+def matvec(M, v):
+    return tuple(sum(r * x for r, x in zip(row, v)) for row in M)
 
-    def in_cell(alpha):
-        values = [sum(r * a for r, a in zip(row, alpha)) for row in adj]
-        return all(0 <= v < d if d > 0 else d < v <= 0 for v in values)
 
-    return sorted((alpha for alpha in product(*box) if in_cell(alpha)), key=grlex_key)
+def scan_dual_residues(Xi):
+    """Reference: adj(Xi^T) xi' over the scanned representatives xi' of
+    Xi^T [0,1)^s."""
+    adjT = int_adjugate(Xi.transpose())
+    return {matvec(adjT, xi_p) for xi_p in scan_coset_reps(Xi, transpose=True)}
 
 
 def square_matrices(max_dim, lo, hi):
@@ -177,23 +188,31 @@ class TestCosetReps:
                     assert any(val % d != 0 for val in v)
 
     def test_transpose_variant(self):
-        reps = coset_reps(QUINCUNX, transpose=True)
-        assert len(reps) == 2 and (0, 0) in reps
+        # the cosets of Xi^T, carried as their dual residues, zero first
+        residues = QUINCUNX.dual_residues
+        assert len(residues) == 2 and residues[0] == (0, 0)
+        assert set(residues) == scan_dual_residues(QUINCUNX)
 
     @settings(max_examples=300, deadline=None)
-    @given(square_matrices(3, -4, 4), st.booleans())
-    def test_closure_matches_scan(self, rows, transpose):
+    @given(square_matrices(3, -4, 4))
+    def test_closure_matches_scan(self, rows):
         try:
             Xi = Dilation(rows)
         except ValueError:
             assume(False)  # singular
-        assert coset_reps(Xi, transpose) == scan_coset_reps(Xi, transpose)
+        assert coset_reps(Xi) == scan_coset_reps(Xi)
+        # one dual residue per representative of Xi^T, zero first
+        residues = Xi.dual_residues
+        assert residues[0] == (0,) * Xi.dim and len(set(residues)) == len(residues)
+        assert set(residues) == scan_dual_residues(Xi)
 
     def test_shear_needs_no_box(self):
         # |det| 4, in a bounding box of 3 x 1000003 points
         Xi = dil((2, 1000000), (0, 2))
         assert coset_reps(Xi) == [(0, 0), (1, 0), (500000, 1), (500001, 1)]
-        assert coset_reps(Xi, transpose=True) == [(0, 0), (0, 1), (1, 500000), (1, 500001)]
+        # adj(Xi^T) times the representatives (0, 0), (0, 1), (1, 500000)
+        # and (1, 500001) of Xi^T
+        assert set(Xi.dual_residues) == {(0, 0), (0, 2), (2, 0), (2, 2)}
 
 
 class TestSubsymbols:
@@ -243,7 +262,7 @@ class TestSubsymbols:
             m = Xi.coset_count
             d = int_det(Xi.transpose())
             adjT = int_adjugate(Xi.transpose())
-            primes = coset_reps(Xi, transpose=True)
+            primes = scan_coset_reps(Xi, transpose=True)
             for _ in range(20):
                 z = random_point(rng, Xi.dim)
                 zXi = z_pow_Xi(z, Xi)
@@ -303,6 +322,21 @@ class TestModulationPoints:
         assert len(pts) == 2
         assert max(abs(v - 1) for v in pts[0]) < 1e-15
         assert max(abs(v + 1) for v in pts[1]) < 1e-12
+
+    @pytest.mark.parametrize("Xi", SUITE_DILATIONS, ids=lambda X: str(X.Xi))
+    def test_matches_scan_reference(self, rng, Xi):
+        """The points e^{-2 pi i Xi^-T xi'} zeta over the scanned
+        representatives xi' of Xi^T, with Xi^-T xi' = adj(Xi^T) xi' / det;
+        the first is zeta."""
+        zeta = random_point(rng, Xi.dim)
+        adjT = int_adjugate(Xi.transpose())
+        expected = {tuple(cmath.exp(-2j * cmath.pi * wi / Xi.det) * zv
+                          for wi, zv in zip(matvec(adjT, xi_p), zeta))
+                    for xi_p in scan_coset_reps(Xi, transpose=True)}
+        points = modulation_points(Xi, zeta)
+        assert points[0] == zeta
+        assert len(points) == len(expected) == Xi.coset_count
+        assert set(points) == expected
 
     def test_scales_by_zeta(self, rng):
         zeta = random_point(rng, 2)
@@ -461,6 +495,13 @@ class TestKernelCheck:
         a = Impulse(2, dict(f.terms))
         report = subdivision_kernel_check(a, DIAG_23, [((1.0, 1.0), 0)])
         assert report["pass"]
+
+    @pytest.mark.parametrize("theta", [(1.0,), (1.0, 1.0, 1.0)])
+    def test_theta_dimension_mismatch_rejected(self, theta):
+        a = Impulse(2, {(0, 0): 1.0, (1, 1): -1.0})
+        with pytest.raises(ValueError, match=f"candidate theta has length {len(theta)}, "
+                                             "the mask dimension is 2"):
+            subdivision_kernel_check(a, QUINCUNX, [((1.0, 1.0), 0), (theta, 1)])
 
     def test_nonexpanding_rejected(self):
         a = Impulse(2, {(0, 0): 1.0})
@@ -877,22 +918,21 @@ def _scan_decompose(d, adj, alpha, reps):
     raise AssertionError(f"no coset representative matched {alpha}")
 
 
-DECOMPOSE_DILATIONS = [dil((5, 2), (-1, 4)), QUINCUNX, DIAG_23, dil((2, 1), (0, 2)),
-                       dil((0, 2), (3, 0)), dil((2, 0, 0), (0, 2, 0), (0, 0, 2)),
-                       dil((0, 0, 2), (1, 0, 0), (0, 1, 0)), TWO]
-
-
 class TestCosetDecompose:
     @pytest.mark.parametrize("Xi", DECOMPOSE_DILATIONS, ids=lambda X: str(X.Xi))
     def test_closed_form_matches_scan(self, rng, Xi):
-        for transpose in (False, True):
-            M = Xi.transpose() if transpose else Xi.Xi
-            reps = scan_coset_reps(Xi, transpose)
-            d, adj = int_det(M), int_adjugate(M)
-            for _ in range(200):
-                alpha = tuple(int(v) for v in rng.integers(-40, 41, size=Xi.dim))
-                assert _coset_decompose(Xi, alpha, transpose) == \
-                    _scan_decompose(d, adj, alpha, reps)
+        d, adj = int_det(Xi.Xi), int_adjugate(Xi.Xi)
+        reps = scan_coset_reps(Xi)
+        # the coset of alpha modulo Xi^T Z^s is named by the dual residue
+        # adj(Xi^T) alpha mod det, that of its representative
+        adjT = int_adjugate(Xi.transpose())
+        reps_T, residues = scan_coset_reps(Xi, transpose=True), set(Xi.dual_residues)
+        for _ in range(200):
+            alpha = tuple(int(v) for v in rng.integers(-40, 41, size=Xi.dim))
+            assert _coset_decompose(Xi, alpha) == _scan_decompose(d, adj, alpha, reps)
+            xi_p, _ = _scan_decompose(d, adjT, alpha, reps_T)
+            residue = tuple(v % d for v in matvec(adjT, alpha))
+            assert matvec(adjT, xi_p) == residue and residue in residues
 
     @pytest.mark.parametrize("Xi", DECOMPOSE_DILATIONS, ids=lambda X: str(X.Xi))
     def test_stored_adjugate(self, Xi):
@@ -937,7 +977,7 @@ class TestAdjugateOncePerCall:
     def test_coset_reps(self, calls):
         Xi = dil((5, 2), (-1, 4))
         calls.clear()
-        assert len(coset_reps(Xi)) == 22 and len(coset_reps(Xi, transpose=True)) == 22
+        assert len(coset_reps(Xi)) == 22 and len(Xi.dual_residues) == 22
         assert calls == []
 
     def test_subsymbols(self, calls, rng):
@@ -962,20 +1002,27 @@ class TestAdjugateOncePerCall:
 
 
 class TestDerivedDataOwned:
-    """A Dilation computes its coset representatives once per orientation,
-    an Impulse its normalized symbol once; every reader shares them."""
+    """A Dilation computes its coset representatives and its dual residues
+    once, an Impulse its normalized symbol once; every reader shares them."""
 
     @pytest.fixture
     def coset_calls(self, monkeypatch):
+        """The Dilation of each coset_reps call, and the number of closures
+        walked (coset_reps walks one, the dual residues another)."""
         from convkern import subdivision
-        seen = []
-        real = subdivision.coset_reps
+        seen = {"coset_reps": [], "closures": 0}
+        real_reps, real_closure = subdivision.coset_reps, subdivision._closure
 
-        def counting(Xi, transpose=False):
-            seen.append(transpose)
-            return real(Xi, transpose)
+        def counting_reps(Xi):
+            seen["coset_reps"].append(Xi)
+            return real_reps(Xi)
 
-        monkeypatch.setattr(subdivision, "coset_reps", counting)
+        def counting_closure(d, steps):
+            seen["closures"] += 1
+            return real_closure(d, steps)
+
+        monkeypatch.setattr(subdivision, "coset_reps", counting_reps)
+        monkeypatch.setattr(subdivision, "_closure", counting_closure)
         return seen
 
     @pytest.fixture
@@ -986,23 +1033,22 @@ class TestDerivedDataOwned:
         monkeypatch.setattr(filters, "laurent_normalize", lambda f: seen.append(f) or real(f))
         return seen
 
-    def test_coset_reps_once_per_orientation(self, coset_calls, rng):
+    def test_coset_reps_once_per_dilation(self, coset_calls, rng):
         Xi = dil((5, 2), (-1, 4))
         zeta = canonical_zero_representative(Xi, (0.5, 2.0))
         subs = subsymbols(random_mask(rng, 2), Xi)
         points = [modulation_points(Xi, zeta) for _ in range(5)]
         subsymbols(random_mask(rng, 2), Xi)
-        assert sorted(coset_calls) == [False, True]
+        assert coset_calls == {"coset_reps": [Xi], "closures": 2}
         assert list(subs) == coset_reps(Xi) and all(p == points[0] for p in points)
         assert Xi.reps == tuple(coset_reps(Xi))
-        assert Xi.transposed_reps == tuple(coset_reps(Xi, transpose=True))
 
-    def test_kernel_check_reads_each_orientation_once(self, coset_calls, rng):
+    def test_kernel_check_walks_each_closure_once(self, coset_calls, rng):
         Xi = dil((2, 1), (0, 2))
         theta, other = random_point(rng, 2), random_point(rng, 2)
         a = planted_mask(rng, Xi, theta, 1)
         subdivision_kernel_check(a, Xi, [(theta, 0), (theta, 1), (other, 0)])
-        assert sorted(coset_calls) == [False, True]
+        assert coset_calls == {"coset_reps": [Xi], "closures": 2}
 
     def test_normalized_symbol_once_per_impulse(self, normalize_calls, rng):
         Xi = dil((2, 1), (0, 2))
