@@ -99,28 +99,17 @@ def diff_tables(orders: Sequence[Exponent], support: Sequence[Exponent],
 def span_residual(fs: Sequence[LaurentPoly], basis: Sequence[LaurentPoly]) -> List[float]:
     """Relative least-squares residual of each f in fs against span(basis).
 
-    One projection with a matrix right-hand side: the part of f off the
-    basis support is residual outright, and the part on it is projected
-    onto an orthonormal basis of the span (left singular vectors, cut as
-    lstsq cuts them).  The SVD sees the basis rows only, so each residual
-    does not depend on which other f share the call, and projecting
-    through orthonormal columns keeps its error near eps * |f| instead of
-    growing with the basis's condition number as lstsq's A x - b does.  A
-    residual whose norms overflow raises OverflowError: NaN would pass
-    every tolerance test.
+    One lstsq with a matrix right-hand side over the joint support of fs
+    and the basis.  A residual whose norms overflow raises OverflowError:
+    NaN would pass every tolerance test.
     """
     fs = list(fs)
     support = joint_support(list(basis) + fs)
     A, _ = coeff_matrix(basis, support)
     B, _ = coeff_matrix(fs, support)
-    on = A.any(axis=1)
-    A_on, B_on = A[on], B[on]
     with np.errstate(over="ignore", invalid="ignore"):
-        U, s, _ = np.linalg.svd(A_on, full_matrices=False)
-        if s.size:
-            U = U[:, s > np.finfo(float).eps * max(A_on.shape) * s[0]]
-        res = np.hypot(np.linalg.norm(B_on - U @ (U.conj().T @ B_on), axis=0),
-                       np.linalg.norm(B[~on], axis=0))
+        coeffs, *_ = np.linalg.lstsq(A, B, rcond=None)
+        res = np.linalg.norm(A @ coeffs - B, axis=0)
         scale = np.linalg.norm(B, axis=0)
     if not (np.all(np.isfinite(res)) and np.all(np.isfinite(scale))):
         raise OverflowError("span residual overflows")
