@@ -362,8 +362,8 @@ def _powers(t: complex, exps: List[int]) -> np.ndarray:
     """t ** e for each e in exps, NaN where complex ** cannot represent the
     power: it raises OverflowError past double range and ZeroDivisionError
     for e < 0 once t^|e| underflows, while other negative powers past range
-    already come out NaN.  The per-element path runs only after the fast
-    one raises."""
+    already come out NaN.  A negative power of t = 0 still raises.  The
+    per-element path runs only after the fast one raises."""
     t = complex(t)
     try:
         return np.fromiter(map(t.__pow__, exps), complex, len(exps))
@@ -375,6 +375,8 @@ def _power_or_nan(t: complex, e: int) -> complex:
     try:
         return t ** e
     except (OverflowError, ZeroDivisionError):
+        if t == 0:
+            raise
         return complex("nan+nanj")
 
 
@@ -418,6 +420,8 @@ def kernel_residual(H: Sequence[Impulse], terms: Sequence[Term], pad: int = 0) -
     # window -> theta -> the rows of its terms there
     groups: Dict[Window, Dict[Tuple[complex, ...], List[int]]] = {}
     for r, (theta, p) in enumerate(terms):
+        if 0 in theta:
+            raise ValueError("theta must lie in C_x^s")
         groups.setdefault(certified_window(p.dim, p.degree(), pad), {}) \
             .setdefault(theta, []).append(r)
     out = [0.0] * len(terms)

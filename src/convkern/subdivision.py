@@ -18,7 +18,8 @@ symbol at every modulation point, the subsymbol test every subsymbol at
 each theta^-1.  The row values of a matrix product depend on its row
 count, so order k multiplies the first dim Pi_k rows of the table and a
 symbol's columns, copied contiguous: each value is bit-identical to that
-of a table built for that order and symbol alone.  The oracle test decides at max(tol, ORACLE_TOL), like every other oracle.
+of a table built for that order and symbol alone.  The oracle test
+decides at max(tol, ORACLE_TOL), like every other oracle.
 Each candidate record carries the residual and tolerance of the test that
 decides it, which the subdivide command prints.
 """

@@ -166,7 +166,6 @@ class TestKernelResidual:
         res, = kernel_residual([h], [((0.5,), x * x)])
         assert res >= 1e-3
 
-
     @pytest.mark.parametrize("theta", [1e155, 1e-155, 1e300, 1e-300])
     def test_out_of_range_power_is_nan(self, theta):
         """theta^2 past double range (1e155), or theta^-3 of an underflowed
@@ -178,6 +177,17 @@ class TestKernelResidual:
             warnings.simplefilter("error")
             res, = kernel_residual([h], [((theta,), x * x)])
         assert not math.isfinite(res)
+
+    def test_zero_theta_refused(self):
+        """A zero theta component is malformed input, not an out-of-range
+        power: kernel_residual refuses it, and convolve still raises on its
+        negative powers."""
+        h = Impulse(1, {(0,): 1.0, (3,): -1.0})
+        x = LaurentPoly.variable(1, 0)
+        with pytest.raises(ValueError, match="C_x"):
+            kernel_residual([h], [((0.0,), x * x)])
+        with pytest.raises(ZeroDivisionError):
+            convolve(h, [((0j,), x * x)], Window((0,), (2,)))
 
 
 class TestEigen:
