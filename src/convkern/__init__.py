@@ -19,10 +19,9 @@ from .newton import (PThetaBasis, WITH_SIGMA_MINUS, L_inv, L_op, build_p_theta,
 from .spectrum import (FundamentalSystem, Spectrum, Zero, certify_eigen, certify_hermite,
                        certify_kernel, dual_apply, hermite_fundamentals, ideal_complement_filters,
                        kernel_basis, quotient_dim_estimate, verify_zero_dim)
-from .subdivision import (Dilation, NotExpandingError, canonical_zero_representative,
-                          coset_reps, is_expanding, is_symmetric_zero, modulation_points,
-                          subdivide, subdivision_kernel_check, subsymbols,
-                          symmetric_zero_order,
+from .subdivision import (Dilation, canonical_zero_representative, coset_reps,
+                          is_expanding, is_symmetric_zero, modulation_points, subdivide,
+                          subdivision_kernel_check, subsymbols, symmetric_zero_order,
                           z_pow_Xi)
 
 __version__ = "0.1.0"
@@ -41,7 +40,7 @@ __all__ = [
     "hermite_fundamentals", "certify_hermite", "ideal_complement_filters", "certify_kernel",
     "kernel_basis",
     "quotient_dim_estimate",
-    "Dilation", "NotExpandingError", "is_expanding", "coset_reps", "subsymbols", "z_pow_Xi",
+    "Dilation", "is_expanding", "coset_reps", "subsymbols", "z_pow_Xi",
     "modulation_points", "is_symmetric_zero", "subdivide",
     "subdivision_kernel_check", "canonical_zero_representative",
     "symmetric_zero_order",

@@ -7,7 +7,10 @@ work.  On real inputs the conjugation is a no-op and the form is the usual
 bilinear one.
 
 DInvariantSpace.ortho_basis is ortho_homog_basis, computed once, on first
-use; every reader of the orthonormal basis shares it.
+use; every reader of the orthonormal basis shares it.  It exists only for a
+space spanned by homogeneous polynomials, which not every D-invariant space
+is: span{1, x1, x1^2 + x2} is accepted on construction, and the library
+refuses it, with a ValueError, wherever its orthonormal basis is read.
 
 A space is checked once, on construction: is_d_invariant tests every
 nonzero first partial of the basis in one span_residual call, a single
@@ -174,9 +177,10 @@ def ortho_homog_basis(space: DInvariantSpace) -> List[LaurentPoly]:
     """Bombieri-orthonormal homogeneous basis of a D-invariant space.
 
     Splits the basis elements into homogeneous components, checks that the
-    components do not enlarge the span (a D-invariant multiplicity space is
-    homogeneously generated), and orthonormalizes degree by degree with
-    two-pass Gram-Schmidt.
+    components do not enlarge the span, and orthonormalizes degree by degree
+    with two-pass Gram-Schmidt.  A D-invariant space need not be spanned by
+    homogeneous polynomials (span{1, x1, x1^2 + x2} is not); such a space is
+    refused with a ValueError.
 
     Each basis element is split in one pass over its terms, its components
     in ascending degree, each keeping the element's term order.  A step

@@ -208,10 +208,6 @@ BLOCK_PAIRS = 1 << 13
 MAX_WINDOW_PAIRS = 2 * 10 ** 5
 
 
-class WindowLimitError(ValueError):
-    """The windows of a request cover more than MAX_WINDOW_PAIRS pairs."""
-
-
 def window_side(degree: int, pad: int) -> int:
     """Points per axis of the certified window {0..degree+pad}^s of a row
     of that degree: certified_window and require_window_pairs share it."""
@@ -221,7 +217,7 @@ def window_side(degree: int, pad: int) -> int:
 def require_window_pairs(dim: int, pad: int, rows_by_degree: Iterable[Tuple[int, int]]) -> int:
     """The (row, window point) count sum rows (degree + pad + 1)^dim over the
     (degree, rows) pairs given, each row of degree d checked over its own
-    certified window {0..d+pad}^dim; raises WindowLimitError above
+    certified window {0..d+pad}^dim; raises ValueError above
     MAX_WINDOW_PAIRS.  A window of 2^64 points or more is not counted."""
     count = 0
     for degree, rows in rows_by_degree:
@@ -232,8 +228,8 @@ def require_window_pairs(dim: int, pad: int, rows_by_degree: Iterable[Tuple[int,
         count += rows * side ** dim
     if count is None or count > MAX_WINDOW_PAIRS:
         told = "more than 2**64" if count is None else str(count)
-        raise WindowLimitError(f"the certified windows cover {told} (row, window point) "
-                               f"pairs, above the limit of {MAX_WINDOW_PAIRS}")
+        raise ValueError(f"the certified windows cover {told} (row, window point) "
+                         f"pairs, above the limit of {MAX_WINDOW_PAIRS}")
     return count
 
 

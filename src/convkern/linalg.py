@@ -67,7 +67,10 @@ def diff_tables(orders: Sequence[Exponent], support: Sequence[Exponent],
     (e)_a = prod_{i<a} (e - i); exponents may be negative (Laurent
     monomials), as in LaurentPoly.diff.  The falling factorials are shared
     by all points; powers are taken with integer exponents, one per point
-    and distinct exponent.
+    and distinct exponent.  A power that complex ** cannot represent
+    raises, unless every falling factorial that multiplies it is 0: then,
+    and only after the power of some exponent has raised, the table takes
+    the powers of the live exponents alone.
     """
     points = [[complex(v) for v in p] for p in points]
     dim = len(points[0])
@@ -86,9 +89,15 @@ def diff_tables(orders: Sequence[Exponent], support: Sequence[Exponent],
             raise ZeroDivisionError("zero coordinate with negative exponent")
         exps = sorted(set(k.ravel().tolist()))
         ints = [int(x) for x in exps]
-        # a zero ff masks the stand-in 0 for 0^(negative)
-        powers = np.array([[c ** x if c != 0 or x >= 0 else 0j for x in ints]
-                           for c in coords], dtype=complex).reshape(len(coords), len(ints))
+        try:
+            # a zero ff masks the stand-in 0 for 0^(negative)
+            powers = np.array([[c ** x if c != 0 or x >= 0 else 0j for x in ints]
+                               for c in coords], dtype=complex)
+        except (OverflowError, ZeroDivisionError):
+            live = set(k[ff != 0].tolist())  # a dead power stands in as 0
+            powers = np.array([[c ** x if y in live else 0j for y, x in zip(exps, ints)]
+                               for c in coords], dtype=complex)
+        powers = powers.reshape(len(coords), len(ints))
         # in place: one (points, orders, support) temporary, not two
         factor = powers[:, np.searchsorted(exps, k)]
         factor *= ff

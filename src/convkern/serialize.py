@@ -4,13 +4,16 @@ subdivision candidates and eigen specs.
 All emitters order their output canonically (graded-lex term order, fixed key
 order), so serialized bytes are reproducible across runs.
 
-Parsers enforce the input contract and raise FormatError otherwise: every
+Parsers enforce the input contract and raise ValueError otherwise: every
 real is a finite JSON number, every exponent, index, dimension, order and
 matrix entry is a JSON integer (not a float or a bool), every theta lies in
 C_x^s (no zero component), the zeros of a spectrum have pairwise distinct
-theta (DUPLICATE_THETA_TOL), every filter of a filter file has a nonzero tap,
-multiplicity spaces have total degree and candidates order at most
-MAX_FACTORIAL, and a dilation has at most MAX_COSETS cosets, |det Xi|.
+theta (DUPLICATE_THETA_TOL), no impulse repeats a tap index, every filter of
+a filter file has a nonzero tap, multiplicity spaces have total degree and
+candidates order at most MAX_FACTORIAL, and a dilation has at most
+MAX_COSETS cosets, |det Xi|.  The constructors the parsers call (Zero,
+Spectrum, DInvariantSpace, Dilation) raise their own ValueError, which
+passes through unchanged.
 
 dumps writes a report as exactly the bytes of json.dumps(obj, indent=2,
 allow_nan=False) followed by a newline: 2-space indent, "," and ": "
@@ -20,7 +23,7 @@ float.__repr__ and int.__repr__ (subclasses such as np.float64 included).
 json.dumps with an indent runs the pure-Python generator encoder, because the
 C encoder does not indent; a direct recursive writer that appends one
 fragment per member is about twice as fast, at no more peak memory.  A
-non-finite float cannot be written: dumps raises FormatError naming its path,
+non-finite float cannot be written: dumps raises ValueError naming its path,
 found by a second walk only after the writer hits it.  Other types and
 non-str keys raise TypeError.
 """
@@ -40,28 +43,24 @@ from .subdivision import Dilation
 MAX_COSETS = 10 ** 5  # cosets of Z^s / Xi Z^s, |det Xi|, that a dilation may have
 
 
-class FormatError(ValueError):
-    """Malformed or inconsistent JSON payload."""
-
-
 def _real(v: Any, what: str) -> float:
     try:
         if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
             return float(v)
     except OverflowError:  # an integer too large for a float
         pass
-    raise FormatError(f"{what} must be a finite number, got {v!r}")
+    raise ValueError(f"{what} must be a finite number, got {v!r}")
 
 
 def _integer(v: Any, what: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise FormatError(f"{what} must be an integer, got {v!r}")
+        raise ValueError(f"{what} must be an integer, got {v!r}")
     return v
 
 
 def _array(obj: Any, what: str) -> list:
     if not isinstance(obj, list):
-        raise FormatError(f"{what} must be a JSON array")
+        raise ValueError(f"{what} must be a JSON array")
     return obj
 
 
@@ -80,14 +79,14 @@ def complex_to_json(c: complex) -> Dict[str, float]:
 
 def complex_from_json(obj: Any) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
-        raise FormatError(f"expected {{re, im}}, got {obj!r}")
+        raise ValueError(f"expected {{re, im}}, got {obj!r}")
     return _parts(obj)
 
 
 def _thetas(obj: Any) -> Tuple[complex, ...]:
     theta = tuple(complex_from_json(t) for t in _array(obj, "theta"))
     if 0 in theta:
-        raise FormatError("theta must lie in C_x^s")
+        raise ValueError("theta must lie in C_x^s")
     return theta
 
 
@@ -100,17 +99,17 @@ def poly_from_json(obj: Any, dim: int | None = None) -> LaurentPoly:
     terms = {}
     for entry in _array(obj, "polynomial"):
         if not isinstance(entry, dict) or "exp" not in entry:
-            raise FormatError(f"bad polynomial term {entry!r}")
+            raise ValueError(f"bad polynomial term {entry!r}")
         exp = _integers(entry["exp"], "exponent")
         if dim is None:
             dim = len(exp)
         elif len(exp) != dim:
-            raise FormatError("inconsistent exponent dimensions")
+            raise ValueError("inconsistent exponent dimensions")
         terms[exp] = terms.get(exp, 0) + _parts(entry)
     if dim is None:
-        raise FormatError("cannot infer dimension of an empty polynomial")
+        raise ValueError("cannot infer dimension of an empty polynomial")
     if dim < 1:
-        raise FormatError("polynomial dimension must be positive")
+        raise ValueError("polynomial dimension must be positive")
     return LaurentPoly(dim, terms)
 
 
@@ -118,21 +117,14 @@ def _basis_from_json(obj: Any, dim: int) -> Tuple[LaurentPoly, ...]:
     basis = tuple(poly_from_json(p, dim) for p in _array(obj, "Q_basis"))
     for p in basis:
         if p.is_poly and p.degree() > MAX_FACTORIAL:
-            raise FormatError(f"Q_basis polynomial of total degree {p.degree()} "
-                              f"exceeds the degree guard {MAX_FACTORIAL}")
+            raise ValueError(f"Q_basis polynomial of total degree {p.degree()} "
+                             f"exceeds the degree guard {MAX_FACTORIAL}")
     return basis
-
-
-def _space(basis: Tuple[LaurentPoly, ...]) -> DInvariantSpace:
-    try:
-        return DInvariantSpace(basis)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def space_from_json(obj: Any, dim: int) -> DInvariantSpace:
     """A D-invariant space from a JSON array of basis polynomials."""
-    return _space(_basis_from_json(obj, dim))
+    return DInvariantSpace(_basis_from_json(obj, dim))
 
 
 def impulse_to_json(h: Impulse) -> Dict[str, Any]:
@@ -143,17 +135,19 @@ def impulse_to_json(h: Impulse) -> Dict[str, Any]:
 
 def impulse_from_json(obj: Any) -> Impulse:
     if not isinstance(obj, dict) or "dim" not in obj or "taps" not in obj:
-        raise FormatError("impulse must be {dim, taps}")
+        raise ValueError("impulse must be {dim, taps}")
     dim = _integer(obj["dim"], "dim")
     if dim < 1:
-        raise FormatError("impulse dimension must be positive")
+        raise ValueError("impulse dimension must be positive")
     taps = {}
     for entry in _array(obj["taps"], "taps"):
         if not isinstance(entry, dict) or "index" not in entry:
-            raise FormatError(f"bad tap {entry!r}")
+            raise ValueError(f"bad tap {entry!r}")
         idx = _integers(entry["index"], "tap index")
         if len(idx) != dim:
-            raise FormatError("tap index has wrong dimension")
+            raise ValueError("tap index has wrong dimension")
+        if idx in taps:
+            raise ValueError(f"repeated tap index {list(idx)}")
         taps[idx] = _parts(entry)
     return Impulse(dim, taps)
 
@@ -164,15 +158,15 @@ def filters_to_json(H: Sequence[Impulse]) -> Dict[str, Any]:
 
 def filters_from_json(obj: Any) -> List[Impulse]:
     if not isinstance(obj, dict) or "filters" not in obj:
-        raise FormatError("filter file must be {filters: [...]}")
+        raise ValueError("filter file must be {filters: [...]}")
     out = [impulse_from_json(entry) for entry in _array(obj["filters"], "filters")]
     if not out:
-        raise FormatError("empty filter list")
+        raise ValueError("empty filter list")
     for i, h in enumerate(out):
         if h.is_zero:
-            raise FormatError(f"filter {i} has no nonzero tap")
+            raise ValueError(f"filter {i} has no nonzero tap")
     if len({h.dim for h in out}) != 1:
-        raise FormatError("filters have mixed dimensions")
+        raise ValueError("filters have mixed dimensions")
     return out
 
 
@@ -186,10 +180,10 @@ def spectrum_to_json(spec: Spectrum) -> Dict[str, Any]:
 
 def spectrum_from_json(obj: Any) -> Spectrum:
     if not isinstance(obj, dict) or "zeros" not in obj:
-        raise FormatError("spectrum must be {dim, zeros}")
+        raise ValueError("spectrum must be {dim, zeros}")
     dim = _integer(obj.get("dim", 0), "dim")
     if dim < 0:
-        raise FormatError("spectrum dimension must be nonnegative")
+        raise ValueError("spectrum dimension must be nonnegative")
     zeros = []
     # Zeros with equal bases share one space, so its D-invariance check and
     # orthonormal basis run once.  The key keeps each polynomial's term order,
@@ -197,50 +191,39 @@ def spectrum_from_json(obj: Any) -> Spectrum:
     spaces: Dict[Tuple, DInvariantSpace] = {}
     for entry in _array(obj["zeros"], "zeros"):
         if not isinstance(entry, dict) or not {"theta", "Q_basis"} <= set(entry):
-            raise FormatError("zero must be {theta, Q_basis}")
+            raise ValueError("zero must be {theta, Q_basis}")
         theta = _thetas(entry["theta"])
         if dim and len(theta) != dim:
-            raise FormatError("theta has wrong dimension")
+            raise ValueError("theta has wrong dimension")
         basis = _basis_from_json(entry["Q_basis"], dim or len(theta))
         key = (dim or len(theta), tuple(tuple(p.terms.items()) for p in basis))
         if key not in spaces:
-            spaces[key] = _space(basis)
-        space = spaces[key]
-        try:
-            zeros.append(Zero(theta, space))
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-    # a duplicate theta or mixed dimensions make the input malformed
-    try:
-        return Spectrum(tuple(zeros))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+            spaces[key] = DInvariantSpace(basis)
+        zeros.append(Zero(theta, spaces[key]))
+    return Spectrum(tuple(zeros))
 
 
 def dilation_from_json(obj: Any) -> Dilation:
     if not isinstance(obj, dict) or "Xi" not in obj:
-        raise FormatError("dilation must be {Xi}")
+        raise ValueError("dilation must be {Xi}")
     rows = tuple(_integers(row, "dilation entry") for row in _array(obj["Xi"], "Xi"))
-    try:
-        Xi = Dilation(rows)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    Xi = Dilation(rows)
     if Xi.coset_count > MAX_COSETS:
-        raise FormatError(f"dilation has |det Xi| = {Xi.coset_count} cosets, "
-                          f"above the limit of {MAX_COSETS}")
+        raise ValueError(f"dilation has |det Xi| = {Xi.coset_count} cosets, "
+                         f"above the limit of {MAX_COSETS}")
     return Xi
 
 
 def candidates_from_json(obj: Any) -> List:
     if not isinstance(obj, dict) or "candidates" not in obj:
-        raise FormatError("candidates must be {candidates}")
+        raise ValueError("candidates must be {candidates}")
     out = []
     for entry in _array(obj["candidates"], "candidates"):
         if not isinstance(entry, dict) or "theta" not in entry:
-            raise FormatError("candidate must be {theta, order}")
+            raise ValueError("candidate must be {theta, order}")
         order = _integer(entry.get("order", 0), "candidate order")
         if not 0 <= order <= MAX_FACTORIAL:
-            raise FormatError(f"candidate order must lie in 0..{MAX_FACTORIAL}, got {order}")
+            raise ValueError(f"candidate order must lie in 0..{MAX_FACTORIAL}, got {order}")
         out.append((_thetas(entry["theta"]), order))
     return out
 
@@ -249,14 +232,14 @@ def eigenspec_from_json(obj: Any, dim: int):
     """(theta, lambda, alpha, Q) of an eigen spec for a filter in dim
     variables; lambda defaults to 1, alpha to 0 and Q to the constants."""
     if not isinstance(obj, dict) or "theta" not in obj:
-        raise FormatError("eigen spec must contain theta")
+        raise ValueError("eigen spec must contain theta")
     theta = _thetas(obj["theta"])
     if len(theta) != dim:
-        raise FormatError("theta has wrong dimension")
+        raise ValueError("theta has wrong dimension")
     lam = complex_from_json(obj.get("lambda", {"re": 1.0, "im": 0.0}))
     alpha = _integers(obj.get("alpha", [0] * dim), "eigen alpha")
     if len(alpha) != dim:
-        raise FormatError("alpha has wrong dimension")
+        raise ValueError("alpha has wrong dimension")
     basis = obj.get("Q_basis")
     if basis:
         Q = space_from_json(basis, dim)
@@ -271,7 +254,7 @@ _int = int.__repr__
 
 
 class _NonFinite(Exception):
-    """A float that JSON cannot hold; dumps names it in a FormatError."""
+    """A float that JSON cannot hold; dumps names it in a ValueError."""
 
 
 def _scalar(v: Any) -> str | None:
@@ -368,7 +351,7 @@ def _non_finite(obj: Any, path: str = "") -> Tuple[str, float] | None:
 
 def dumps(obj: Any) -> str:
     """The bytes of json.dumps(obj, indent=2, allow_nan=False) + "\n", written
-    directly; a non-finite float raises FormatError naming its path."""
+    directly; a non-finite float raises ValueError naming its path."""
     try:
         text = _scalar(obj)
         if text is None:
@@ -377,6 +360,6 @@ def dumps(obj: Any) -> str:
             text = "".join(parts)
     except _NonFinite:
         path, value = _non_finite(obj)
-        raise FormatError(f"{path or 'report'} is {value!r}: input magnitudes "
-                          "overflow double precision") from None
+        raise ValueError(f"{path or 'report'} is {value!r}: input magnitudes "
+                         "overflow double precision") from None
     return text + "\n"

@@ -20,8 +20,10 @@ fundamentals are built block by block, one block per zero, from one jet
 table (linalg.diff_tables) per distinct multiplicity space over the points
 of its zeros; the Hermite degree search starts at the first degree with
 enough monomials and refuses a degree whose matrix would have more than
-MAX_COLLOCATION_ENTRIES entries, which the hermite command reports as an
-input error.  verify_zero_dim evaluates its conditions one by one
+MAX_COLLOCATION_ENTRIES entries with a ValueError, an input error like
+every other.  A search that never reaches full rank is a verdict, not an
+error: hermite_fundamentals returns None and certify_hermite a failed
+record.  verify_zero_dim evaluates its conditions one by one
 through dual_apply, and certify_kernel checks the P_theta of every zero in
 one oracle call.  The dual functionals come from each zero's
 DInvariantSpace.ortho_basis and the symbols from Impulse.normalized_symbol,
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,10 +53,6 @@ KRONECKER_TOL = 1e-8
 # the total multiplicity; the degree search refuses a degree above it
 # before building that matrix.
 MAX_COLLOCATION_ENTRIES = 10 ** 5
-
-
-class CollocationLimitError(ValueError):
-    """The Hermite collocation matrix would exceed MAX_COLLOCATION_ENTRIES."""
 
 
 # Two zeros of a Spectrum whose theta differ by at most this much in every
@@ -145,7 +143,7 @@ def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
     every sequence, and its conditions read 0."""
     dims = {h.dim for h in H}
     if len(dims) != 1 or (spec.zeros and spec.dim not in dims):
-        raise ValueError("filters and spectrum must share one dimension")
+        raise ValueError("filter and spectrum dimensions differ")
     records = []
     ok = True
     for hi, h in enumerate(H):
@@ -206,13 +204,14 @@ class FundamentalSystem:
         return _functional_rows(self.spec, support) @ C
 
 
-def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
+def hermite_fundamentals(spec: Spectrum) -> Optional[FundamentalSystem]:
     """Minimal-degree fundamentals via the collocation matrix, increasing the
     degree until the dual functionals become independent; minimum-norm
     solutions break ties.  The search starts at the first degree d >= max
-    deg Q_theta with dim Pi_d >= n, the total multiplicity; a degree whose
+    deg Q_theta with dim Pi_d >= n, the total multiplicity, and ends at
+    max deg Q_theta + n; None when no degree reaches rank n.  A degree whose
     collocation matrix has more than MAX_COLLOCATION_ENTRIES entries
-    n dim Pi_d raises CollocationLimitError before it is built."""
+    n dim Pi_d raises ValueError before it is built."""
     if not spec.zeros:
         return FundamentalSystem(spec, ())
     n = spec.total_multiplicity
@@ -225,7 +224,7 @@ def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
     for d in range(start, d0 + n + 1):
         entries = n * math.comb(d + spec.dim, spec.dim)
         if entries > MAX_COLLOCATION_ENTRIES:
-            raise CollocationLimitError(
+            raise ValueError(
                 f"the Hermite collocation matrix at degree {d} has {entries} entries, "
                 f"above the limit of {MAX_COLLOCATION_ENTRIES}")
         monos = monomials_upto(spec.dim, d)
@@ -240,8 +239,7 @@ def hermite_fundamentals(spec: Spectrum) -> FundamentalSystem:
                     polys.append((zi, qi, from_coeff_vector(spec.dim, coeffs, monos)))
                     idx += 1
             return FundamentalSystem(spec, tuple(polys))
-    raise ValueError("dual functionals never reached full rank; "
-                     "spectrum is inconsistent (duplicate or degenerate zeros)")
+    return None
 
 
 def certify_hermite(spec: Spectrum) -> Dict:
@@ -251,15 +249,13 @@ def certify_hermite(spec: Spectrum) -> Dict:
 
     Returns the FundamentalSystem under "system", its dual matrix under
     "dual" and one record (residual, tolerance, pass) under "kronecker";
-    when hermite_fundamentals raises ValueError, only "error", its message,
-    and "pass", False.  CollocationLimitError, an input limit, is raised.
+    when hermite_fundamentals finds none, only "error", why, and "pass",
+    False.  A ValueError, the input refused, is raised.
     """
-    try:
-        system = hermite_fundamentals(spec)
-    except CollocationLimitError:
-        raise
-    except ValueError as exc:
-        return {"pass": False, "error": str(exc)}
+    system = hermite_fundamentals(spec)
+    if system is None:
+        return {"pass": False, "error": "dual functionals never reached full rank; "
+                "spectrum is inconsistent (duplicate or degenerate zeros)"}
     dual = system.dual_matrix()
     worst = float(np.max(np.abs(dual - np.eye(dual.shape[0])), initial=0.0))
     kronecker = {"residual": worst, "tolerance": KRONECKER_TOL, "pass": worst <= KRONECKER_TOL}
@@ -287,7 +283,7 @@ def ideal_complement_filters(spec: Spectrum, count: int, max_degree: int) -> Lis
 def require_kernel_windows(spec: Spectrum, pad: int = 0) -> int:
     """The (row, window point) count of the spectrum's kernel windows: one
     row per orthonormal basis element q of every zero, the P_theta element
-    built from it having q's degree; raises WindowLimitError above
+    built from it having q's degree; raises ValueError above
     MAX_WINDOW_PAIRS."""
     if not spec.zeros:
         return 0
@@ -305,13 +301,13 @@ def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
     tolerance, pass), checked against max(tol, ORACLE_TOL) times
     max(1, |h|_1 over H) max(1, |p|), and "kernel" the (theta, P_theta)
     bases; otherwise both are empty.  Kernel windows over more than
-    MAX_WINDOW_PAIRS (row, window point) pairs raise WindowLimitError
-    before any check runs.
+    MAX_WINDOW_PAIRS (row, window point) pairs raise ValueError before any
+    window is built.
     """
     from .newton import build_p_theta
 
-    require_kernel_windows(spec, pad)
     report = verify_zero_dim(H, spec, tol=tol)
+    require_kernel_windows(spec, pad)
     oracle, kernel = [], []
     if report["pass"]:
         h_scale = max(1.0, max(h.l1() for h in H))
@@ -337,7 +333,7 @@ def certify_eigen(h: Impulse, theta: Sequence[complex], Q: DInvariantSpace, lam:
     of the eigen_residual of e_theta, at certify_kernel's oracle tolerance
     for h'.  The oracle checks e_theta only, not every element of P_theta,
     and runs whether or not the conditions pass.  A window {0..pad}^s of
-    more than MAX_WINDOW_PAIRS points raises WindowLimitError.
+    more than MAX_WINDOW_PAIRS points raises ValueError.
     """
     require_window_pairs(h.dim, pad, [(0, 1)])
     shifted = eigen_impulse(h, lam, alpha_h)

@@ -149,10 +149,6 @@ class Dilation:
 EXPANDING_MARGIN = 1e-9
 
 
-class NotExpandingError(ValueError):
-    """A dilation matrix with an eigenvalue of modulus at most 1."""
-
-
 def is_expanding(Xi: Dilation) -> bool:
     """Every eigenvalue of Xi has modulus above 1 + EXPANDING_MARGIN."""
     eigvals = np.linalg.eigvals(np.array(Xi.Xi, dtype=float))
@@ -239,9 +235,9 @@ def _jet_violations(symbols: Sequence[LaurentPoly], scale: float,
     """Per group (points, orders) and order k in orders, the largest
     |D^beta g(z)| / (scale max(1, |z|_inf^deg)) over |beta| <= k, g in
     symbols and z in points, deg the top degree of the symbols; NaN
-    propagates.  The symbols are laid out once over their union support;
-    one jet table per group, at its top order, serves every order and
-    symbol (see the module docstring)."""
+    propagates, without numpy's warnings.  The symbols are laid out once
+    over their union support; one jet table per group, at its top order,
+    serves every order and symbol (see the module docstring)."""
     union = joint_support(symbols)
     column = {exp: i for i, exp in enumerate(union)}
     stacks = []
@@ -252,21 +248,22 @@ def _jet_violations(symbols: Sequence[LaurentPoly], scale: float,
         stacks.append((coeffs, slice(None) if len(cols) == len(union) else cols))
     degree = max((g.degree() for g in symbols), default=0)
     out = []
-    for points, orders in groups:
-        dim = len(points[0])
-        point_scales = np.array([scale * max(1.0, max(abs(v) for v in point) ** degree)
-                                 for point in points])
-        table = diff_tables(monomials_upto(dim, max(orders, default=0)), union, points)
-        worst = []
-        for k in orders:
-            rows = table[:, :math.comb(dim + k, k)]
-            vals = np.zeros(rows.shape[:2])
-            for coeffs, cols in stacks:
-                # propagates NaN
-                vals = np.maximum(vals, np.abs(np.ascontiguousarray(rows[:, :, cols]) @ coeffs)
-                                  / point_scales[:, None])
-            worst.append(float(np.max(vals, initial=0.0)))
-        out.append(worst)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points, orders in groups:
+            dim = len(points[0])
+            point_scales = np.array([scale * max(1.0, max(abs(v) for v in point) ** degree)
+                                     for point in points])
+            table = diff_tables(monomials_upto(dim, max(orders, default=0)), union, points)
+            worst = []
+            for k in orders:
+                rows = table[:, :math.comb(dim + k, k)]
+                vals = np.zeros(rows.shape[:2])
+                for coeffs, cols in stacks:
+                    # propagates NaN
+                    vals = np.maximum(vals, np.abs(np.ascontiguousarray(rows[:, :, cols])
+                                                   @ coeffs) / point_scales[:, None])
+                worst.append(float(np.max(vals, initial=0.0)))
+            out.append(worst)
     return out
 
 
@@ -356,65 +353,65 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     rows of one kernel_residual call over the monomials of Pi_K of every
     theta (those of Pi_k are a prefix); each value equals that of the
     candidate alone.  The report also carries the subsymbols, keyed by
-    coset representative.  A theta of the wrong length raises ValueError, a
-    dilation that is not expanding NotExpandingError, and oracle windows
-    over more than MAX_WINDOW_PAIRS (row, window point) pairs
-    WindowLimitError, before any Pi_K is enumerated.  Overflowing input
-    yields NaN values, which fail, without numpy's warnings.
+    coset representative.  A ValueError refuses, in this order, a mask and
+    dilation of different dimensions, a theta of the wrong length, a
+    dilation that is not expanding and oracle windows over more than
+    MAX_WINDOW_PAIRS (row, window point) pairs, before any Pi_K is
+    enumerated.  Overflowing input yields NaN values, which fail, without
+    numpy's warnings.
     """
+    if a.dim != Xi.dim:
+        raise ValueError("mask and dilation dimensions differ")
     # one theta object per candidate keys the table below, so that even a
     # NaN theta (hashed by identity) finds its entries
     candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
-    for theta, _ in candidates:
-        if len(theta) != a.dim:
-            raise ValueError(f"candidate theta has length {len(theta)}, "
-                             f"the mask dimension is {a.dim}")
+    if any(len(theta) != a.dim for theta, _ in candidates):
+        raise ValueError("candidate theta has wrong dimension")
     if not is_expanding(Xi):
-        raise NotExpandingError("dilation matrix is not expanding")
-    with np.errstate(over="ignore", invalid="ignore"):
-        subs = subsymbols(a, Xi)
-        sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
-        # a monomial factor is a unit away from the origin, so normalizing
-        # each subsymbol leaves its vanishing order at theta^-1 unchanged
-        sub_symbols = [h.normalized_symbol for h in sub_impulses]
-        l1 = max(1.0, a.l1())
-        asked: Dict[Tuple[complex, ...], set] = {}
-        for theta, k in candidates:
-            asked.setdefault(theta, set()).add(k)
-        # the oracle checks each of the C(d+s-1, d) monomials of degree d over
-        # {0..d}^s; counted, since monomials_upto walks (K+1)^s tuples
-        require_window_pairs(a.dim, 0, ((d, math.comb(d + a.dim - 1, d))
-                                        for ks in asked.values() for d in range(max(ks) + 1)))
-        orders = {theta: sorted(ks) for theta, ks in asked.items()}
-        subsymbol_tests = _jet_violations(sub_symbols, l1, [
-            ([tuple(1.0 / t for t in theta)], ks) for theta, ks in orders.items()])
-        residuals = iter(kernel_residual(sub_impulses, [
-            (theta, LaurentPoly.monomial(a.dim, exp))
-            for theta, ks in orders.items() for exp in monomials_upto(a.dim, ks[-1])]))
-        # theta -> order -> (symmetric zero, subsymbol, oracle) violations
-        table: Dict[Tuple[complex, ...], Dict[int, Tuple[float, float, float]]] = {}
-        for (theta, ks), sub in zip(orders.items(), subsymbol_tests):
-            dims = [math.comb(a.dim + k, k) for k in ks]  # dim Pi_k
-            oracle = np.array([next(residuals) / l1 for _ in range(dims[-1])])
-            sym = is_symmetric_zero(a, Xi, canonical_zero_representative(Xi, theta), ks, tol=tol)
-            # np.max propagates NaN
-            table[theta] = {k: (sym_k, sub_k, float(np.max(oracle[:n], initial=0.0)))
-                            for k, n, (_, sym_k), sub_k in zip(ks, dims, sym, sub)}
-        results = []
-        for theta, k in candidates:
-            sym_worst, sub_worst, oracle_worst = table[theta][k]
-            # (value, tolerance) of the three tests, in report order
-            tests = [(sym_worst, tol), (sub_worst, tol),
-                     (oracle_worst, max(tol, ORACLE_TOL))]
-            failed = [test for test in tests if not test[0] <= test[1]]
-            # the first failed test, else the one nearest its tolerance; a
-            # test at tolerance 0 passes only at value 0
-            value, bound = failed[0] if failed else max(
-                tests, key=lambda test: test[0] / test[1] if test[1] else 0.0)
-            results.append({"theta": theta, "order": k, "pass": not failed,
-                            "symmetric_zero_violation": sym_worst,
-                            "subsymbol_violation": sub_worst,
-                            "oracle_residual": oracle_worst,
-                            "residual": value, "tolerance": bound})
-        return {"pass": all(rec["pass"] for rec in results), "candidates": results,
-                "subsymbols": subs}
+        raise ValueError("dilation matrix is not expanding")
+    subs = subsymbols(a, Xi)
+    sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
+    # a monomial factor is a unit away from the origin, so normalizing
+    # each subsymbol leaves its vanishing order at theta^-1 unchanged
+    sub_symbols = [h.normalized_symbol for h in sub_impulses]
+    l1 = max(1.0, a.l1())
+    asked: Dict[Tuple[complex, ...], set] = {}
+    for theta, k in candidates:
+        asked.setdefault(theta, set()).add(k)
+    # the oracle checks each of the C(d+s-1, d) monomials of degree d over
+    # {0..d}^s; counted, since monomials_upto walks (K+1)^s tuples
+    require_window_pairs(a.dim, 0, ((d, math.comb(d + a.dim - 1, d))
+                                    for ks in asked.values() for d in range(max(ks) + 1)))
+    orders = {theta: sorted(ks) for theta, ks in asked.items()}
+    subsymbol_tests = _jet_violations(sub_symbols, l1, [
+        ([tuple(1.0 / t for t in theta)], ks) for theta, ks in orders.items()])
+    residuals = iter(kernel_residual(sub_impulses, [
+        (theta, LaurentPoly.monomial(a.dim, exp))
+        for theta, ks in orders.items() for exp in monomials_upto(a.dim, ks[-1])]))
+    # theta -> order -> (symmetric zero, subsymbol, oracle) violations
+    table: Dict[Tuple[complex, ...], Dict[int, Tuple[float, float, float]]] = {}
+    for (theta, ks), sub in zip(orders.items(), subsymbol_tests):
+        dims = [math.comb(a.dim + k, k) for k in ks]  # dim Pi_k
+        oracle = np.array([next(residuals) / l1 for _ in range(dims[-1])])
+        sym = is_symmetric_zero(a, Xi, canonical_zero_representative(Xi, theta), ks, tol=tol)
+        # np.max propagates NaN
+        table[theta] = {k: (sym_k, sub_k, float(np.max(oracle[:n], initial=0.0)))
+                        for k, n, (_, sym_k), sub_k in zip(ks, dims, sym, sub)}
+    results = []
+    for theta, k in candidates:
+        sym_worst, sub_worst, oracle_worst = table[theta][k]
+        # (value, tolerance) of the three tests, in report order
+        tests = [(sym_worst, tol), (sub_worst, tol),
+                 (oracle_worst, max(tol, ORACLE_TOL))]
+        failed = [test for test in tests if not test[0] <= test[1]]
+        # the first failed test, else the one nearest its tolerance; a
+        # test at tolerance 0 passes only at value 0
+        value, bound = failed[0] if failed else max(
+            tests, key=lambda test: test[0] / test[1] if test[1] else 0.0)
+        results.append({"theta": theta, "order": k, "pass": not failed,
+                        "symmetric_zero_violation": sym_worst,
+                        "subsymbol_violation": sub_worst,
+                        "oracle_residual": oracle_worst,
+                        "residual": value, "tolerance": bound})
+    return {"pass": all(rec["pass"] for rec in results), "candidates": results,
+            "subsymbols": subs}

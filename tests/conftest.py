@@ -142,6 +142,24 @@ CLI_CORPUS = [
     # a one-coordinate theta for a mask in two variables is malformed input
     (("subdivide", "mask_quincunx_k3.json", "dilation_quincunx.json",
       "candidates_1d_k1.json"), 2),
+    # an intermediate coefficient that overflows is refused, not a failed
+    # check: q(D) h* of the tap -1e308 z^3, the eigen taps 1e308 at 0 and 7
+    # under q = x, and Q scaled by theta = 1 + 1e308 i
+    (("verify", "filters_coeff_overflow.json", "spectrum_kernel1d.json"), 2),
+    (("eigen", "filter_tap_overflow.json", "eigen_theta1_pi1.json"), 2),
+    (("build-kernel", "spectrum_theta_huge_imag.json"), 2),
+    # Q = span{1, x1, x1^2 + x2} is D-invariant but not spanned by
+    # homogeneous polynomials, which the library refuses in every command
+    (("verify", "filters_diff1_2d.json", "spectrum_nonhomog.json"), 2),
+    (("build-kernel", "spectrum_nonhomog.json"), 2),
+    (("eigen", "filter_diff1_2d.json", "eigen_nonhomog.json"), 2),
+    (("hermite", "spectrum_nonhomog.json"), 2),
+    # Pi_5 at theta = 1 and at theta = 2/3: the monomial collocation matrix
+    # never reaches numerical rank 12, though interpolation on two distinct
+    # points is solvable at degree 11; a failed report, not a refusal
+    (("hermite", "spectrum_rank_deficient.json"), 1),
+    # the tap index [1] given twice
+    (("verify", "filters_repeated_tap.json", "spectrum_theta1_const.json"), 2),
 ]
 
 

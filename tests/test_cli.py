@@ -410,10 +410,10 @@ class TestNonFiniteReport:
                                 "double precision\n")
 
 
-    @pytest.mark.parametrize("command", ["build-kernel", "hermite"])
+    @pytest.mark.parametrize("command", ["build-kernel"])
     def test_large_theta_exits_2(self, command, tmp_path, capsys):
         """theta = 1e300 with Q = Pi_3: build-kernel overflows scaling Q by
-        theta, hermite divides by zero at theta^-1 = 1e-300."""
+        theta."""
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(_spectrum({"re": 1e300, "im": 0.0},
                                              [[_mono([k])] for k in range(4)])))
@@ -424,6 +424,22 @@ class TestNonFiniteReport:
         assert captured.err.startswith("error: ")
         assert captured.err.endswith(": input magnitudes overflow double precision\n")
         assert captured.err.count("\n") == 1
+
+    def test_large_theta_hermite_is_certified(self, tmp_path, capsys):
+        """theta = 1e300 with Q = Pi_3: the jets at theta^-1 = 1e-300 read
+        only powers that exist, and the fundamentals dual to the orthonormal
+        q_k = x^k / sqrt(k!) at that point are the q_k themselves, up to
+        terms of order 1e-300."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_spectrum({"re": 1e300, "im": 0.0},
+                                             [[_mono([k])] for k in range(4)])))
+        code = main(["hermite", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["pass"]
+        assert report["checks"][0]["value"] <= 1e-299
+        for rec, q in zip(report["fundamentals"], fat_point_space(1, 3).ortho_basis,
+                          strict=True):
+            assert (ser.poly_from_json(rec["poly"], 1) - q).norm() <= 1e-15
 
     @pytest.mark.parametrize("command", ["build-kernel", "verify"])
     def test_tiny_theta_exits_2(self, command, tmp_path, capsys):
@@ -494,6 +510,20 @@ class TestSerializationRoundTrip:
         assert back == Dilation(((1, 1), (1, -1)))
         assert back.det == -2 and back.adj == ((-1, -1), (-1, 1))
 
+    def test_repeated_tap_index_is_refused(self):
+        """A repeated tap would overwrite the one before it."""
+        taps = [{"index": [0], "re": 1.0}, {"index": [1], "re": -1.0},
+                {"index": [1], "re": 5.0}]
+        with pytest.raises(ValueError, match=r"^repeated tap index \[1\]$"):
+            ser.impulse_from_json({"dim": 1, "taps": taps})
+        with pytest.raises(ValueError, match=r"^repeated tap index \[1\]$"):
+            ser.filters_from_json({"filters": [{"dim": 1, "taps": taps}]})
+
+    def test_repeated_exponents_sum(self):
+        """Polynomial terms keep LaurentPoly's rule: repeated exponents add."""
+        p = ser.poly_from_json([_mono([1]), _mono([0]), _mono([1], 2.0)])
+        assert p.terms == {(1,): 3.0, (0,): 1.0}
+
 
 def _mono(exp, re=1.0):
     return {"exp": list(exp), "re": re, "im": 0.0}
@@ -516,6 +546,10 @@ ZERO = {"re": 0.0, "im": 0.0}
 NAN_ONE = {"re": float("nan"), "im": 0.0}
 INF_ONE = {"re": 1.0, "im": float("-inf")}
 CANDIDATES = {"candidates": [{"theta": [ONE], "order": 0}]}
+# the index [1] twice: read as 1 + 5z, the tap -1 silently lost, before it
+# was refused
+REPEATED_TAP = {"dim": 1, "taps": [{"index": [0], "re": 1.0}, {"index": [1], "re": -1.0},
+                                   {"index": [1], "re": 5.0}]}
 
 
 class TestInputContract:
@@ -567,6 +601,13 @@ class TestInputContract:
                                   {"candidates": [{"theta": [ONE], "order": 1}]}),
         "long_theta_candidate": ("subdivide", _filters()["filters"][0], {"Xi": [[2]]},
                                  {"candidates": [{"theta": [ONE, ONE], "order": 0}]}),
+        "repeated_tap_filter": ("verify", {"filters": [REPEATED_TAP]}, _spectrum(ONE)),
+        "repeated_tap_mask": ("subdivide", REPEATED_TAP, {"Xi": [[2]]}, CANDIDATES),
+        "repeated_tap_eigen": ("eigen", REPEATED_TAP, {"theta": [ONE]}),
+        "mask_dilation_dimensions": ("subdivide", _filters()["filters"][0],
+                                     {"Xi": [[2, 0], [0, 2]]}, CANDIDATES),
+        "filter_spectrum_dimensions": ("verify", _filters(index=(1, 0), dim=2),
+                                       _spectrum(ONE)),
     }
 
     def _run(self, case, tmp_path, capsys):
@@ -603,6 +644,15 @@ class TestInputContract:
     def test_candidate_dimension_is_named(self, case, tmp_path, capsys):
         assert self._run(case, tmp_path, capsys)[1].err == \
             "error: candidate theta has wrong dimension\n"
+
+    @pytest.mark.parametrize("case, message", [
+        ("repeated_tap_filter", "repeated tap index [1]"),
+        ("repeated_tap_mask", "repeated tap index [1]"),
+        ("repeated_tap_eigen", "repeated tap index [1]"),
+        ("mask_dilation_dimensions", "mask and dilation dimensions differ"),
+        ("filter_spectrum_dimensions", "filter and spectrum dimensions differ")])
+    def test_library_refusal_is_named(self, case, message, tmp_path, capsys):
+        assert self._run(case, tmp_path, capsys)[1].err == f"error: {message}\n"
 
     def test_eigen_reports_a_zero_filter(self, tmp_path, capsys):
         """eigen takes one filter, not a filter set: a zero filter fails its
@@ -716,7 +766,7 @@ class TestUnboundedInputs:
 
     def test_det_at_cap_is_accepted(self):
         assert ser.dilation_from_json({"Xi": [[100000]]}).coset_count == ser.MAX_COSETS
-        with pytest.raises(ser.FormatError, match=r"\|det Xi\| = 100001 cosets"):
+        with pytest.raises(ValueError, match=r"\|det Xi\| = 100001 cosets"):
             ser.dilation_from_json({"Xi": [[-100001]]})
 
     def test_order_at_guard_is_accepted(self):

@@ -1,6 +1,6 @@
 """Golden digests of the fixture-corpus CLI reports.
 
-Each of the 31 CLI_CORPUS invocations runs with the default flags, with
+Each of the 40 CLI_CORPUS invocations runs with the default flags, with
 --window-pad 3 and with --tol 1e-6 (an invocation's own flags follow
 these, and argparse keeps the last value); its exit code and the sha256 of its
 standard output are pinned below.  A change that alters report bytes on
@@ -81,6 +81,24 @@ DIGESTS = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_1d_k1.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify filters_coeff_overflow.json spectrum_kernel1d.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eigen filter_tap_overflow.json eigen_theta1_pi1.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "build-kernel spectrum_theta_huge_imag.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify filters_diff1_2d.json spectrum_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "build-kernel spectrum_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "eigen filter_diff1_2d.json eigen_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hermite spectrum_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hermite spectrum_rank_deficient.json":
+        (1, "b7a3e17a30f9a30eb6805b6092d5905d65f303891fdfb93f4890efd5e296d2b7"),
+    "verify filters_repeated_tap.json spectrum_theta1_const.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "480c7bebb7f5dc793a86ccf289c10c6f9afe7fda6b70e16ada8dc385c00e616a"),
     "--window-pad 3 verify filters_kernel1d.json spectrum_kernel1d.json":
@@ -142,6 +160,24 @@ DIGESTS = {
     "--window-pad 3 --window-pad 8 eigen filter_eigen_overflow.json eigen_theta2_lambda0.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--window-pad 3 subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_1d_k1.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 verify filters_coeff_overflow.json spectrum_kernel1d.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 eigen filter_tap_overflow.json eigen_theta1_pi1.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 build-kernel spectrum_theta_huge_imag.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 verify filters_diff1_2d.json spectrum_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 build-kernel spectrum_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 eigen filter_diff1_2d.json eigen_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 hermite spectrum_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--window-pad 3 hermite spectrum_rank_deficient.json":
+        (1, "b7a3e17a30f9a30eb6805b6092d5905d65f303891fdfb93f4890efd5e296d2b7"),
+    "--window-pad 3 verify filters_repeated_tap.json spectrum_theta1_const.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 verify filters_diff1.json spectrum_theta1_const.json":
         (0, "175c5794ef4ab7dce096909bbac963cd81df9be25f4912e35e2a91ff7e1f7bab"),
@@ -205,6 +241,24 @@ DIGESTS = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "--tol 1e-6 subdivide mask_quincunx_k3.json dilation_quincunx.json candidates_1d_k1.json":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 verify filters_coeff_overflow.json spectrum_kernel1d.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 eigen filter_tap_overflow.json eigen_theta1_pi1.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 build-kernel spectrum_theta_huge_imag.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 verify filters_diff1_2d.json spectrum_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 build-kernel spectrum_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 eigen filter_diff1_2d.json eigen_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 hermite spectrum_nonhomog.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--tol 1e-6 hermite spectrum_rank_deficient.json":
+        (1, "b7a3e17a30f9a30eb6805b6092d5905d65f303891fdfb93f4890efd5e296d2b7"),
+    "--tol 1e-6 verify filters_repeated_tap.json spectrum_theta1_const.json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 INVOCATIONS = [flags + argv for flags in FLAGS for argv, _ in CLI_CORPUS]
@@ -219,8 +273,8 @@ def test_every_verdict_is_its_values(argv):
     """Each check passes exactly when its value is within its tolerance, a
     report passes exactly when all its checks do, and the exit code says so."""
     code, out = run_cli(*argv)
-    if not out:  # a usage error, or a check that failed before any report
-        assert code in (1, 2)
+    if not out:  # a refused input: exit 1 always comes with a report
+        assert code == 2
         return
     report = json.loads(out)
     checks = report.get("checks", [])

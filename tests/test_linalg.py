@@ -72,6 +72,21 @@ class TestDiffTable:
         assert diff_tables([(0, 0)], [], [(1.0, 2.0)])[0].shape == (1, 0)
         assert diff_tables([], [(1, 1)], [(1.0, 2.0)])[0].shape == (0, 1)
 
+    @pytest.mark.parametrize("point", [1e-155, -1e-155, 1e-200j])
+    def test_dead_powers_out_of_range(self, point):
+        """z^(e - a) whose falling factorial (e)_a is 0 is not taken: at
+        |z| = 1e-155 the dead z^-2 would overflow; every entry is the
+        reference jet, a dead one 0."""
+        orders = support = monomials_upto(1, 2)
+        T = diff_tables(orders, support, [(point,)])[0]
+        for i, beta in enumerate(orders):
+            for k, e in enumerate(support):
+                assert T[i, k] == LaurentPoly.monomial(1, e).diff(beta).evaluate((point,))
+
+    def test_live_power_out_of_range_raises(self):
+        with pytest.raises(OverflowError):
+            diff_tables([(0,), (1,)], [(0,), (3,)], [(1e155,)])
+
 
 # the six benchmark dilations, one more with negative determinant and one
 # more in three dimensions

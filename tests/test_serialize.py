@@ -75,7 +75,7 @@ def test_non_finite_raises_value_error(bad, wrap):
 def test_non_finite_names_its_path():
     obj = {"checks": [{"value": 1.0, "tolerance": 2.0},
                       {"value": math.nan, "tolerance": math.inf}]}
-    with pytest.raises(ser.FormatError,
+    with pytest.raises(ValueError,
                        match=r"^checks\[1\]\.value is nan: input magnitudes overflow"):
         ser.dumps(obj)
 

@@ -150,12 +150,30 @@ class TestCertifyHermite:
         assert cert["kronecker"]["residual"] > cert["kronecker"]["tolerance"]
 
     def test_error(self, monkeypatch):
-        def degenerate(spec):
-            raise ValueError("dual functionals never reached full rank")
-        monkeypatch.setattr(spectrum, "hermite_fundamentals", degenerate)
+        monkeypatch.setattr(spectrum, "hermite_fundamentals", lambda spec: None)
         spec = Spectrum((Zero((2.0,), fat_point_space(1, 0)),))
-        assert certify_hermite(spec) == {"pass": False,
-                                         "error": "dual functionals never reached full rank"}
+        assert certify_hermite(spec) == {
+            "pass": False, "error": "dual functionals never reached full rank; "
+            "spectrum is inconsistent (duplicate or degenerate zeros)"}
+
+    def test_rank_never_reached_is_a_verdict(self):
+        """Pi_5 at theta = 1 and at theta = 2/3: no degree up to 5 + 12
+        reaches numerical rank 12 on the monomials (a limit of that basis,
+        since interpolation on two distinct points is solvable), so there
+        are no fundamentals and the record fails."""
+        spec = Spectrum(tuple(Zero((t,), fat_point_space(1, 5)) for t in (1.0, 2.0 / 3.0)))
+        assert hermite_fundamentals(spec) is None
+        cert = certify_hermite(spec)
+        assert not cert["pass"] and cert["error"].startswith(
+            "dual functionals never reached full rank")
+
+    def test_space_without_homogeneous_basis_is_refused(self):
+        """span{1, x1, x1^2 + x2} is D-invariant, but its homogeneous
+        components span more: an input the library refuses, not a verdict."""
+        x1, x2 = variables(2)
+        space = DInvariantSpace((const(2, 1), x1, x1 * x1 + x2))
+        with pytest.raises(ValueError, match="not spanned by homogeneous polynomials"):
+            certify_hermite(Spectrum((Zero((1.0, 1.0), space),)))
 
 
 class TestIdealComplementFilters:
@@ -463,7 +481,7 @@ class TestSharedSpaces:
         input, as the Spectrum constructor's ValueError says."""
         obj = self._obj([[[(0, 1.0)]]] * 2)
         obj["zeros"][1]["theta"][0]["re"] = self.THETAS[0] + 1e-13
-        with pytest.raises(ser.FormatError, match="duplicate theta at positions 0 and 1"):
+        with pytest.raises(ValueError, match="duplicate theta at positions 0 and 1"):
             ser.spectrum_from_json(obj)
 
     def test_repeated_non_invariant_basis_exits_2(self, tmp_path, capsys):

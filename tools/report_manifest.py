@@ -1,13 +1,16 @@
-"""Byte-identity manifest of the benchmark's CLI reports.
+"""Byte-identity manifest of the benchmark's and the fixture corpus's CLI reports.
 
 Usage: python tools/report_manifest.py OUT.json [CHECKOUT]
 
 Generates the inputs of seeds 1, 9 and 11 for every benchmark workload with
-bench/workloads.generate, runs every request in-process with the default
-flags, with --window-pad 3 and with --tol 1e-6, and writes one record
-[argv, exit code, sha256(stdout), sha256(stderr)] per run.  convkern and the
-generators are imported from CHECKOUT (default: this repository), so the
-outputs of two checkouts diff to exactly the runs whose bytes differ.
+bench/workloads.generate, and runs every request in-process with the default
+flags, with --window-pad 3 and with --tol 1e-6; then runs every CLI_CORPUS
+invocation of tests/conftest.py with the same three flag sets.  It writes
+one record [argv, exit code, sha256(stdout), sha256(stderr)] per run.
+convkern and the generators are imported from CHECKOUT (default: this
+repository); the fixture corpus, its list and its files, is always this
+repository's, so the outputs of two checkouts diff to exactly the runs whose
+bytes or exit codes differ, refusals' stderr included.
 """
 
 import contextlib
@@ -21,10 +24,18 @@ from pathlib import Path
 
 SEEDS = (1, 9, 11)
 FLAGS = ((), ("--window-pad", "3"), ("--tol", "1e-6"))
+TESTS = Path(__file__).resolve().parents[1] / "tests"
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _record(main, argv, run_argv) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(run_argv)
+    return [argv, code, _sha(out.getvalue()), _sha(err.getvalue())]
 
 
 def manifest(checkout: Path) -> list:
@@ -33,6 +44,8 @@ def manifest(checkout: Path) -> list:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     from convkern.cli import main
     from workloads import WORKLOADS, generate
+    sys.path.append(str(TESTS))
+    from conftest import CLI_CORPUS, FIXTURES
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
@@ -40,10 +53,11 @@ def manifest(checkout: Path) -> list:
                 for req in generate(workload, seed, Path(tmp), Path(f"{workload}-{seed}")):
                     for flags in FLAGS:
                         argv = [*flags, req.command, *req.files]  # recorded relative
-                        out, err = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                            code = main([*flags, *req.argv(Path(tmp))])
-                        records.append([argv, code, _sha(out.getvalue()), _sha(err.getvalue())])
+                        records.append(_record(main, argv, [*flags, *req.argv(Path(tmp))]))
+    for flags in FLAGS:
+        for argv, _ in CLI_CORPUS:
+            files = [os.path.join(FIXTURES, a) if a.endswith(".json") else a for a in argv]
+            records.append(_record(main, [*flags, *argv], [*flags, *files]))
     return records
 
 
