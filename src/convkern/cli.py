@@ -6,6 +6,8 @@ when the report's "pass" is false, 2 on malformed input or usage errors.
 
 The CLI parses, names and prints: each verdict is a library certifier's
 record (residual, tolerance, pass), and every oracle is kernel_residual.
+Reports hold the library's own objects (theta tuples, complex values,
+LaurentPoly bases and subsymbols) and serialize.dumps writes their JSON form.
 Every ValueError, from a parser or the library, refuses the input: main
 prints "error: <message>" and exits 2, as it does for a magnitude that
 overflows double precision.
@@ -75,9 +77,7 @@ def cmd_verify(args) -> int:
               for rec in cert["conditions"]]
     checks += [_check(f"oracle[theta={[_c(t) for t in rec['theta']]},deg={rec['degree']}]", rec)
                for rec in cert["oracle"]]
-    kernel = [{"theta": [_c(t) for t in theta],
-               "P_basis": [ser.poly_to_json(p) for p in P.elements]}
-              for theta, P in cert["kernel"]]
+    kernel = [{"theta": theta, "P_basis": P.elements} for theta, P in cert["kernel"]]
 
     out = {"command": "verify", "inputs_digest": _digest(ftext, stext),
            "convention": WITH_SIGMA_MINUS, "checks": checks,
@@ -97,10 +97,9 @@ def cmd_build_kernel(args) -> int:
         for p in P.elements:
             seq = ExpPolySeq.single(zero.theta, p)
             w = certified_window(spec.dim, p.degree(), args.window_pad)
-            samples.append([{"alpha": list(alpha), "value": _c(seq.value(alpha))}
+            samples.append([{"alpha": alpha, "value": seq.value(alpha)}
                             for alpha in w.points()])
-        kernel.append({"theta": [_c(t) for t in zero.theta],
-                       "P_basis": [ser.poly_to_json(p) for p in P.elements],
+        kernel.append({"theta": zero.theta, "P_basis": P.elements,
                        "window_samples": samples})
     out = {"command": "build-kernel", "inputs_digest": _digest(stext),
            "convention": WITH_SIGMA_MINUS, "kernel": kernel, "pass": True}
@@ -116,9 +115,9 @@ def cmd_hermite(args) -> int:
     if "error" in cert:
         out["error"] = cert["error"]
     else:
-        out.update(fundamentals=[{"zero": zi, "q": qi, "poly": ser.poly_to_json(p)}
+        out.update(fundamentals=[{"zero": zi, "q": qi, "poly": p}
                                  for zi, qi, p in cert["system"].polys],
-                   dual_matrix=[[_c(v) for v in row] for row in cert["dual"].tolist()],
+                   dual_matrix=cert["dual"].tolist(),
                    checks=[_check("kronecker_dual", cert["kronecker"])])
     out["pass"] = cert["pass"]
     sys.stdout.write(ser.dumps(out))
@@ -138,9 +137,9 @@ def cmd_subdivide(args) -> int:
     checks = [_check(f"candidate[theta={[_c(t) for t in rec['theta']]},k={rec['order']}]", rec)
               for rec in report["candidates"]]
     out = {"command": "subdivide", "inputs_digest": _digest(mtext, dtext, ctext),
-           "subsymbols": [{"coset": list(xi), "symbol": ser.poly_to_json(p)}
+           "subsymbols": [{"coset": xi, "symbol": p}
                           for xi, p in sorted(report["subsymbols"].items())],
-           "candidates": [{"theta": [_c(t) for t in rec["theta"]],
+           "candidates": [{"theta": rec["theta"],
                            "order": rec["order"],
                            "symmetric_zero_violation": rec["symmetric_zero_violation"],
                            "subsymbol_violation": rec["subsymbol_violation"],

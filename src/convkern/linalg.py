@@ -68,9 +68,11 @@ def diff_tables(orders: Sequence[Exponent], support: Sequence[Exponent],
     monomials), as in LaurentPoly.diff.  The falling factorials are shared
     by all points; powers are taken with integer exponents, one per point
     and distinct exponent.  A power that complex ** cannot represent
-    raises, unless every falling factorial that multiplies it is 0: then,
-    and only after the power of some exponent has raised, the table takes
-    the powers of the live exponents alone.
+    raises, or comes back non-finite (a negative power whose positive
+    counterpart overflows reads nan+nanj), unless every falling factorial
+    that multiplies it is 0: then, and only after the power of some
+    exponent has raised or come back non-finite, the table takes the powers
+    of the live exponents alone.
     """
     points = [[complex(v) for v in p] for p in points]
     dim = len(points[0])
@@ -93,7 +95,10 @@ def diff_tables(orders: Sequence[Exponent], support: Sequence[Exponent],
             # a zero ff masks the stand-in 0 for 0^(negative)
             powers = np.array([[c ** x if c != 0 or x >= 0 else 0j for x in ints]
                                for c in coords], dtype=complex)
+            representable = np.isfinite(powers).all()
         except (OverflowError, ZeroDivisionError):
+            representable = False
+        if not representable:
             live = set(k[ff != 0].tolist())  # a dead power stands in as 0
             powers = np.array([[c ** x if y in live else 0j for y, x in zip(exps, ints)]
                                for c in coords], dtype=complex)

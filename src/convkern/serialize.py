@@ -20,12 +20,17 @@ allow_nan=False) followed by a newline: 2-space indent, "," and ": "
 separators, "[]" and "{}" for empty containers, tuples as lists, strings and
 keys through json.encoder.encode_basestring_ascii, floats and ints through
 float.__repr__ and int.__repr__ (subclasses such as np.float64 included).
-json.dumps with an indent runs the pure-Python generator encoder, because the
-C encoder does not indent; a direct recursive writer that appends one
-fragment per member is about twice as fast, at no more peak memory.  A
-non-finite float cannot be written: dumps raises ValueError naming its path,
-found by a second walk only after the writer hits it.  Other types and
-non-str keys raise TypeError.
+This module owns the JSON form of the report's two numeric leaf types, and
+dumps writes them itself: a complex (np.complex128 included) as the bytes of
+complex_to_json, {"re", "im"}, and a LaurentPoly as the bytes of
+poly_to_json, its graded-lex term list [{"exp", "re", "im"}, ...], each
+rendered in one pass with no intermediate dict.  json.dumps with an indent
+runs the pure-Python generator encoder, because the C encoder does not
+indent; a direct recursive writer that appends one fragment per member is
+about twice as fast, at no more peak memory.  A non-finite float or complex
+part cannot be written: dumps raises ValueError naming its path (a complex
+part as ".re" or ".im"), found by a second walk only after the writer hits
+it.  Other types and non-str keys raise TypeError.
 """
 
 from __future__ import annotations
@@ -257,8 +262,34 @@ class _NonFinite(Exception):
     """A float that JSON cannot hold; dumps names it in a ValueError."""
 
 
-def _scalar(v: Any) -> str | None:
-    """JSON text of a scalar, None for a container; checked as json.dumps does."""
+def _poly(p: LaurentPoly, indent: str) -> str:
+    """The text of poly_to_json(p) whose closing bracket sits at indent.  An
+    exponent is never empty (dim >= 1) and a coefficient is always finite
+    (LaurentPoly checks it), so neither needs the writer's checks."""
+    i1 = indent + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    more = "," + i3
+    terms = [f'{{{i2}"exp": [{i3}{more.join(map(_int, exp))}{i2}],'
+             f'{i2}"re": {_float(float(c.real))},{i2}"im": {_float(float(c.imag))}{i1}}}'
+             for exp, c in p.sorted_terms()]
+    if not terms:
+        return "[]"
+    return "[" + i1 + ("," + i1).join(terms) + indent + "]"
+
+
+def _complex(z: complex, indent: str) -> str:
+    """The text of complex_to_json(z) whose closing brace sits at indent."""
+    re, im = float(z.real), float(z.imag)
+    if re - re or im - im:
+        raise _NonFinite
+    inner = indent + "  "
+    return f'{{{inner}"re": {_float(re)},{inner}"im": {_float(im)}{indent}}}'
+
+
+def _scalar(v: Any, indent: str) -> str | None:
+    """JSON text of a leaf whose closing bracket, if it has one, sits at
+    indent; None for a container; checked as json.dumps does."""
     if v is True:
         return "true"
     if v is False:
@@ -273,6 +304,10 @@ def _scalar(v: Any) -> str | None:
         if not math.isfinite(v):
             raise _NonFinite
         return _float(v)
+    if isinstance(v, complex):
+        return _complex(v, indent)
+    if isinstance(v, LaurentPoly):
+        return _poly(v, indent)
     if isinstance(v, (list, tuple, dict)):
         return None
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
@@ -281,7 +316,7 @@ def _scalar(v: Any) -> str | None:
 def _write(obj: Any, parts: List[str], indent: str) -> None:
     """Append the text of a list, tuple or dict whose closing bracket sits at
     indent (a newline and spaces).  Exact floats, strs and ints take the
-    inline paths.  Each member with a scalar value is one fragment: separate
+    inline paths.  Each member with a leaf value is one fragment: separate
     separator, key and value fragments raise the peak memory above
     json.dumps's."""
     inner = indent + "  "
@@ -303,7 +338,7 @@ def _write(obj: Any, parts: List[str], indent: str) -> None:
                 parts.append(f"{sep}{_string(key)}: {_string(value)}")
             elif t is int:
                 parts.append(f"{sep}{_string(key)}: {_int(value)}")
-            elif t is list or t is dict or (text := _scalar(value)) is None:
+            elif t is list or t is dict or (text := _scalar(value, inner)) is None:
                 parts.append(f"{sep}{_string(key)}: ")
                 _write(value, parts, inner)
             else:
@@ -323,7 +358,7 @@ def _write(obj: Any, parts: List[str], indent: str) -> None:
                 parts.append(sep + _float(value))
             elif t is int:
                 parts.append(sep + _int(value))
-            elif t is list or t is dict or (text := _scalar(value)) is None:
+            elif t is list or t is dict or (text := _scalar(value, inner)) is None:
                 parts.append(sep)
                 _write(value, parts, inner)
             else:
@@ -333,9 +368,14 @@ def _write(obj: Any, parts: List[str], indent: str) -> None:
 
 
 def _non_finite(obj: Any, path: str = "") -> Tuple[str, float] | None:
-    """(path, value) of the first float in obj that is not finite, or None."""
+    """(path, value) of the first float in obj that is not finite, or None;
+    a complex or LaurentPoly is walked in its written form."""
     if isinstance(obj, float):
         return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, complex):
+        obj = complex_to_json(obj)
+    elif isinstance(obj, LaurentPoly):
+        obj = poly_to_json(obj)
     if isinstance(obj, dict):
         items = ((f"{path}.{k}" if path else k, v) for k, v in obj.items())
     elif isinstance(obj, (list, tuple)):
@@ -350,10 +390,12 @@ def _non_finite(obj: Any, path: str = "") -> Tuple[str, float] | None:
 
 
 def dumps(obj: Any) -> str:
-    """The bytes of json.dumps(obj, indent=2, allow_nan=False) + "\n", written
-    directly; a non-finite float raises ValueError naming its path."""
+    """The bytes of json.dumps(plain(obj), indent=2, allow_nan=False) + "\n",
+    where plain maps each complex through complex_to_json and each
+    LaurentPoly through poly_to_json, written directly; a non-finite float
+    or complex part raises ValueError naming its path."""
     try:
-        text = _scalar(obj)
+        text = _scalar(obj, "\n")
         if text is None:
             parts: List[str] = []
             _write(obj, parts, "\n")

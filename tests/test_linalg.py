@@ -1,6 +1,8 @@
 """diff_tables, alone and as dual rows Q^T T, against the LaurentPoly
 reference path (diff, apply_poly_diff, evaluate)."""
 
+import cmath
+import math
 from itertools import product
 
 import numpy as np
@@ -78,6 +80,18 @@ class TestDiffTable:
         |z| = 1e-155 the dead z^-2 would overflow; every entry is the
         reference jet, a dead one 0."""
         orders = support = monomials_upto(1, 2)
+        T = diff_tables(orders, support, [(point,)])[0]
+        for i, beta in enumerate(orders):
+            for k, e in enumerate(support):
+                assert T[i, k] == LaurentPoly.monomial(1, e).diff(beta).evaluate((point,))
+
+    def test_dead_powers_that_come_back_nan(self):
+        """At z = -1e70 (with the rounding residue of e^(i pi) in its
+        imaginary part) complex ** returns nan+nanj for z^-5 instead of
+        raising; z^-5 is dead in D^5 of 1, so the entry is 0, not NaN."""
+        point = 1e70 * cmath.exp(1j * cmath.pi)
+        assert math.isnan((point ** -5).real)
+        orders, support = monomials_upto(1, 5), [(0,), (1,)]
         T = diff_tables(orders, support, [(point,)])[0]
         for i, beta in enumerate(orders):
             for k, e in enumerate(support):

@@ -1,5 +1,7 @@
-"""serialize.dumps writes the bytes of json.dumps(obj, indent=2,
-allow_nan=False) + "\\n" directly; json.dumps stays here as the reference."""
+"""serialize.dumps writes the bytes of json.dumps(plain(obj), indent=2,
+allow_nan=False) + "\\n" directly, where plain maps each complex and
+LaurentPoly leaf through complex_to_json and poly_to_json; json.dumps stays
+here as the reference."""
 
 import importlib.util
 import json
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convkern import LaurentPoly
 from convkern import serialize as ser
 from convkern.cli import main
 
@@ -21,6 +24,19 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def reference(obj):
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def plain(obj):
+    """obj with every complex and LaurentPoly leaf in its JSON form."""
+    if isinstance(obj, complex):
+        return ser.complex_to_json(obj)
+    if isinstance(obj, LaurentPoly):
+        return ser.poly_to_json(obj)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
 
 
 class _Int(int):
@@ -40,8 +56,15 @@ scalars = st.one_of(
     st.text(), st.text().map(_Str),
     st.sampled_from(["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "θ⁻¹", "😀", "\ud800"]),
 )
+finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+polys = st.integers(1, 3).flatmap(
+    lambda dim: st.dictionaries(st.tuples(*[st.integers(-3, 3)] * dim), finite_complex,
+                                max_size=5).map(lambda terms: LaurentPoly(dim, terms)))
+leaves = st.one_of(scalars, finite_complex, finite_complex.map(np.complex128),
+                   st.sampled_from([0j, complex(-0.0, -0.0), 5e-324j, complex(1e22, -0.1)]),
+                   polys, st.just(LaurentPoly.zero(2)))
 trees = st.recursive(
-    scalars,
+    leaves,
     lambda children: st.one_of(st.lists(children, max_size=5),
                                st.lists(children, max_size=5).map(tuple),
                                st.dictionaries(st.text(max_size=8), children, max_size=5)),
@@ -51,7 +74,7 @@ trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(trees)
 def test_matches_json_dumps(obj):
-    assert ser.dumps(obj) == reference(obj)
+    assert ser.dumps(obj) == reference(plain(obj))
 
 
 @pytest.mark.parametrize("obj", [{}, [], (), {"a": {}}, {"a": [[], {}]}, [()], "", 0, None],
@@ -80,7 +103,21 @@ def test_non_finite_names_its_path():
         ser.dumps(obj)
 
 
-@pytest.mark.parametrize("bad", [{1: 2}, {None: 0}, {(1,): 0}, [1j], [{1, 2}],
+@pytest.mark.parametrize("obj, path", [
+    ({"dual_matrix": [[1j, complex(math.nan, 0.0)]]}, r"dual_matrix\[0\]\[1\]\.re is nan"),
+    ({"kernel": [{"window_samples": [[{"value": 1j}, {"value": complex(1.0, math.inf)}]]}]},
+     r"kernel\[0\]\.window_samples\[0\]\[1\]\.value\.im is inf"),
+    (({"theta": (np.complex128(complex(0.0, -math.inf)),)},), r"\[0\]\.theta\[0\]\.im is -inf"),
+    (complex(math.nan, 1.0), r"re is nan"),
+], ids=["in-list", "in-dict", "np.complex128", "top"])
+def test_non_finite_complex_names_its_path(obj, path):
+    """A complex is walked in its written form, so a part names its path
+    as .re or .im."""
+    with pytest.raises(ValueError, match=f"^{path}: input magnitudes overflow"):
+        ser.dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [{1: 2}, {None: 0}, {(1,): 0}, [np.complex64(1j)], [{1, 2}],
                                  pytest.param([object()], id="[object()]"),
                                  [b"bytes"], {"a": np.int64(1)}, np.bool_(True)],
                          ids=repr)
@@ -118,6 +155,8 @@ def test_memory_peak_on_largest_smoke_report(tmp_path, monkeypatch, capsys):
     reports = _smoke_reports(tmp_path, monkeypatch)
     monkeypatch.undo()
     capsys.readouterr()
-    largest = max(reports, key=lambda obj: len(reference(obj)))
-    assert ser.dumps(largest) == reference(largest)
-    assert _peak(ser.dumps, largest) <= 1.1 * _peak(reference, largest)
+    for report in reports:
+        assert ser.dumps(report) == reference(plain(report))
+    largest = max(reports, key=lambda obj: len(ser.dumps(obj)))
+    plain_largest = plain(largest)
+    assert _peak(ser.dumps, largest) <= 1.1 * _peak(reference, plain_largest)

@@ -389,6 +389,12 @@ class TestIsSymmetricZero:
         assert is_symmetric_zero(a, TWO, (1e-155,), [0, 1, 2]) == \
             [(False, 0.5), (False, 0.5), (False, 1.0)]
 
+    def test_huge_zeta_takes_no_dead_power(self):
+        """At zeta = 1e70 the order-5 jets of 1 - z read no NaN from the dead
+        power (-zeta)^-5, which complex ** returns as nan+nanj."""
+        a = Impulse(1, {(0,): 1, (1,): -1})
+        assert is_symmetric_zero(a, TWO, (1e70,), [0, 1, 5]) == [(False, 0.5)] * 3
+
     def test_overflowing_mask_warns_nothing(self):
         with open(os.path.join(FIXTURES, "mask_overflow.json"), encoding="utf-8") as fh:
             a = impulse_from_json(json.load(fh))
