@@ -1,22 +1,23 @@
 """Kernel of a univariate FIR filter from the factorization of its symbol.
 
-The filter with symbol h*(z) = (z-2)^2 (z-3) annihilates exactly the span of
-(1/2)^a, a (1/2)^a and (1/3)^a: a double symbol zero at z = 2 contributes the
-exponential with base 1/2 times linear polynomials, the simple zero at z = 3
-the plain exponential with base 1/3.
+A filter is its symbol: the polynomial h = (z-2)^2 (z-3), built by
+multiplying LaurentPoly factors, is itself the filter, its coefficients the
+taps.  It annihilates exactly the span of (1/2)^a, a (1/2)^a and (1/3)^a: a
+double symbol zero at z = 2 contributes the exponential with base 1/2 times
+linear polynomials, the simple zero at z = 3 the plain exponential with base
+1/3.
 
 Run with:  python3 demos/demo_kernel_1d.py
 """
 
-from convkern import (ExpPolySeq, LaurentPoly, Spectrum, Zero,
-                      fat_point_space, impulse_from_symbol, kernel_basis,
-                      kernel_residual)
+from convkern import (ExpPolySeq, LaurentPoly, Spectrum, Zero, fat_point_space,
+                      kernel_basis, kernel_residual)
 
 z = LaurentPoly.variable(1, 0)
 two = LaurentPoly.constant(1, 2.0)
 three = LaurentPoly.constant(1, 3.0)
 
-h = impulse_from_symbol((z - two) * (z - two) * (z - three))
+h = (z - two) * (z - two) * (z - three)
 print("filter taps:", dict(h.taps))
 
 spec = Spectrum((

@@ -1,6 +1,7 @@
 """Stationary subdivision: cosets, subsymbols, symmetric zeros, and kernels.
 
-A mask a and an expanding integer dilation matrix Xi define the operator
+A mask a, stored as its symbol a*(z) (Impulse is another name for
+LaurentPoly), and an expanding integer dilation matrix Xi define the operator
 (S_a c)(alpha) = sum_beta a(alpha - Xi beta) c(beta).  Which polynomial-times-
 exponential sequences S_a annihilates is decided by symmetric zeros of the
 mask symbol, or equivalently by common zeros of its per-coset subsymbols.
@@ -44,7 +45,7 @@ print("== symmetric zeros ==")
 print("1 - z^2 has a symmetric zero at 1:", ok)
 z = LaurentPoly.variable(1, 0)
 f = LaurentPoly.constant(1, 1.0) - z * z
-diff2sq = Impulse(1, dict((f * f).terms))
+diff2sq = f * f  # a product of symbols is the convolved mask
 print("(1 - z^2)^2 maximal symmetric zero order at 1:",
       symmetric_zero_order(diff2sq, TWO, (1.0,)))
 

@@ -10,8 +10,7 @@ from .apolar import (DInvariantSpace, adjoint_check, bombieri, bombieri_norm,
                      ortho_expansion_residual, ortho_homog_basis,
                      taylor_identity_residual)
 from .filters import (ExpPolySeq, Impulse, Window, certified_window, convolve,
-                      convolve_impulses, eigen_residual, impulse_from_symbol,
-                      kernel_residual, symbol)
+                      eigen_residual, kernel_residual)
 from .mpoly import (LaurentPoly, apply_poly_diff, falling_factorial,
                     laurent_normalize)
 from .newton import (PThetaBasis, WITH_SIGMA_MINUS, L_inv, L_op, build_p_theta,
@@ -33,8 +32,7 @@ __all__ = [
     "taylor_identity_residual", "lower_set_space", "fat_point_space",
     "forward_difference", "newton_coeffs", "L_op", "L_inv", "PThetaBasis",
     "build_p_theta", "shift_matrix", "WITH_SIGMA_MINUS",
-    "Impulse", "ExpPolySeq", "Window", "symbol", "impulse_from_symbol",
-    "convolve", "convolve_impulses", "certified_window", "kernel_residual",
+    "Impulse", "ExpPolySeq", "Window", "convolve", "certified_window", "kernel_residual",
     "eigen_residual", "certify_eigen",
     "Zero", "Spectrum", "FundamentalSystem", "dual_apply", "verify_zero_dim",
     "hermite_fundamentals", "certify_hermite", "ideal_complement_filters", "certify_kernel",

@@ -3,6 +3,9 @@
 All commands read JSON files (or "-" for standard input) and write a JSON
 report to standard output.  Exit codes: 0 when the report passes, 1 exactly
 when the report's "pass" is false, 2 on malformed input or usage errors.
+Each cmd_* reads its inputs with _read_inputs and returns its report; main
+alone writes it with serialize.dumps and picks the exit code from its
+"pass".
 
 The CLI parses, names and prints: each verdict is a library certifier's
 record (residual, tolerance, pass), and every oracle is kernel_residual.
@@ -21,7 +24,7 @@ import hashlib
 import json
 import math
 import sys
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import serialize as ser
 from .filters import MAX_TOL, ExpPolySeq, certified_window
@@ -50,15 +53,15 @@ def _read_json(path: str) -> Any:
         raise ValueError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _digest(*texts: str) -> str:
-    h = hashlib.sha256()
-    for t in texts:
-        h.update(t.encode("utf-8"))
-    return h.hexdigest()
-
-
-def _c(z: complex) -> Dict[str, float]:
-    return ser.complex_to_json(z)
+def _read_inputs(*paths: str) -> Tuple[List[Any], str]:
+    """The parsed JSON of each path, all read before any is interpreted, and
+    the inputs_digest, sha256 over their texts in order."""
+    digest, objs = hashlib.sha256(), []
+    for path in paths:
+        obj, text = _read_json(path)
+        objs.append(obj)
+        digest.update(text.encode("utf-8"))
+    return objs, digest.hexdigest()
 
 
 def _check(name: str, rec: Mapping[str, Any]) -> Dict[str, Any]:
@@ -67,27 +70,24 @@ def _check(name: str, rec: Mapping[str, Any]) -> Dict[str, Any]:
             "pass": rec["pass"]}
 
 
-def cmd_verify(args) -> int:
-    (filters_obj, ftext) = _read_json(args.filters)
-    (spec_obj, stext) = _read_json(args.spectrum)
+def cmd_verify(args) -> Dict[str, Any]:
+    (filters_obj, spec_obj), digest = _read_inputs(args.filters, args.spectrum)
     H = ser.filters_from_json(filters_obj)
     spec = ser.spectrum_from_json(spec_obj)
     cert = certify_kernel(H, spec, tol=args.tol, pad=args.window_pad)
     checks = [_check(f"dual[h={rec['filter']},zero={rec['zero']},q={rec['q']}]", rec)
               for rec in cert["conditions"]]
-    checks += [_check(f"oracle[theta={[_c(t) for t in rec['theta']]},deg={rec['degree']}]", rec)
-               for rec in cert["oracle"]]
+    for rec in cert["oracle"]:
+        theta = [ser.complex_to_json(t) for t in rec["theta"]]
+        checks.append(_check(f"oracle[theta={theta},deg={rec['degree']}]", rec))
     kernel = [{"theta": theta, "P_basis": P.elements} for theta, P in cert["kernel"]]
-
-    out = {"command": "verify", "inputs_digest": _digest(ftext, stext),
-           "convention": WITH_SIGMA_MINUS, "checks": checks,
-           "kernel": kernel, "pass": cert["pass"]}
-    sys.stdout.write(ser.dumps(out))
-    return EXIT_PASS if cert["pass"] else EXIT_FAIL
+    return {"command": "verify", "inputs_digest": digest,
+            "convention": WITH_SIGMA_MINUS, "checks": checks,
+            "kernel": kernel, "pass": cert["pass"]}
 
 
-def cmd_build_kernel(args) -> int:
-    (spec_obj, stext) = _read_json(args.spectrum)
+def cmd_build_kernel(args) -> Dict[str, Any]:
+    (spec_obj,), digest = _read_inputs(args.spectrum)
     spec = ser.spectrum_from_json(spec_obj)
     require_kernel_windows(spec, args.window_pad)
     kernel = []
@@ -101,17 +101,15 @@ def cmd_build_kernel(args) -> int:
                             for alpha in w.points()])
         kernel.append({"theta": zero.theta, "P_basis": P.elements,
                        "window_samples": samples})
-    out = {"command": "build-kernel", "inputs_digest": _digest(stext),
-           "convention": WITH_SIGMA_MINUS, "kernel": kernel, "pass": True}
-    sys.stdout.write(ser.dumps(out))
-    return EXIT_PASS
+    return {"command": "build-kernel", "inputs_digest": digest,
+            "convention": WITH_SIGMA_MINUS, "kernel": kernel, "pass": True}
 
 
-def cmd_hermite(args) -> int:
-    (spec_obj, stext) = _read_json(args.spectrum)
+def cmd_hermite(args) -> Dict[str, Any]:
+    (spec_obj,), digest = _read_inputs(args.spectrum)
     spec = ser.spectrum_from_json(spec_obj)
     cert = certify_hermite(spec)
-    out: Dict[str, Any] = {"command": "hermite", "inputs_digest": _digest(stext)}
+    out: Dict[str, Any] = {"command": "hermite", "inputs_digest": digest}
     if "error" in cert:
         out["error"] = cert["error"]
     else:
@@ -120,50 +118,45 @@ def cmd_hermite(args) -> int:
                    dual_matrix=cert["dual"].tolist(),
                    checks=[_check("kronecker_dual", cert["kronecker"])])
     out["pass"] = cert["pass"]
-    sys.stdout.write(ser.dumps(out))
-    return EXIT_PASS if cert["pass"] else EXIT_FAIL
+    return out
 
 
-def cmd_subdivide(args) -> int:
-    (mask_obj, mtext) = _read_json(args.mask)
-    (dil_obj, dtext) = _read_json(args.dilation)
-    (cand_obj, ctext) = _read_json(args.candidates)
+def cmd_subdivide(args) -> Dict[str, Any]:
+    (mask_obj, dil_obj, cand_obj), digest = _read_inputs(args.mask, args.dilation,
+                                                         args.candidates)
     a = ser.impulse_from_json(mask_obj)
     if a.is_zero:
         raise ValueError("mask has no nonzero tap")
     Xi = ser.dilation_from_json(dil_obj)
     candidates = ser.candidates_from_json(cand_obj)
     report = subdivision_kernel_check(a, Xi, candidates, tol=args.tol)
-    checks = [_check(f"candidate[theta={[_c(t) for t in rec['theta']]},k={rec['order']}]", rec)
-              for rec in report["candidates"]]
-    out = {"command": "subdivide", "inputs_digest": _digest(mtext, dtext, ctext),
-           "subsymbols": [{"coset": xi, "symbol": p}
-                          for xi, p in sorted(report["subsymbols"].items())],
-           "candidates": [{"theta": rec["theta"],
-                           "order": rec["order"],
-                           "symmetric_zero_violation": rec["symmetric_zero_violation"],
-                           "subsymbol_violation": rec["subsymbol_violation"],
-                           "oracle_residual": rec["oracle_residual"],
-                           "pass": rec["pass"]}
-                          for rec in report["candidates"]],
-           "checks": checks, "pass": report["pass"]}
-    sys.stdout.write(ser.dumps(out))
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    checks = []
+    for rec in report["candidates"]:
+        theta = [ser.complex_to_json(t) for t in rec["theta"]]
+        checks.append(_check(f"candidate[theta={theta},k={rec['order']}]", rec))
+    return {"command": "subdivide", "inputs_digest": digest,
+            "subsymbols": [{"coset": xi, "symbol": p}
+                           for xi, p in sorted(report["subsymbols"].items())],
+            "candidates": [{"theta": rec["theta"],
+                            "order": rec["order"],
+                            "symmetric_zero_violation": rec["symmetric_zero_violation"],
+                            "subsymbol_violation": rec["subsymbol_violation"],
+                            "oracle_residual": rec["oracle_residual"],
+                            "pass": rec["pass"]}
+                           for rec in report["candidates"]],
+            "checks": checks, "pass": report["pass"]}
 
 
-def cmd_eigen(args) -> int:
-    (filt_obj, ftext) = _read_json(args.filter)
-    (eig_obj, etext) = _read_json(args.eigenspec)
+def cmd_eigen(args) -> Dict[str, Any]:
+    (filt_obj, eig_obj), digest = _read_inputs(args.filter, args.eigenspec)
     h = ser.impulse_from_json(filt_obj)
     theta, lam, alpha_h, Q = ser.eigenspec_from_json(eig_obj, h.dim)
     cert = certify_eigen(h, theta, Q, lam, alpha_h, tol=args.tol, pad=args.window_pad)
     checks = [_check(f"eigen_condition[q={i}]", rec)
               for i, rec in enumerate(cert["conditions"])]
     checks.append(_check("eigen_residual[e_theta]", cert["oracle"]))
-    out = {"command": "eigen", "inputs_digest": _digest(ftext, etext),
-           "checks": checks, "pass": cert["pass"]}
-    sys.stdout.write(ser.dumps(out))
-    return EXIT_PASS if cert["pass"] else EXIT_FAIL
+    return {"command": "eigen", "inputs_digest": digest,
+            "checks": checks, "pass": cert["pass"]}
 
 
 def _nonnegative(kind: type, upper: Optional[float] = None):
@@ -236,7 +229,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        report = args.func(args)
+        sys.stdout.write(ser.dumps(report))
     except ValueError as exc:  # the input is refused; a failed check is a report
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -244,6 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}: input magnitudes overflow double precision",
               file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
-"""Finitely supported impulses, discrete convolution, exponential-polynomial
+"""Discrete convolution by finitely supported filters, exponential-polynomial
 sequences, and the certified-window annihilation oracle.
+
+A filter is its symbol: Impulse is another name for mpoly.LaurentPoly, whose
+terms are the taps h(alpha), and the product g * h of two filters is their
+convolution.
 
 The oracle rests on the identity h * (p e_theta) = e_theta * r with r a
 polynomial of degree <= deg p: a residual that vanishes on the tensor grid
@@ -18,7 +22,7 @@ are the union of their supports.  convolve(bank, [(theta, p), ...], w)
 builds the argument axes, the tables (once per distinct theta), the table
 indices and each row's (point, tap) values once over that union, gathering
 a theta's columns when its run of rows starts, and takes each filter's
-product over its own columns; an Impulse is the one-filter case.
+product over its own columns; a single filter is the one-filter case.
 kernel_residual(H, [(theta, p), ...]) stacks the terms that share a
 certified window, whatever their theta, with one normalization row per
 theta, makes one convolve per window for the whole of H (H split into
@@ -29,10 +33,10 @@ a residual does not depend on what is stacked with it.  A sequence of
 several terms is checked through its .terms.
 
 kernel_residual is the library's one window oracle.  An eigen-sequence c of
-h with eigenvalue lam and shift alpha_h is a kernel element of the impulse
+h with eigenvalue lam and shift alpha_h is a kernel element of the filter
 eigen_impulse(h, lam, alpha_h) = h - lam delta_{-alpha_h}, so
-eigen_residual is that impulse's kernel_residual.  spectrum.certify_eigen
-(whose conditions are that impulse's dual conditions),
+eigen_residual is that filter's kernel_residual.  spectrum.certify_eigen
+(whose conditions are that filter's dual conditions),
 spectrum.certify_kernel and subdivision.subdivision_kernel_check all decide
 their oracle checks through it, each at max(tol, ORACLE_TOL) times its
 scale.  Each of them first counts the (row, window point) pairs of its
@@ -44,74 +48,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .mpoly import Exponent, LaurentPoly, grlex_key, laurent_normalize
+from .mpoly import Exponent, LaurentPoly
 
 
-@dataclass(frozen=True)
-class Impulse:
-    """Finitely supported sequence Z^s -> C (a FIR filter / mask)."""
-
-    dim: int
-    taps: Mapping[Exponent, complex]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
-        clean: Dict[Exponent, complex] = {}
-        for idx, c in dict(self.taps).items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != self.dim:
-                raise ValueError(f"tap index {idx} has wrong length")
-            c = complex(c)
-            if c != 0:
-                clean[idx] = c
-        object.__setattr__(self, "taps", clean)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.taps
-
-    def l1(self) -> float:
-        return sum(abs(c) for c in self.taps.values())
-
-    @cached_property
-    def normalized_symbol(self) -> LaurentPoly:
-        """h*(z) without its monomial factor (laurent_normalize), computed once."""
-        return laurent_normalize(symbol(self))[0]
-
-    def sorted_taps(self) -> List[Tuple[Exponent, complex]]:
-        return [(idx, self.taps[idx]) for idx in sorted(self.taps, key=grlex_key)]
-
-    def __eq__(self, other):
-        if not isinstance(other, Impulse):
-            return NotImplemented
-        return self.dim == other.dim and dict(self.taps) == dict(other.taps)
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.taps.items())))
-
-
-def symbol(h: Impulse) -> LaurentPoly:
-    """h*(z) = sum_alpha h(alpha) z^alpha.  Impulse has already made each
-    index a tuple of dim ints and dropped the zero taps."""
-    return LaurentPoly._of(h.dim, h.taps)
-
-
-def impulse_from_symbol(f: LaurentPoly) -> Impulse:
-    return Impulse(f.dim, dict(f.terms))
-
-
-def convolve_impulses(g: Impulse, h: Impulse) -> Impulse:
-    """(g * h) as an impulse; symbols multiply."""
-    if g.dim != h.dim:
-        raise ValueError("dimension mismatch")
-    return impulse_from_symbol(symbol(g) * symbol(h))
+# A filter (impulse, mask) is stored as its symbol h*(z): its taps are the
+# polynomial's terms (see mpoly).
+Impulse = LaurentPoly
 
 
 # One exponential-polynomial term (theta, p): the sequence alpha -> p(alpha) theta^alpha.
@@ -253,16 +200,16 @@ class FilterBank:
     tap) values is the one it would get alone.
     """
 
-    def __init__(self, H: Sequence[Impulse]):
-        dims = {h.dim for h in H if h.taps}
+    def __init__(self, H: Sequence[LaurentPoly]):
+        dims = {h.dim for h in H if h.terms}
         if len(dims) > 1:
             raise ValueError("filter dimensions differ")
         self.dim = dims.pop() if dims else None
         index: Dict[Exponent, int] = {}
-        self.columns = [np.array([index.setdefault(tau, len(index)) for tau in h.taps],
+        self.columns = [np.array([index.setdefault(tau, len(index)) for tau in h.terms],
                                  dtype=np.intp) for h in H]
         self.taps: Tuple[Exponent, ...] = tuple(index)
-        self.vectors = [np.fromiter(h.taps.values(), complex, len(h.taps)) for h in H]
+        self.vectors = [np.fromiter(h.terms.values(), complex, len(h.terms)) for h in H]
 
 
 def _convolve_closed_form(bank: FilterBank, terms: Sequence[Term], w: Window) -> np.ndarray:
@@ -326,7 +273,7 @@ def _convolve_closed_form(bank: FilterBank, terms: Sequence[Term], w: Window) ->
     return out
 
 
-def convolve(h: "Impulse | FilterBank", c: "Sequence[Term] | SequenceSamples", w: Window):
+def convolve(h: "LaurentPoly | FilterBank", c: "Sequence[Term] | SequenceSamples", w: Window):
     """(h * c)(alpha) = sum_beta h(beta) c(alpha - beta) on the window.
 
     A list of terms (theta, p) gives an array with one row per term, the
@@ -345,7 +292,7 @@ def convolve(h: "Impulse | FilterBank", c: "Sequence[Term] | SequenceSamples", w
     out: Dict[Exponent, complex] = {}
     for alpha in w.points():
         total = 0j
-        for beta, hb in h.taps.items():
+        for beta, hb in h.terms.items():
             arg = tuple(a - b for a, b in zip(alpha, beta))
             if arg not in c:
                 raise ValueError(f"sample coverage missing point {arg}")
@@ -396,7 +343,7 @@ def certified_window(dim: int, degree: int, pad: int = 0) -> Window:
     return Window((0,) * dim, (D,) * dim)
 
 
-def kernel_residual(H: Sequence[Impulse], terms: Sequence[Term], pad: int = 0) -> List[float]:
+def kernel_residual(H: Sequence[LaurentPoly], terms: Sequence[Term], pad: int = 0) -> List[float]:
     """Normalized annihilation residual of each term p e_theta under every h
     in H, one per term.
 
@@ -441,17 +388,14 @@ def kernel_residual(H: Sequence[Impulse], terms: Sequence[Term], pad: int = 0) -
     return out
 
 
-def eigen_impulse(h: Impulse, lam: complex, alpha_h: Sequence[int]) -> Impulse:
+def eigen_impulse(h: LaurentPoly, lam: complex, alpha_h: Sequence[int]) -> LaurentPoly:
     """h - lam delta_{-alpha_h}, whose convolution with any c is
     h*c - lam c(. + alpha_h): its kernel is the eigen-sequences of h with
     eigenvalue lam and shift alpha_h."""
-    shift = tuple(-int(a) for a in alpha_h)
-    taps = dict(h.taps)
-    taps[shift] = taps.get(shift, 0) - complex(lam)
-    return Impulse(h.dim, taps)
+    return h - LaurentPoly.monomial(h.dim, [-int(a) for a in alpha_h], lam)
 
 
-def eigen_residual(h: Impulse, lam: complex, alpha_h: Sequence[int],
+def eigen_residual(h: LaurentPoly, lam: complex, alpha_h: Sequence[int],
                    terms: Sequence[Term], pad: int = 0) -> List[float]:
     """Per term c = p e_theta, the max over its certified window of
     |h*c - lam c(. + alpha_h)|: the kernel_residual of eigen_impulse(h,

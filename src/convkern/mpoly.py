@@ -20,6 +20,14 @@ is a tuple of ints of length dim occurring once and every coefficient is a
 Python complex.  It still rejects a non-finite coefficient, since arithmetic
 can overflow, with the same ValueError, and still drops zero terms and turns
 -0.0 parts into +0.0, so both constructors store the same terms.
+
+A finitely supported filter h: Z^s -> C is stored as its symbol
+h*(z) = sum_alpha h(alpha) z^alpha, so filters.Impulse is another name for
+LaurentPoly: a tap h(alpha) is the coefficient of z^alpha, .taps reads
+.terms, a filter product g * h is the product of symbols and a filter with
+a non-finite tap is refused when it is built.  normalized_symbol, the
+symbol without its monomial factor (laurent_normalize), is computed once
+per polynomial and kept in a slot.
 """
 
 from __future__ import annotations
@@ -98,7 +106,7 @@ def _diff_terms(terms: Mapping[Exponent, Complex],
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in ``dim`` variables."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_normalized")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Complex] | None = None):
         if dim < 1:
@@ -184,6 +192,26 @@ class LaurentPoly:
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
         return math.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))
+
+    def l1(self) -> float:
+        """Sum of the coefficient moduli, the l1 norm of a filter's taps."""
+        return sum(abs(c) for c in self.terms.values())
+
+    @property
+    def taps(self) -> Mapping[Exponent, Complex]:
+        """The terms read as a filter's taps h(alpha), keyed by alpha."""
+        return self.terms
+
+    @property
+    def normalized_symbol(self) -> "LaurentPoly":
+        """The polynomial without its monomial factor (laurent_normalize),
+        computed on first use and kept."""
+        try:
+            return self._normalized
+        except AttributeError:
+            g = laurent_normalize(self)[0]
+            object.__setattr__(self, "_normalized", g)
+            return g
 
     def __bool__(self) -> bool:
         return bool(self.terms)

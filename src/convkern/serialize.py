@@ -1,5 +1,7 @@
 """JSON schemas for polynomials, impulses, filter sets, spectra, dilations,
-subdivision candidates and eigen specs.
+subdivision candidates and eigen specs.  An impulse {dim, taps} is read as
+its symbol, a LaurentPoly whose terms are the taps, and written from its
+graded-lex sorted_terms.
 
 All emitters order their output canonically (graded-lex term order, fixed key
 order), so serialized bytes are reproducible across runs.
@@ -40,7 +42,6 @@ import math
 from typing import Any, Dict, List, Sequence, Tuple
 
 from .apolar import DInvariantSpace
-from .filters import Impulse
 from .mpoly import MAX_FACTORIAL, LaurentPoly
 from .spectrum import Spectrum, Zero
 from .subdivision import Dilation
@@ -132,13 +133,13 @@ def space_from_json(obj: Any, dim: int) -> DInvariantSpace:
     return DInvariantSpace(_basis_from_json(obj, dim))
 
 
-def impulse_to_json(h: Impulse) -> Dict[str, Any]:
+def impulse_to_json(h: LaurentPoly) -> Dict[str, Any]:
     return {"dim": h.dim,
             "taps": [{"index": list(idx), "re": float(c.real), "im": float(c.imag)}
-                     for idx, c in h.sorted_taps()]}
+                     for idx, c in h.sorted_terms()]}
 
 
-def impulse_from_json(obj: Any) -> Impulse:
+def impulse_from_json(obj: Any) -> LaurentPoly:
     if not isinstance(obj, dict) or "dim" not in obj or "taps" not in obj:
         raise ValueError("impulse must be {dim, taps}")
     dim = _integer(obj["dim"], "dim")
@@ -154,14 +155,14 @@ def impulse_from_json(obj: Any) -> Impulse:
         if idx in taps:
             raise ValueError(f"repeated tap index {list(idx)}")
         taps[idx] = _parts(entry)
-    return Impulse(dim, taps)
+    return LaurentPoly(dim, taps)
 
 
-def filters_to_json(H: Sequence[Impulse]) -> Dict[str, Any]:
+def filters_to_json(H: Sequence[LaurentPoly]) -> Dict[str, Any]:
     return {"filters": [impulse_to_json(h) for h in H]}
 
 
-def filters_from_json(obj: Any) -> List[Impulse]:
+def filters_from_json(obj: Any) -> List[LaurentPoly]:
     if not isinstance(obj, dict) or "filters" not in obj:
         raise ValueError("filter file must be {filters: [...]}")
     out = [impulse_from_json(entry) for entry in _array(obj["filters"], "filters")]

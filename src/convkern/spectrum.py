@@ -26,8 +26,9 @@ error: hermite_fundamentals returns None and certify_hermite a failed
 record.  verify_zero_dim evaluates its conditions one by one
 through dual_apply, and certify_kernel checks the P_theta of every zero in
 one oracle call.  The dual functionals come from each zero's
-DInvariantSpace.ortho_basis and the symbols from Impulse.normalized_symbol,
-each computed once by the object that owns it.
+DInvariantSpace.ortho_basis and the symbols from each filter's
+normalized_symbol (a filter is its symbol, a LaurentPoly), each computed
+once by the object that owns it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .apolar import DInvariantSpace
-from .filters import (DEFAULT_TOL, ORACLE_TOL, Impulse, eigen_impulse, eigen_residual,
-                      kernel_residual, require_window_pairs, symbol)
+from .filters import (DEFAULT_TOL, ORACLE_TOL, eigen_impulse, eigen_residual,
+                      kernel_residual, require_window_pairs)
 from .linalg import (RANK_TOL, coeff_matrix, diff_tables, from_coeff_vector,
                      monomials_upto, numerical_rank, nullspace)
 from .mpoly import LaurentPoly, apply_poly_diff
@@ -134,7 +135,7 @@ def _dual_scale(g: LaurentPoly, point: Sequence[complex]) -> float:
                      for exp, c in g.terms.items())
 
 
-def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
+def verify_zero_dim(H: Sequence[LaurentPoly], spec: Spectrum,
                     tol: float = DEFAULT_TOL) -> Dict:
     """Check q(D) h*(theta^-1) = 0 over all filters, zeros, and orthonormal
     basis elements, each at tol (1 + sum |c| |theta^-e|) over the terms
@@ -147,7 +148,7 @@ def verify_zero_dim(H: Sequence[Impulse], spec: Spectrum,
     records = []
     ok = True
     for hi, h in enumerate(H):
-        g = h.normalized_symbol if h.taps else LaurentPoly.zero(h.dim)
+        g = h.normalized_symbol if h.terms else h
         for zi, zero in enumerate(spec.zeros):
             scale = _dual_scale(g, zero.point)
             for qi, q in enumerate(zero.mult.ortho_basis):
@@ -262,7 +263,7 @@ def certify_hermite(spec: Spectrum) -> Dict:
     return {"pass": kronecker["pass"], "system": system, "dual": dual, "kronecker": kronecker}
 
 
-def ideal_complement_filters(spec: Spectrum, count: int, max_degree: int) -> List[Impulse]:
+def ideal_complement_filters(spec: Spectrum, count: int, max_degree: int) -> List[LaurentPoly]:
     """Filters whose symbols are annihilated by every dual functional of the
     spectrum, drawn from the nullspace of the collocation matrix over
     Pi_max_degree."""
@@ -273,11 +274,7 @@ def ideal_complement_filters(spec: Spectrum, count: int, max_degree: int) -> Lis
     null = nullspace(V)
     if null.shape[1] < count:
         raise ValueError(f"nullspace dimension {null.shape[1]} < requested {count}")
-    out = []
-    for k in range(count):
-        f = from_coeff_vector(spec.dim, null[:, k], monos)
-        out.append(Impulse(spec.dim, dict(f.terms)))
-    return out
+    return [from_coeff_vector(spec.dim, null[:, k], monos) for k in range(count)]
 
 
 def require_kernel_windows(spec: Spectrum, pad: int = 0) -> int:
@@ -291,7 +288,7 @@ def require_kernel_windows(spec: Spectrum, pad: int = 0) -> int:
     return require_window_pairs(spec.dim, pad, rows.items())
 
 
-def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
+def certify_kernel(H: Sequence[LaurentPoly], spec: Spectrum,
                    tol: float = DEFAULT_TOL, pad: int = 0) -> Dict:
     """Decide ker H >= direct sum of P_theta e_theta for the spectrum.
 
@@ -322,7 +319,7 @@ def certify_kernel(H: Sequence[Impulse], spec: Spectrum,
             "conditions": report["conditions"], "oracle": oracle, "kernel": kernel}
 
 
-def certify_eigen(h: Impulse, theta: Sequence[complex], Q: DInvariantSpace, lam: complex,
+def certify_eigen(h: LaurentPoly, theta: Sequence[complex], Q: DInvariantSpace, lam: complex,
                   alpha_h: Sequence[int], tol: float = DEFAULT_TOL, pad: int = 0) -> Dict:
     """Decide that e_theta is an eigen-sequence of h with eigenvalue lam and
     shift alpha_h, as the kernel certificate of h' = eigen_impulse(h, lam,
@@ -347,7 +344,7 @@ def certify_eigen(h: Impulse, theta: Sequence[complex], Q: DInvariantSpace, lam:
             "conditions": conditions, "oracle": oracle}
 
 
-def kernel_basis(H: Sequence[Impulse], spec: Spectrum, tol: float = DEFAULT_TOL):
+def kernel_basis(H: Sequence[LaurentPoly], spec: Spectrum, tol: float = DEFAULT_TOL):
     """Assemble ker H = direct sum of P_theta e_theta with certify_kernel and
     return its (theta, P_theta) bases; raises unless every check passes."""
     cert = certify_kernel(H, spec, tol)
@@ -361,7 +358,7 @@ def kernel_basis(H: Sequence[Impulse], spec: Spectrum, tol: float = DEFAULT_TOL)
     return cert["kernel"]
 
 
-def quotient_dim_estimate(H: Sequence[Impulse], d: int) -> int:
+def quotient_dim_estimate(H: Sequence[LaurentPoly], d: int) -> int:
     """dim Pi_d minus the rank of the degree-<=d monomial multiples of the
     normalized symbols; stabilizes at the total multiplicity for zero
     dimensional filter sets."""
@@ -372,10 +369,9 @@ def quotient_dim_estimate(H: Sequence[Impulse], d: int) -> int:
     # estimate works on the symbols as given.
     gens = []
     for h in H:
-        f = symbol(h)
-        shift = tuple(-min(0, min((exp[j] for exp in f.terms), default=0))
+        shift = tuple(-min(0, min((exp[j] for exp in h.terms), default=0))
                       for j in range(dim))
-        gens.append(LaurentPoly.monomial(dim, shift) * f)
+        gens.append(LaurentPoly.monomial(dim, shift) * h)
     if any(g.degree() > d for g in gens):
         raise ValueError("degree bound below a symbol degree")
     monos = monomials_upto(dim, d)

@@ -2,24 +2,27 @@
 
 Coset membership has one rule, the exact integer floor map
 rho(alpha) = alpha - Xi floor(adj alpha / det) onto Xi [0,1)^s.  A Dilation
-owns its determinant and adjugate, from O(s^3) exact elimination, and
-(lazily) two closures of {0} under v -> (v + step) mod det: the coset
-representatives of E_Xi, carried as adj xi, and the dual residues
-adj(Xi^T) Z^s mod det, the vectors det Xi^-T xi' over xi' in E'_Xi, from
-which the modulation points e^{-2 pi i Xi^-T xi'} zeta are read.
-Subsymbols and subdivide split a tap by the floor map.  Kernel questions
-reduce to convolution kernels of the subsymbols, one per coset.
+owns its determinant and adjugate, both from one O(s^3) fraction-free
+elimination (int_adjugate), and (lazily) two closures of {0} under
+v -> (v + step) mod det: the coset representatives of E_Xi, carried as
+adj xi, and the dual residues adj(Xi^T) Z^s mod det, the vectors
+det Xi^-T xi' over xi' in E'_Xi, from which the modulation points
+e^{-2 pi i Xi^-T xi'} zeta are read.  Subsymbols and subdivide split a tap
+by the floor map.  Kernel questions reduce to convolution kernels of the
+subsymbols, one per coset.
 
-Both derivative tests are one jet routine: symbols (each an
-Impulse.normalized_symbol) laid out once over their union support, at
-groups of points, each group one jet table at its top order, scaled by
-max(1, ||a||_1) max(1, |z|_inf^deg); a symmetric zero puts the mask's
-symbol at every modulation point, the subsymbol test every subsymbol at
-each theta^-1.  The row values of a matrix product depend on its row
-count, so order k multiplies the first dim Pi_k rows of the table and a
-symbol's columns, copied contiguous: each value is bit-identical to that
-of a table built for that order and symbol alone.  The oracle test
-decides at max(tol, ORACLE_TOL), like every other oracle.
+A mask is its symbol a*(z), a LaurentPoly whose terms are its taps, and
+its nonzero subsymbols are the filters of the per-coset oracle.  Both
+derivative tests are one jet routine: symbols (each a normalized_symbol)
+laid out once over their union support, at groups of points, each group
+one jet table at its top order, scaled by max(1, ||a||_1)
+max(1, |z|_inf^deg); a symmetric zero puts the mask's symbol at every
+modulation point, the subsymbol test every subsymbol at each theta^-1.
+The row values of a matrix product depend on its row count, so order k
+multiplies the first dim Pi_k rows of the table and a symbol's columns,
+copied contiguous: each value is bit-identical to that of a table built
+for that order and symbol alone.  The oracle test decides at
+max(tol, ORACLE_TOL), like every other oracle.
 Each candidate record carries the residual and tolerance of the test that
 decides it, which the subdivide command prints.
 """
@@ -29,14 +32,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .filters import (DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Impulse, Window, kernel_residual,
+from .filters import (DEFAULT_TOL, ORACLE_TOL, ExpPolySeq, Window, kernel_residual,
                       require_window_pairs)
 from .linalg import diff_tables, joint_support, monomials_upto
 from .mpoly import Exponent, LaurentPoly, grlex_key
@@ -53,45 +55,30 @@ def _matvec(M: Sequence[Sequence[int]], v: Sequence[int]) -> Tuple[int, ...]:
     return tuple([sum(map(mul, row, v)) for row in M])
 
 
-def int_det(M: Sequence[Sequence[int]]) -> int:
-    """det(M) by Bareiss's fraction-free elimination: O(s^3) operations on
-    integers, each division exact."""
-    A = [list(row) for row in M]
-    n, sign, prev = len(A), 1, 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if swap is None:
-                return 0
-            A[k], A[swap], sign = A[swap], A[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[-1][-1]
-
-
-def int_adjugate(M: Sequence[Sequence[int]]) -> List[List[int]]:
-    """adj(M) = det(M) M^-1 of a nonsingular M, with M @ adj(M) = det(M) I:
-    Gauss-Jordan elimination over the rationals, O(s^3) exact operations."""
+def int_adjugate(M: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
+    """(det M, adj M), M adj M = det M I, of a nonsingular integer M, from
+    one fraction-free (Bareiss) Gauss-Jordan elimination of [M | I]: each
+    pivot step updates every other row by (a_kk a_ij - a_ik a_kj) / p, p
+    the previous pivot, a division that is exact.  The left block ends as
+    d I and the right block as d M^-1, both up to the sign of the row
+    swaps.  O(s^3) integer operations; raises ValueError for a singular M."""
     n = len(M)
-    A = [[Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
-         for i, row in enumerate(M)]
-    det = Fraction(1)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    sign, prev = 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if A[i][k]), None)
         if p is None:
-            raise ValueError("matrix is singular")
+            raise ValueError("dilation matrix is singular")
         if p != k:
-            A[k], A[p], det = A[p], A[k], -det
-        pivot = A[k][k]
-        det *= pivot
-        A[k] = [v / pivot for v in A[k]]
-        for i in range(n):
-            if i != k and A[i][k]:
-                f = A[i][k]
-                A[i] = [a - f * b for a, b in zip(A[i], A[k])]
-    return [[int(det * v) for v in row[n:]] for row in A]
+            A[k], A[p], sign = A[p], A[k], -sign
+        pivot = A[k]
+        akk = pivot[k]
+        for i, row in enumerate(A):
+            if i != k:
+                aik = row[k]
+                A[i] = [(akk * a - aik * b) // prev for a, b in zip(row, pivot)]
+        prev = akk
+    return sign * prev, [[sign * v for v in row[n:]] for row in A]
 
 
 @dataclass(frozen=True)
@@ -109,11 +96,9 @@ class Dilation:
     def __post_init__(self):
         M = _int_matrix(self.Xi)
         object.__setattr__(self, "Xi", M)
-        det = int_det(M)
-        if det == 0:
-            raise ValueError("dilation matrix is singular")
+        det, adj = int_adjugate(M)
         object.__setattr__(self, "det", det)
-        object.__setattr__(self, "adj", tuple(map(tuple, int_adjugate(M))))
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
 
     @property
     def dim(self) -> int:
@@ -192,12 +177,12 @@ def coset_reps(Xi: Dilation) -> List[Tuple[int, ...]]:
                    for v in _closure(d, Xi.adj_transpose())], key=grlex_key)
 
 
-def subsymbols(a: Impulse, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
+def subsymbols(a: LaurentPoly, Xi: Dilation) -> Dict[Tuple[int, ...], LaurentPoly]:
     """a_xi*(z) = sum_alpha a(xi + Xi alpha) z^alpha for every representative xi."""
     if a.dim != Xi.dim:
         raise ValueError("mask / dilation dimension mismatch")
     terms: Dict[Tuple[int, ...], Dict[Exponent, complex]] = {xi: {} for xi in Xi.reps}
-    for tap, c in a.taps.items():
+    for tap, c in a.terms.items():
         xi, beta = _coset_decompose(Xi, tap)
         terms[xi][beta] = terms[xi].get(beta, 0) + c
     return {xi: LaurentPoly._of(a.dim, t) for xi, t in terms.items()}
@@ -267,7 +252,7 @@ def _jet_violations(symbols: Sequence[LaurentPoly], scale: float,
     return out
 
 
-def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
+def is_symmetric_zero(a: LaurentPoly, Xi: Dilation, zeta: Sequence[complex],
                       orders: Sequence[int], tol: float = DEFAULT_TOL) -> List[Tuple[bool, float]]:
     """Per order k in orders, (ok, worst): ok iff every derivative D^beta a*,
     |beta| <= k, vanishes at all modulation translates of zeta, and worst
@@ -280,7 +265,7 @@ def is_symmetric_zero(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
     return [(w <= tol, w) for w in worst]
 
 
-def symmetric_zero_order(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
+def symmetric_zero_order(a: LaurentPoly, Xi: Dilation, zeta: Sequence[complex],
                          max_order: int = 10, tol: float = DEFAULT_TOL) -> int:
     """Largest k <= max_order such that zeta is a symmetric zero of order k;
     -1 if not even a symmetric zero of order 0.  One jet table at max_order
@@ -293,7 +278,7 @@ def symmetric_zero_order(a: Impulse, Xi: Dilation, zeta: Sequence[complex],
     return best
 
 
-def subdivide(a: Impulse, Xi: Dilation, c, w: Window) -> Dict[Exponent, complex]:
+def subdivide(a: LaurentPoly, Xi: Dilation, c, w: Window) -> Dict[Exponent, complex]:
     """(S_a c)(alpha) = sum_beta a(alpha - Xi beta) c(beta) on the window."""
     if a.dim != Xi.dim:
         raise ValueError("mask / dilation dimension mismatch")
@@ -301,7 +286,7 @@ def subdivide(a: Impulse, Xi: Dilation, c, w: Window) -> Dict[Exponent, complex]
     out: Dict[Exponent, complex] = {}
     for alpha in w.points():
         total = 0j
-        for tap, av in a.taps.items():
+        for tap, av in a.terms.items():
             # only taps with alpha - tap in Xi Z^s, the coset of 0, contribute
             xi, beta = _coset_decompose(Xi, [x - t for x, t in zip(alpha, tap)])
             if any(xi):
@@ -330,7 +315,7 @@ def canonical_zero_representative(Xi: Dilation, theta: Sequence[complex]) -> Tup
     return tuple(cmath.exp(-acc / Xi.det) for acc in _matvec(Xi.adj_transpose(), logs))
 
 
-def subdivision_kernel_check(a: Impulse, Xi: Dilation,
+def subdivision_kernel_check(a: LaurentPoly, Xi: Dilation,
                              candidates: Sequence[Tuple[Sequence[complex], int]],
                              tol: float = DEFAULT_TOL) -> Dict:
     """Per candidate (theta, k): three equivalent tests of
@@ -370,10 +355,11 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     if not is_expanding(Xi):
         raise ValueError("dilation matrix is not expanding")
     subs = subsymbols(a, Xi)
-    sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
-    # a monomial factor is a unit away from the origin, so normalizing
-    # each subsymbol leaves its vanishing order at theta^-1 unchanged
-    sub_symbols = [h.normalized_symbol for h in sub_impulses]
+    # the nonzero subsymbols are the oracle's filters; a monomial factor is a
+    # unit away from the origin, so normalizing each subsymbol leaves its
+    # vanishing order at theta^-1 unchanged
+    sub_filters = [p for p in subs.values() if not p.is_zero]
+    sub_symbols = [p.normalized_symbol for p in sub_filters]
     l1 = max(1.0, a.l1())
     asked: Dict[Tuple[complex, ...], set] = {}
     for theta, k in candidates:
@@ -385,7 +371,7 @@ def subdivision_kernel_check(a: Impulse, Xi: Dilation,
     orders = {theta: sorted(ks) for theta, ks in asked.items()}
     subsymbol_tests = _jet_violations(sub_symbols, l1, [
         ([tuple(1.0 / t for t in theta)], ks) for theta, ks in orders.items()])
-    residuals = iter(kernel_residual(sub_impulses, [
+    residuals = iter(kernel_residual(sub_filters, [
         (theta, LaurentPoly.monomial(a.dim, exp))
         for theta, ks in orders.items() for exp in monomials_upto(a.dim, ks[-1])]))
     # theta -> order -> (symmetric zero, subsymbol, oracle) violations

@@ -699,6 +699,13 @@ def _dense_dilation(n):
     return {"Xi": [[5 if i == j else 1 for j in range(n)] for i in range(n)]}
 
 
+def _bidiagonal_dilation(n):
+    """2 on the diagonal and 1 above it: det = 2^n, whose adjugate has
+    entries up to 2^(n-1); its exact elimination must not outlast the
+    timeout before the det cap refuses it."""
+    return {"Xi": [[2 if j == i else int(j == i + 1) for j in range(n)] for i in range(n)]}
+
+
 class TestUnboundedInputs:
     """Inputs that used to run without bound exit 2 with a message.  Each runs
     in a subprocess under a timeout, so a regression fails instead of
@@ -713,6 +720,9 @@ class TestUnboundedInputs:
         "dilation_12x12": (_filters(index=(1,) + (0,) * 11, dim=12)["filters"][0],
                            _dense_dilation(12),
                            {"candidates": [{"theta": [ONE] * 12, "order": 0}]}),
+        "dilation_bidiagonal_120": (_filters(index=(1,) + (0,) * 119, dim=120)["filters"][0],
+                                    _bidiagonal_dilation(120),
+                                    {"candidates": [{"theta": [ONE] * 120, "order": 0}]}),
         # mask 1 - z_1, dilation 2 I_6, theta = 1: Pi_8 stacks 1287 degree-8
         # rows over 9^6 window points; Pi_20 walks 21^6 exponents
         "window_order_8": _window_case(8),
@@ -741,7 +751,8 @@ class TestUnboundedInputs:
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("case, det", [("det_above_cap", 160000),
-                                           ("dilation_12x12", 4 ** 11 * 16)])
+                                           ("dilation_12x12", 4 ** 11 * 16),
+                                           ("dilation_bidiagonal_120", 2 ** 120)])
     def test_det_cap_is_named(self, case, det, tmp_path):
         proc = self._subdivide(self.CASES[case], tmp_path)
         assert proc.stderr == (f"error: dilation has |det Xi| = {det} cosets, "

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convkern
 from convkern import (ExpPolySeq, Impulse, LaurentPoly, Window, certified_window,
-                      certify_eigen, convolve, convolve_impulses, eigen_residual,
-                      fat_point_space, impulse_from_symbol, kernel_residual, symbol)
+                      certify_eigen, convolve, eigen_residual, fat_point_space,
+                      kernel_residual)
 from convkern.filters import ORACLE_TOL
 
 from conftest import const, random_poly, variables
@@ -32,33 +33,46 @@ def _convolve_seq(h, seq, w):
 class TestSymbol:
     def test_first_difference(self):
         z = LaurentPoly.variable(1, 0)
-        assert symbol(delta_diff()) == const(1, 1) - z
+        assert delta_diff() == const(1, 1) - z
 
     def test_second_difference(self):
         z = LaurentPoly.variable(1, 0)
         h = Impulse(1, {(0,): 1.0, (1,): -2.0, (2,): 1.0})
-        assert symbol(h) == (const(1, 1) - z) * (const(1, 1) - z)
+        assert h == (const(1, 1) - z) * (const(1, 1) - z)
 
     def test_tensor_difference(self):
         z1, z2 = variables(2)
         h = Impulse(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
-        assert symbol(h) == (const(2, 1) - z1) * (const(2, 1) - z2)
+        assert h == (const(2, 1) - z1) * (const(2, 1) - z2)
 
     def test_multiplicative(self, rng):
+        # the product of two filters' symbols has the taps of their
+        # convolution, sum_beta g(beta) h(alpha - beta)
         for _ in range(10):
             dim = int(rng.integers(1, 3))
-            g = impulse_from_symbol(random_poly(rng, dim, 3, laurent=True))
-            h = impulse_from_symbol(random_poly(rng, dim, 3, laurent=True))
-            prod = symbol(convolve_impulses(g, h))
-            direct = symbol(g) * symbol(h)
-            assert (prod - direct).norm() <= 1e-12 * max(1.0, direct.norm())
+            g = random_poly(rng, dim, 3, laurent=True)
+            h = random_poly(rng, dim, 3, laurent=True)
+            taps = {}
+            for beta, gb in g.taps.items():
+                for gamma, hc in h.taps.items():
+                    alpha = tuple(b + c for b, c in zip(beta, gamma))
+                    taps[alpha] = taps.get(alpha, 0) + gb * hc
+            direct = Impulse(dim, taps)
+            assert (g * h - direct).norm() <= 1e-12 * max(1.0, direct.norm())
 
 
 class TestImpulse:
+    def test_a_filter_is_its_symbol(self):
+        assert convkern.Impulse is convkern.LaurentPoly
+
     @pytest.mark.parametrize("taps", [{(): 1.0}, {}])
     def test_dimension_must_be_positive(self, taps):
         with pytest.raises(ValueError, match="dimension must be positive"):
             Impulse(0, taps)
+
+    def test_non_finite_tap_refused_when_built(self):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            Impulse(1, {(0,): float("inf")})
 
 
 class TestConvolve:
@@ -76,25 +90,25 @@ class TestConvolve:
         # h * e_theta = h*(theta^-1) e_theta
         for _ in range(10):
             dim = int(rng.integers(1, 3))
-            h = impulse_from_symbol(random_poly(rng, dim, 3, laurent=True))
+            h = random_poly(rng, dim, 3, laurent=True)
             theta = rng.uniform(0.5, 2.0, size=dim) * np.exp(
                 2j * np.pi * rng.uniform(size=dim))
             seq = ExpPolySeq.single(tuple(theta), const(dim, 1.0))
-            factor = symbol(h).evaluate(1.0 / theta)
+            factor = h.evaluate(1.0 / theta)
             w = Window((0,) * dim, (2,) * dim)
             for alpha, v in _convolve_seq(h, seq, w).items():
                 expect = factor * seq.value(alpha)
                 assert abs(v - expect) <= 1e-10 * (1 + abs(expect))
 
     def test_sampled_sequence_and_associativity(self, rng):
-        g = impulse_from_symbol(random_poly(rng, 1, 2))
-        h = impulse_from_symbol(random_poly(rng, 1, 2))
+        g = random_poly(rng, 1, 2)
+        h = random_poly(rng, 1, 2)
         samples = {(k,): complex(rng.normal()) for k in range(-10, 11)}
         inner_w = Window((-5,), (5,))
         hc = convolve(h, samples, inner_w)
         w = Window((-1,), (1,))
         lhs = convolve(g, hc, w)
-        rhs = convolve(convolve_impulses(g, h), samples, w)
+        rhs = convolve(g * h, samples, w)
         for alpha in w.points():
             assert abs(lhs[alpha] - rhs[alpha]) <= 1e-10
 
@@ -126,7 +140,7 @@ class TestCertifiedWindow:
         # Sequences certified zero on the window stay zero at random
         # outside points.
         z = LaurentPoly.variable(1, 0)
-        h = impulse_from_symbol((const(1, 1) - 2 * z) * (const(1, 1) - 2 * z))
+        h = (const(1, 1) - 2 * z) * (const(1, 1) - 2 * z)
         x = LaurentPoly.variable(1, 0)
         for p in (const(1, 1), x):
             seq = ExpPolySeq.single((2.0,), p)
@@ -159,7 +173,7 @@ class TestKernelResidual:
         # h* = (z-2)^2 (z-3): kernel is (1/2)^a, a (1/2)^a, (1/3)^a
         z = LaurentPoly.variable(1, 0)
         two, three = const(1, 2), const(1, 3)
-        h = impulse_from_symbol((z - two) * (z - two) * (z - three))
+        h = (z - two) * (z - two) * (z - three)
         x = LaurentPoly.variable(1, 0)
         members = [((0.5,), const(1, 1)), ((0.5,), x), ((1 / 3,), const(1, 1))]
         assert all(res <= 1e-8 for res in kernel_residual([h], members))
@@ -369,8 +383,7 @@ class TestBlockConvolve:
         for radius in (0.3, 3.0):
             for _ in range(8):
                 dim = int(rng.integers(1, 4))
-                h = impulse_from_symbol(random_poly(rng, dim, 3, complex_coeffs=True,
-                                                    laurent=True))
+                h = random_poly(rng, dim, 3, complex_coeffs=True, laurent=True)
                 seq = ExpPolySeq.single(_random_theta(rng, dim, radius),
                                         random_poly(rng, dim, 4, complex_coeffs=True))
                 _assert_matches_scalar(h, seq, Window((-2,) * dim, (3,) * dim))
@@ -383,8 +396,7 @@ class TestBlockConvolve:
 
     def test_two_term_sequence(self, rng):
         for dim in (1, 2, 3):
-            h = impulse_from_symbol(random_poly(rng, dim, 3, complex_coeffs=True,
-                                                laurent=True))
+            h = random_poly(rng, dim, 3, complex_coeffs=True, laurent=True)
             seq = ExpPolySeq(((_random_theta(rng, dim, 0.3), random_poly(rng, dim, 3)),
                               (_random_theta(rng, dim, 3.0), random_poly(rng, dim, 2))))
             _assert_matches_scalar(h, seq, Window((0,) * dim, (3,) * dim))
@@ -396,7 +408,7 @@ class TestBlockConvolve:
 
     def test_window_spanning_several_blocks(self, rng):
         from convkern import filters
-        h = impulse_from_symbol(random_poly(rng, 1, 4, complex_coeffs=True, laurent=True))
+        h = random_poly(rng, 1, 4, complex_coeffs=True, laurent=True)
         seq = ExpPolySeq.single(_random_theta(rng, 1, 1.0), random_poly(rng, 1, 3))
         n = 3 * (filters.BLOCK_PAIRS // len(h.taps)) + 7
         _assert_matches_scalar(h, seq, Window((-n // 2,), (n - n // 2,)))
@@ -405,7 +417,7 @@ class TestBlockConvolve:
         from convkern import filters
         monkeypatch.setattr(filters, "BLOCK_PAIRS", 5)
         for dim in (2, 3):
-            h = impulse_from_symbol(random_poly(rng, dim, 2, laurent=True))
+            h = random_poly(rng, dim, 2, laurent=True)
             seq = ExpPolySeq.single(_random_theta(rng, dim, 3.0), random_poly(rng, dim, 3))
             _assert_matches_scalar(h, seq, Window((-1,) * dim, (2,) * dim))
 
@@ -461,8 +473,7 @@ class TestStackedConvolve:
     @pytest.mark.parametrize("radius", [0.3, 3.0])
     def test_rows_equal_single_calls(self, rng, dim, radius):
         for _ in range(3):
-            h = impulse_from_symbol(random_poly(rng, dim, 3, complex_coeffs=True,
-                                                laurent=True))
+            h = random_poly(rng, dim, 3, complex_coeffs=True, laurent=True)
             _assert_rows_are_single_calls(h, _random_stack(rng, dim, radius),
                                           Window((-2,) * dim, (3,) * dim))
 
@@ -475,13 +486,13 @@ class TestStackedConvolve:
 
     def test_several_blocks(self, rng, monkeypatch):
         from convkern import filters
-        h = impulse_from_symbol(random_poly(rng, 1, 4, complex_coeffs=True, laurent=True))
+        h = random_poly(rng, 1, 4, complex_coeffs=True, laurent=True)
         n = 3 * (filters.BLOCK_PAIRS // len(h.taps)) + 7
         _assert_rows_are_single_calls(h, _random_stack(rng, 1, 0.3)[:5],
                                       Window((0,), (n,)))
         monkeypatch.setattr(filters, "BLOCK_PAIRS", 5)
         for dim in (2, 3):
-            h = impulse_from_symbol(random_poly(rng, dim, 2, laurent=True))
+            h = random_poly(rng, dim, 2, laurent=True)
             _assert_rows_are_single_calls(h, _random_stack(rng, dim, 3.0),
                                           Window((-1,) * dim, (2,) * dim))
 
@@ -493,8 +504,7 @@ class TestStackedConvolve:
     @pytest.mark.parametrize("pad", [0, 2])
     def test_kernel_residual_of_a_list(self, rng, pad):
         for dim in (1, 2, 3):
-            H = [impulse_from_symbol(random_poly(rng, dim, 3, complex_coeffs=True,
-                                                 laurent=True)) for _ in range(3)]
+            H = [random_poly(rng, dim, 3, complex_coeffs=True, laurent=True) for _ in range(3)]
             stack = _random_stack(rng, dim, 3.0)
             stack.append(stack[0])  # a repeated term shares its group
             got = kernel_residual(H, stack, pad=pad)
@@ -611,7 +621,7 @@ class TestEigenConditionsJets:
             theta = _random_theta(rng, dim, radius)
             alpha = tuple(int(v) for v in rng.integers(-2, 3, size=dim))
             lam = complex(rng.normal(), rng.normal())
-            cert = certify_eigen(impulse_from_symbol(g), theta, Q, lam, alpha)
+            cert = certify_eigen(g, theta, Q, lam, alpha)
             shifted = g - LaurentPoly(dim, {tuple(-a for a in alpha): lam})
             normalized, _ = laurent_normalize(shifted)
             point = [1.0 / t for t in theta]
@@ -641,7 +651,7 @@ class TestEigenHalvesAgree:
         alpha = tuple(int(v) for v in rng.integers(-2, 3, size=dim))
         lam = g.evaluate([1 / t for t in theta]) * math.prod(t ** -a for t, a in zip(theta, alpha))
         for factor, passed in ((1.0, True), (1 + 1e-3, False)):
-            cert = certify_eigen(impulse_from_symbol(g), theta, fat_point_space(dim, 0),
+            cert = certify_eigen(g, theta, fat_point_space(dim, 0),
                                  lam * factor, alpha)
             assert [rec["pass"] for rec in cert["conditions"]] == [passed]
             assert cert["oracle"]["pass"] == passed
@@ -739,7 +749,7 @@ class TestResidualAcrossTheta:
         if nan_theta:
             # a NaN theta is keyed by identity: every term reuses its component objects
             thetas[-1] = (complex(float("nan"), 0.0),) + thetas[-1][1:]
-        H = [impulse_from_symbol(random_poly(rng, dim, 2, complex_coeffs=True, laurent=True))
+        H = [random_poly(rng, dim, 2, complex_coeffs=True, laurent=True)
              for _ in range(int(rng.integers(1, 3)))]
         # a random term stack: theta repeated across terms, degrees 0..4
         stack = [(thetas[int(rng.integers(len(thetas)))],
@@ -804,10 +814,9 @@ def _bank_case(data, dim):
     H = []
     for kind in data.draw(st.lists(st.sampled_from(["random", "far", "repeat", "zero"]),
                                    min_size=1, max_size=6), label="filters"):
-        g = random_poly(rng, dim, 2, complex_coeffs=True, laurent=True)
+        h = random_poly(rng, dim, 2, complex_coeffs=True, laurent=True)
         if kind == "far":
-            g = (symbol(H[-1]) if H else g) * far
-        h = impulse_from_symbol(g)
+            h = (H[-1] if H else h) * far
         if kind == "repeat" and H:
             h = H[int(rng.integers(len(H)))]
         H.append(Impulse(dim, {}) if kind == "zero" else h)

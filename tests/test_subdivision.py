@@ -13,10 +13,10 @@ from convkern import (Dilation, ExpPolySeq, Impulse, LaurentPoly, Window,
                       canonical_zero_representative, convolve, coset_reps,
                       is_expanding, is_symmetric_zero, modulation_points,
                       subdivide, subdivision_kernel_check, subsymbols,
-                      symbol, symmetric_zero_order, z_pow_Xi)
+                      symmetric_zero_order, z_pow_Xi)
 from convkern.mpoly import grlex_key
 from convkern.serialize import dilation_from_json, impulse_from_json
-from convkern.subdivision import _coset_decompose, int_adjugate, int_det
+from convkern.subdivision import _coset_decompose, int_adjugate
 
 from conftest import FIXTURES, const, run_cli, scan_coset_reps, variables
 
@@ -104,7 +104,7 @@ def matvec(M, v):
 def scan_dual_residues(Xi):
     """Reference: adj(Xi^T) xi' over the scanned representatives xi' of
     Xi^T [0,1)^s."""
-    adjT = int_adjugate(Xi.transpose())
+    _, adjT = int_adjugate(Xi.transpose())
     return {matvec(adjT, xi_p) for xi_p in scan_coset_reps(Xi, transpose=True)}
 
 
@@ -134,20 +134,24 @@ class TestExpanding:
 
 
 class TestExactElimination:
-    """int_det (Bareiss) and int_adjugate (Gauss-Jordan over the rationals)
-    equal the Laplace expansions exactly."""
+    """int_adjugate (one fraction-free Gauss-Jordan elimination of [M | I])
+    gives the determinant and adjugate of the Laplace expansions exactly, and
+    refuses every singular matrix."""
 
     @settings(max_examples=300, deadline=None)
     @given(square_matrices(5, -6, 6))
     def test_matches_laplace(self, M):
-        det = int_det(M)
-        assert det == laplace_det(M)
-        if det:
-            adj = int_adjugate(M)
-            assert adj == laplace_adjugate(M)
-            n = len(M)
-            assert [[sum(M[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
-                    for i in range(n)] == [[det * (i == j) for j in range(n)] for i in range(n)]
+        det = laplace_det(M)
+        if not det:
+            with pytest.raises(ValueError, match="singular"):
+                int_adjugate(M)
+            return
+        d, adj = int_adjugate(M)
+        assert d == det
+        assert adj == laplace_adjugate(M)
+        n = len(M)
+        assert [[sum(M[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[det * (i == j) for j in range(n)] for i in range(n)]
 
     def test_singular_adjugate_rejected(self):
         with pytest.raises(ValueError, match="singular"):
@@ -155,8 +159,7 @@ class TestExactElimination:
 
     def test_large_entries(self):
         M = [[10 ** 20, 1], [3, 10 ** 20 + 7]]
-        assert int_det(M) == laplace_det(M)
-        assert int_adjugate(M) == laplace_adjugate(M)
+        assert int_adjugate(M) == (laplace_det(M), laplace_adjugate(M))
 
 
 class TestCosetReps:
@@ -180,7 +183,7 @@ class TestCosetReps:
         for Xi in (TWO_I, QUINCUNX, DIAG_23, dil((2, 1), (0, 2))):
             reps = coset_reps(Xi)
             d = Xi.det
-            adj = int_adjugate(Xi.Xi)
+            _, adj = int_adjugate(Xi.Xi)
             for i, a in enumerate(reps):
                 for b in reps[i + 1:]:
                     diff = [x - y for x, y in zip(a, b)]
@@ -242,11 +245,10 @@ class TestSubsymbols:
         for Xi in (TWO, TWO_I, QUINCUNX, DIAG_23):
             a = random_mask(rng, Xi.dim)
             subs = subsymbols(a, Xi)
-            sym = symbol(a)
             for _ in range(50):
                 z = random_point(rng, Xi.dim)
                 zXi = z_pow_Xi(z, Xi)
-                lhs = sym.evaluate(z)
+                lhs = a.evaluate(z)
                 rhs = sum(np.prod([zv ** e for zv, e in zip(z, xi)]) *
                           p.evaluate(zXi) for xi, p in subs.items())
                 assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
@@ -259,10 +261,8 @@ class TestSubsymbols:
         for Xi in (TWO, TWO_I, QUINCUNX, DIAG_23):
             a = random_mask(rng, Xi.dim)
             subs = subsymbols(a, Xi)
-            sym = symbol(a)
             m = Xi.coset_count
-            d = int_det(Xi.transpose())
-            adjT = int_adjugate(Xi.transpose())
+            d, adjT = int_adjugate(Xi.transpose())
             primes = scan_coset_reps(Xi, transpose=True)
             for _ in range(20):
                 z = random_point(rng, Xi.dim)
@@ -278,7 +278,7 @@ class TestSubsymbols:
                                           sum(x * wi for x, wi in zip(xi, w)) / d)
                         modz = tuple(cmath.exp(-2j * cmath.pi * wi / d) * zv
                                      for wi, zv in zip(w, z))
-                        rhs += phase * sym.evaluate(modz)
+                        rhs += phase * a.evaluate(modz)
                     rhs /= m
                     assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
@@ -330,7 +330,7 @@ class TestModulationPoints:
         representatives xi' of Xi^T, with Xi^-T xi' = adj(Xi^T) xi' / det;
         the first is zeta."""
         zeta = random_point(rng, Xi.dim)
-        adjT = int_adjugate(Xi.transpose())
+        _, adjT = int_adjugate(Xi.transpose())
         expected = {tuple(cmath.exp(-2j * cmath.pi * wi / Xi.det) * zv
                           for wi, zv in zip(matvec(adjT, xi_p), zeta))
                     for xi_p in scan_coset_reps(Xi, transpose=True)}
@@ -362,7 +362,7 @@ class TestIsSymmetricZero:
     def test_order_one(self):
         z = LaurentPoly.variable(1, 0)
         f = (const(1, 1) - z * z)
-        a = Impulse(1, dict((f * f).terms))  # (1 - z^2)^2
+        a = f * f  # (1 - z^2)^2
         [(ok, _)] = is_symmetric_zero(a, TWO, (1.0,), [1])
         assert ok
         [(ok2, _)] = is_symmetric_zero(a, TWO, (1.0,), [2])
@@ -371,7 +371,7 @@ class TestIsSymmetricZero:
     def test_order_detection(self):
         z = LaurentPoly.variable(1, 0)
         f = const(1, 1) - z * z
-        a = Impulse(1, dict((f * f * f).terms))
+        a = f * f * f
         assert symmetric_zero_order(a, TWO, (1.0,)) == 2
         b = mask_1d(0.5, 1.0, 0.5)
         assert symmetric_zero_order(b, TWO, (1.0,)) == -1
@@ -444,8 +444,7 @@ class TestSubdivide:
             for xi, sub in subs.items():
                 if sub.is_zero:
                     continue
-                a_xi = Impulse(Xi.dim, dict(sub.terms))
-                [decimated] = convolve(a_xi, seq.terms, inner)
+                [decimated] = convolve(sub, seq.terms, inner)
                 for alpha, v in zip(inner.points(), decimated.tolist()):
                     point = tuple(x + y for x, y in zip(xi, Xi.apply(alpha)))
                     if point in full:
@@ -484,7 +483,7 @@ class TestKernelCheck:
     def test_squared_difference_order_one(self):
         z = LaurentPoly.variable(1, 0)
         f = const(1, 1) - z * z
-        a = Impulse(1, dict((f * f).terms))
+        a = f * f
         report = subdivision_kernel_check(a, TWO, [((1.0,), 1)])
         assert report["pass"]
 
@@ -503,18 +502,16 @@ class TestKernelCheck:
 
     def test_quincunx_tensor_difference(self):
         z1, z2 = variables(2)
-        f = (const(2, 1) - z1 * z1) * (const(2, 1) - z2 * z2)
-        a = Impulse(2, dict(f.terms))
+        a = (const(2, 1) - z1 * z1) * (const(2, 1) - z2 * z2)
         report = subdivision_kernel_check(a, QUINCUNX, [((1.0, 1.0), 0)])
         assert report["pass"]
 
     def test_diag_2_3(self):
         z1, z2 = variables(2)
-        f = (const(2, 1) - z1 * z1) * (const(2, 1) + z2 + z2 * z2) * \
-            (const(2, 1) - z2 * z2 * z2)
         # first factor kills the z1 modulations of Xi=diag(2,3); the z2
         # factors vanish at all cube roots of unity
-        a = Impulse(2, dict(f.terms))
+        a = (const(2, 1) - z1 * z1) * (const(2, 1) + z2 + z2 * z2) * \
+            (const(2, 1) - z2 * z2 * z2)
         report = subdivision_kernel_check(a, DIAG_23, [((1.0, 1.0), 0)])
         assert report["pass"]
 
@@ -587,10 +584,9 @@ class TestOrderEquivalence:
         z = LaurentPoly.variable(1, 0)
         f = const(1, 1) - z * z
         for k in range(3):
-            power = const(1, 1)
+            a = const(1, 1)
             for _ in range(k + 1):
-                power = power * f
-            a = Impulse(1, dict(power.terms))
+                a = a * f
             self._check(a, TWO, (1.0,), k, True)
             self._check(a, TWO, (1.0,), k + 1, False)
 
@@ -600,10 +596,9 @@ class TestOrderEquivalence:
         z1, z2 = variables(2)
         f = (const(2, 1) - z1 * z1) * (const(2, 1) - z2 * z2)
         for j in range(2):
-            power = const(2, 1)
+            a = const(2, 1)
             for _ in range(j + 1):
-                power = power * f
-            a = Impulse(2, dict(power.terms))
+                a = a * f
             self._check(a, TWO_I, (1.0, 1.0), 2 * j + 1, True)
             self._check(a, TWO_I, (1.0, 1.0), 2 * j + 2, False)
 
@@ -612,7 +607,7 @@ class TestOrderEquivalence:
         z1, z2 = variables(2)
         f = (const(2, 1) - z1 * z1)
         g = (const(2, 1) - z2 * z2)
-        a = Impulse(2, dict((f * f * g).terms))
+        a = f * f * g
         self._check(a, TWO_I, (1.0, 1.0), 2, True)
         self._check(a, TWO_I, (1.0, 1.0), 3, False)
 
@@ -621,7 +616,7 @@ class TestOrderEquivalence:
         # verify by applying the operator
         z = LaurentPoly.variable(1, 0)
         f = const(1, 1) - z * z
-        a = Impulse(1, dict((f * f).terms))
+        a = f * f
         x = LaurentPoly.variable(1, 0)
         for p in (const(1, 1), x):
             seq = ExpPolySeq.single((1.0,), p)
@@ -636,7 +631,7 @@ def _scalar_symmetric_zero(a, Xi, zeta, order, tol=1e-9):
     """Reference: one g.diff(beta).evaluate(point) per (point, beta)."""
     from convkern.linalg import monomials_upto
     from convkern.mpoly import laurent_normalize
-    g, _ = laurent_normalize(symbol(a))
+    g, _ = laurent_normalize(a)
     scale = max(1.0, a.l1())
     worst = 0.0
     for point in modulation_points(Xi, zeta):
@@ -663,7 +658,7 @@ def planted_mask(rng, Xi, theta, k):
                                    for v in range(s)): c for exp, c in f.terms.items()})
     b = LaurentPoly(s, {e: complex(rng.normal(), rng.normal())
                         for e in product((0, 1), repeat=s)})
-    return Impulse(s, dict((lifted * b).terms))
+    return lifted * b
 
 
 class TestSymmetricZeroJets:
@@ -794,7 +789,7 @@ class TestSharedCandidates:
                             lambda H, terms, *args, **kwargs: [float("nan")] * len(terms))
         theta = (1.0,)
         z = LaurentPoly.variable(1, 0)
-        a = Impulse(1, dict((const(1, 1) - z * z).terms))
+        a = const(1, 1) - z * z
         # the other two tests pass, so a NaN oracle is a disagreement, which
         # fails the candidate with all three values recorded ...
         rec = subdivision_kernel_check(a, TWO, [(theta, 0)])["candidates"][0]
@@ -813,9 +808,9 @@ def _per_candidate_check(a, Xi, candidates, tol=1e-9):
     from convkern.linalg import coeff_matrix, diff_tables, monomials_upto
     with np.errstate(over="ignore", invalid="ignore"):
         subs = subsymbols(a, Xi)
-        sub_impulses = [Impulse(a.dim, dict(p.terms)) for p in subs.values() if not p.is_zero]
-        sub_degree = max((h.normalized_symbol.degree() for h in sub_impulses), default=0)
-        sub_coeffs = [coeff_matrix([h.normalized_symbol]) for h in sub_impulses]
+        sub_filters = [p for p in subs.values() if not p.is_zero]
+        sub_degree = max((h.normalized_symbol.degree() for h in sub_filters), default=0)
+        sub_coeffs = [coeff_matrix([h.normalized_symbol]) for h in sub_filters]
         l1 = max(1.0, a.l1())
         candidates = [(tuple(complex(t) for t in theta), k) for theta, k in candidates]
         top = {}
@@ -823,8 +818,8 @@ def _per_candidate_check(a, Xi, candidates, tol=1e-9):
             top[theta] = max(k, top.get(theta, k))
         orders = {theta: monomials_upto(a.dim, K) for theta, K in top.items()}
         oracle = {theta: np.zeros(len(exps)) for theta, exps in orders.items()}
-        if sub_impulses:
-            residuals = iter(kernel_residual(sub_impulses, [
+        if sub_filters:
+            residuals = iter(kernel_residual(sub_filters, [
                 (theta, LaurentPoly.monomial(a.dim, exp))
                 for theta, exps in orders.items() for exp in exps]))
             for theta, exps in orders.items():
@@ -942,11 +937,11 @@ def _scan_decompose(d, adj, alpha, reps):
 class TestCosetDecompose:
     @pytest.mark.parametrize("Xi", DECOMPOSE_DILATIONS, ids=lambda X: str(X.Xi))
     def test_closed_form_matches_scan(self, rng, Xi):
-        d, adj = int_det(Xi.Xi), int_adjugate(Xi.Xi)
+        d, adj = int_adjugate(Xi.Xi)
         reps = scan_coset_reps(Xi)
         # the coset of alpha modulo Xi^T Z^s is named by the dual residue
         # adj(Xi^T) alpha mod det, that of its representative
-        adjT = int_adjugate(Xi.transpose())
+        _, adjT = int_adjugate(Xi.transpose())
         reps_T, residues = scan_coset_reps(Xi, transpose=True), set(Xi.dual_residues)
         for _ in range(200):
             alpha = tuple(int(v) for v in rng.integers(-40, 41, size=Xi.dim))
@@ -963,37 +958,36 @@ class TestCosetDecompose:
         for M, adj in ((Xi.Xi, Xi.adj), (Xi.transpose(), Xi.adj_transpose())):
             assert [[sum(M[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
                     for i in range(n)] == identity
-        assert Xi.det == int_det(Xi.Xi) == int_det(Xi.transpose())
+        assert Xi.det == int_adjugate(Xi.Xi)[0] == int_adjugate(Xi.transpose())[0]
 
 
 class TestAdjugateOncePerCall:
-    """A Dilation computes its determinant and adjugate once, when it is made;
-    coset_reps, subsymbols, subdivide, modulation_points and
-    canonical_zero_representative read the stored values."""
+    """A Dilation computes its determinant and adjugate once, by one
+    int_adjugate call when it is made; coset_reps, subsymbols, subdivide,
+    modulation_points and canonical_zero_representative read the stored
+    values."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Names of the int_det and int_adjugate calls."""
+        """Names of the int_adjugate calls."""
         from convkern import subdivision
         seen = []
+        real = subdivision.int_adjugate
 
-        def counting(name, real):
-            def wrapper(M):
-                seen.append(name)
-                return real(M)
-            return wrapper
+        def counting(M):
+            seen.append("int_adjugate")
+            return real(M)
 
-        for name in ("int_det", "int_adjugate"):
-            monkeypatch.setattr(subdivision, name, counting(name, getattr(subdivision, name)))
+        monkeypatch.setattr(subdivision, "int_adjugate", counting)
         return seen
 
     @pytest.mark.parametrize("rows", [((5, 2), (-1, 4)), ((0, 2), (3, 0)),
                                       ((0, 0, 2), (1, 0, 0), (0, 1, 0)), ((2,),)])
     def test_dilation(self, calls, rows):
         Xi = dil(*rows)
-        assert sorted(calls) == ["int_adjugate", "int_det"]
+        assert calls == ["int_adjugate"]
         assert abs(Xi.det) == Xi.coset_count and len(Xi.adj) == Xi.dim
-        assert len(calls) == 2  # reading the stored values computes nothing
+        assert len(calls) == 1  # reading the stored values computes nothing
 
     def test_coset_reps(self, calls):
         Xi = dil((5, 2), (-1, 4))
@@ -1048,10 +1042,10 @@ class TestDerivedDataOwned:
 
     @pytest.fixture
     def normalize_calls(self, monkeypatch):
-        from convkern import filters
+        from convkern import mpoly
         seen = []
-        real = filters.laurent_normalize
-        monkeypatch.setattr(filters, "laurent_normalize", lambda f: seen.append(f) or real(f))
+        real = mpoly.laurent_normalize
+        monkeypatch.setattr(mpoly, "laurent_normalize", lambda f: seen.append(f) or real(f))
         return seen
 
     def test_coset_reps_once_per_dilation(self, coset_calls, rng):
