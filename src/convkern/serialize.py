@@ -13,6 +13,7 @@ C_x^s (no zero component), the zeros of a spectrum have pairwise distinct
 theta (DUPLICATE_THETA_TOL), no impulse repeats a tap index, every filter of
 a filter file has a nonzero tap, multiplicity spaces have total degree and
 candidates order at most MAX_FACTORIAL, and a dilation has at most
+MAX_DILATION_DIM rows, checked before any entry is read, and at most
 MAX_COSETS cosets, |det Xi|.  The constructors the parsers call (Zero,
 Spectrum, DInvariantSpace, Dilation) raise their own ValueError, which
 passes through unchanged.
@@ -47,6 +48,10 @@ from .spectrum import Spectrum, Zero
 from .subdivision import Dilation
 
 MAX_COSETS = 10 ** 5  # cosets of Z^s / Xi Z^s, |det Xi|, that a dilation may have
+# Rows of a dilation: its exact elimination, which the det cap needs, costs
+# O(s^3) big-integer steps, and |det| cannot bound s (x^s - 2 has a
+# companion matrix of |det| 2).
+MAX_DILATION_DIM = 128
 
 
 def _real(v: Any, what: str) -> float:
@@ -212,8 +217,10 @@ def spectrum_from_json(obj: Any) -> Spectrum:
 def dilation_from_json(obj: Any) -> Dilation:
     if not isinstance(obj, dict) or "Xi" not in obj:
         raise ValueError("dilation must be {Xi}")
-    rows = tuple(_integers(row, "dilation entry") for row in _array(obj["Xi"], "Xi"))
-    Xi = Dilation(rows)
+    rows = _array(obj["Xi"], "Xi")
+    if len(rows) > MAX_DILATION_DIM:
+        raise ValueError(f"dilation has {len(rows)} rows, above the limit of {MAX_DILATION_DIM}")
+    Xi = Dilation(tuple(_integers(row, "dilation entry") for row in rows))
     if Xi.coset_count > MAX_COSETS:
         raise ValueError(f"dilation has |det Xi| = {Xi.coset_count} cosets, "
                          f"above the limit of {MAX_COSETS}")

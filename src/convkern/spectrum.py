@@ -23,9 +23,10 @@ enough monomials and refuses a degree whose matrix would have more than
 MAX_COLLOCATION_ENTRIES entries with a ValueError, an input error like
 every other.  A search that never reaches full rank is a verdict, not an
 error: hermite_fundamentals returns None and certify_hermite a failed
-record.  verify_zero_dim evaluates its conditions one by one
-through dual_apply, and certify_kernel checks the P_theta of every zero in
-one oracle call.  The dual functionals come from each zero's
+record.  verify_zero_dim builds one q(D) h per (filter, shared
+multiplicity space, q) through dual_apply and evaluates it at the points of
+every zero of that space, and certify_kernel checks the P_theta of every
+zero in one oracle call.  The dual functionals come from each zero's
 DInvariantSpace.ortho_basis and the symbols from each filter's
 normalized_symbol (a filter is its symbol, a LaurentPoly), each computed
 once by the object that owns it.
@@ -121,9 +122,11 @@ class Spectrum:
         return max((z.mult.degree() for z in self.zeros), default=0)
 
 
-def dual_apply(q: LaurentPoly, f: LaurentPoly, point: Sequence[complex]) -> complex:
-    """(q(D) f)(point)."""
-    return apply_poly_diff(q, f).evaluate(point)
+def dual_apply(q: LaurentPoly, f: LaurentPoly,
+               points: Sequence[Sequence[complex]]) -> List[complex]:
+    """[(q(D) f)(p) for p in points], with q(D) f built once."""
+    qf = apply_poly_diff(q, f)
+    return [qf.evaluate(p) for p in points]
 
 
 def _dual_scale(g: LaurentPoly, point: Sequence[complex]) -> float:
@@ -133,6 +136,16 @@ def _dual_scale(g: LaurentPoly, point: Sequence[complex]) -> float:
     z = [complex(v) for v in point]
     return 1.0 + sum(abs(c) * abs(math.prod(v ** e for v, e in zip(z, exp) if e))
                      for exp, c in g.terms.items())
+
+
+def _shared_spaces(spec: Spectrum) -> List[Tuple[DInvariantSpace, List[int]]]:
+    """The zeros grouped by their DInvariantSpace object: (space, indices of
+    its zeros), in order of first occurrence.  Equal Q_basis share one
+    object in a parsed spectrum."""
+    shared: Dict[int, Tuple[DInvariantSpace, List[int]]] = {}
+    for zi, zero in enumerate(spec.zeros):
+        shared.setdefault(id(zero.mult), (zero.mult, []))[1].append(zi)
+    return list(shared.values())
 
 
 def verify_zero_dim(H: Sequence[LaurentPoly], spec: Spectrum,
@@ -145,14 +158,22 @@ def verify_zero_dim(H: Sequence[LaurentPoly], spec: Spectrum,
     dims = {h.dim for h in H}
     if len(dims) != 1 or (spec.zeros and spec.dim not in dims):
         raise ValueError("filter and spectrum dimensions differ")
+    points = [zero.point for zero in spec.zeros]
+    shared = _shared_spaces(spec)
     records = []
     ok = True
     for hi, h in enumerate(H):
         g = h.normalized_symbol if h.terms else h
-        for zi, zero in enumerate(spec.zeros):
-            scale = _dual_scale(g, zero.point)
-            for qi, q in enumerate(zero.mult.ortho_basis):
-                val = dual_apply(q, g, zero.point)
+        # values[zi][qi]: one q(D) g per (shared space, q), at all its points
+        values: List[List[complex]] = [[] for _ in points]
+        for space, indices in shared:
+            at = [points[zi] for zi in indices]
+            for q in space.ortho_basis:
+                for zi, val in zip(indices, dual_apply(q, g, at)):
+                    values[zi].append(val)
+        for zi, point in enumerate(points):
+            scale = _dual_scale(g, point)
+            for qi, val in enumerate(values[zi]):
                 passed = abs(val) <= tol * scale
                 ok = ok and passed
                 records.append({"filter": hi, "zero": zi, "q": qi,
@@ -170,12 +191,8 @@ def _functional_rows(spec: Spectrum, support: Sequence) -> np.ndarray:
     table built for its zero alone."""
     if not spec.zeros:
         return np.zeros((0, len(support)), dtype=complex)
-    # id(space) -> (space, indices of its zeros), in first-occurrence order
-    shared: Dict[int, Tuple[DInvariantSpace, List[int]]] = {}
-    for zi, zero in enumerate(spec.zeros):
-        shared.setdefault(id(zero.mult), (zero.mult, []))[1].append(zi)
     blocks: List[np.ndarray] = [None] * len(spec.zeros)
-    for space, indices in shared.values():
+    for space, indices in _shared_spaces(spec):
         Q, orders = coeff_matrix(space.ortho_basis)
         T = diff_tables(orders, support, [spec.zeros[zi].point for zi in indices])
         for zi, table in zip(indices, T):

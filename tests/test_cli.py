@@ -723,6 +723,9 @@ class TestUnboundedInputs:
         "dilation_bidiagonal_120": (_filters(index=(1,) + (0,) * 119, dim=120)["filters"][0],
                                     _bidiagonal_dilation(120),
                                     {"candidates": [{"theta": [ONE] * 120, "order": 0}]}),
+        "dilation_bidiagonal_300": (_filters(index=(1,) + (0,) * 299, dim=300)["filters"][0],
+                                    _bidiagonal_dilation(300),
+                                    {"candidates": [{"theta": [ONE] * 300, "order": 0}]}),
         # mask 1 - z_1, dilation 2 I_6, theta = 1: Pi_8 stacks 1287 degree-8
         # rows over 9^6 window points; Pi_20 walks 21^6 exponents
         "window_order_8": _window_case(8),
@@ -775,6 +778,23 @@ class TestUnboundedInputs:
         assert proc.returncode in (0, 1), proc.stderr
         assert [rec["coset"] for rec in json.loads(proc.stdout)["subsymbols"]] == \
             [[0, 0], [1, 0], [500000, 1], [500001, 1]]
+
+    def test_dimension_cap_precedes_elimination(self):
+        """Refused before its exact elimination, which takes seconds at 300 x 300."""
+        import time
+        obj = _bidiagonal_dilation(300)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^dilation has 300 rows, above the limit of 128$"):
+            ser.dilation_from_json(obj)
+        assert time.perf_counter() - start < 0.1
+
+    def test_dimension_at_cap_is_accepted(self):
+        """The companion matrix of x^s - 2, expanding with |det| 2."""
+        s = ser.MAX_DILATION_DIM
+        Xi = [[2 if (i, j) == (0, s - 1) else int(i == j + 1) for j in range(s)]
+              for i in range(s)]
+        dilation = ser.dilation_from_json({"Xi": Xi})
+        assert (dilation.dim, dilation.coset_count) == (s, 2)
 
     def test_det_at_cap_is_accepted(self):
         assert ser.dilation_from_json({"Xi": [[100000]]}).coset_count == ser.MAX_COSETS

@@ -165,7 +165,7 @@ class TestDualRows:
                 coeffs, support = coeff_matrix([g])
                 values = dual_rows(basis, support, point) @ coeffs[:, 0]
                 for q, v in zip(basis, values):
-                    ref = dual_apply(q, g, point)
+                    ref = dual_apply(q, g, [point])[0]
                     scale = sum(abs(c) * _abs_jet(g, alpha, point)
                                 for alpha, c in q.terms.items())
                     assert abs(v - ref) <= 1e-12 * scale

@@ -27,17 +27,71 @@ class TestDualApply:
     def test_value_functional(self):
         x, y = variables(2)
         f = x * x + 3 * y
-        assert dual_apply(const(2, 1), f, (2.0, 1.0)) == pytest.approx(7.0)
+        assert dual_apply(const(2, 1), f, [(2.0, 1.0)])[0] == pytest.approx(7.0)
 
     def test_first_derivative(self):
         z = LaurentPoly.variable(1, 0)
         f = (const(1, 1) - z) * (const(1, 1) - z)
-        assert dual_apply(z, f, (1.0,)) == 0
+        assert dual_apply(z, f, [(1.0,)])[0] == 0
 
     def test_second_derivative(self):
         z = LaurentPoly.variable(1, 0)
         f = (const(1, 1) - z) * (const(1, 1) - z)
-        assert dual_apply(z * z, f, (1.0,)) == pytest.approx(2.0)
+        assert dual_apply(z * z, f, [(1.0,)])[0] == pytest.approx(2.0)
+
+    def test_no_points(self):
+        z = LaurentPoly.variable(1, 0)
+        assert dual_apply(z, const(1, 1) - z, []) == []
+
+
+class TestSharedSpaces:
+    """verify_zero_dim builds q(D) g once per (filter, shared space, q) and
+    evaluates it at every zero of the space; its records are those of the
+    per-condition loop, bit for bit."""
+
+    @staticmethod
+    def _case(rng):
+        A = fat_point_space(2, 1)
+        B = lower_set_space(2, [(0, 0), (1, 0)])
+        # A and B interleave; the last zero's space equals A but is its own object
+        spaces = (A, B, A, B, A, fat_point_space(2, 1))
+        thetas = ((1.0, 1.0), (0.5, 2j), (-1.5, 0.8), (1.25j, -0.7), (2.0, 0.4 + 0.3j),
+                  (0.9, -1.1))
+        spec = Spectrum(tuple(Zero(t, q) for t, q in zip(thetas, spaces)))
+        H = [tensor_difference(), random_poly(rng, 2, 3, complex_coeffs=True, laurent=True),
+             LaurentPoly(2, {})]
+        return H, spec
+
+    def test_records_match_per_condition_loop(self, rng):
+        from convkern.mpoly import apply_poly_diff
+        from convkern.spectrum import _dual_scale
+        H, spec = self._case(rng)
+        tol = 1e-9
+        ref = []
+        for hi, h in enumerate(H):
+            g = h.normalized_symbol if h.terms else h
+            for zi, zero in enumerate(spec.zeros):
+                bound = tol * _dual_scale(g, zero.point)
+                for qi, q in enumerate(zero.mult.ortho_basis):
+                    val = apply_poly_diff(q, g).evaluate(zero.point)
+                    ref.append({"filter": hi, "zero": zi, "q": qi, "value": val,
+                                "residual": abs(val), "tolerance": bound,
+                                "pass": abs(val) <= bound})
+        report = verify_zero_dim(H, spec, tol)
+        assert report["conditions"] == ref
+        assert {r["pass"] for r in ref} == {True, False}
+        assert report["pass"] is False
+
+    def test_one_build_per_shared_space_and_q(self, rng, monkeypatch):
+        H, spec = self._case(rng)
+        calls = []
+        build = spectrum.apply_poly_diff
+        monkeypatch.setattr(spectrum, "apply_poly_diff",
+                            lambda q, f: calls.append(q) or build(q, f))
+        verify_zero_dim(H, spec)
+        distinct = {id(zero.mult): zero.mult for zero in spec.zeros}
+        assert len(distinct) == 3
+        assert len(calls) == len(H) * sum(len(q.ortho_basis) for q in distinct.values())
 
 
 class TestVerifyZeroDim:
@@ -517,7 +571,7 @@ class TestJetTables:
         system = hermite_fundamentals(spec)
         D = system.dual_matrix()
         assert np.max(np.abs(D - np.eye(D.shape[0]))) <= 1e-8
-        ref = np.array([[dual_apply(q, p, zero.point) for _, _, p in system.polys]
+        ref = np.array([[dual_apply(q, p, [zero.point])[0] for _, _, p in system.polys]
                         for zero in spec.zeros for q in ortho_homog_basis(zero.mult)])
         assert np.max(np.abs(D - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
@@ -528,7 +582,7 @@ class TestJetTables:
         spec = _random_spectrum(rng, 2, 4, 2)
         monos = monomials_upto(2, 4)
         V = _functional_rows(spec, monos)
-        ref = np.array([[dual_apply(q, LaurentPoly.monomial(2, beta), zero.point)
+        ref = np.array([[dual_apply(q, LaurentPoly.monomial(2, beta), [zero.point])[0]
                          for beta in monos]
                         for zero in spec.zeros for q in ortho_homog_basis(zero.mult)])
         assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))

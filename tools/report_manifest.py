@@ -7,6 +7,9 @@ bench/workloads.generate, and runs every request in-process with the default
 flags, with --window-pad 3 and with --tol 1e-6; then runs every CLI_CORPUS
 invocation of tests/conftest.py with the same three flag sets.  It writes
 one record [argv, exit code, sha256(stdout), sha256(stderr)] per run.
+Before hashing, the fixtures directory and the temporary input directory
+are replaced by the placeholders <fixtures> and <inputs>, so a refusal that
+names its input file gives one digest wherever the checkout lives.
 convkern and the generators are imported from CHECKOUT (default: this
 repository); the fixture corpus, its list and its files, is always this
 repository's, so the outputs of two checkouts diff to exactly the runs whose
@@ -27,15 +30,19 @@ FLAGS = ((), ("--window-pad", "3"), ("--tol", "1e-6"))
 TESTS = Path(__file__).resolve().parents[1] / "tests"
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha(text: str, directory: str, placeholder: str) -> str:
+    """sha256 of text with every occurrence of directory read as placeholder."""
+    return hashlib.sha256(text.replace(directory, placeholder).encode("utf-8")).hexdigest()
 
 
-def _record(main, argv, run_argv) -> list:
+def _record(main, argv, run_argv, directory: str, placeholder: str) -> list:
+    """Run main(run_argv), whose input files lie in directory, and record it
+    under argv."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(run_argv)
-    return [argv, code, _sha(out.getvalue()), _sha(err.getvalue())]
+    return [argv, code, _sha(out.getvalue(), directory, placeholder),
+            _sha(err.getvalue(), directory, placeholder)]
 
 
 def manifest(checkout: Path) -> list:
@@ -53,11 +60,13 @@ def manifest(checkout: Path) -> list:
                 for req in generate(workload, seed, Path(tmp), Path(f"{workload}-{seed}")):
                     for flags in FLAGS:
                         argv = [*flags, req.command, *req.files]  # recorded relative
-                        records.append(_record(main, argv, [*flags, *req.argv(Path(tmp))]))
+                        records.append(_record(main, argv, [*flags, *req.argv(Path(tmp))],
+                                               tmp, "<inputs>"))
     for flags in FLAGS:
         for argv, _ in CLI_CORPUS:
             files = [os.path.join(FIXTURES, a) if a.endswith(".json") else a for a in argv]
-            records.append(_record(main, [*flags, *argv], [*flags, *files]))
+            records.append(_record(main, [*flags, *argv], [*flags, *files],
+                                   FIXTURES, "<fixtures>"))
     return records
 
 
