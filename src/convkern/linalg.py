@@ -56,7 +56,7 @@ def coeff_matrix(polys: Sequence[LaurentPoly],
 def from_coeff_vector(dim: int, vec: np.ndarray, support: Sequence[Exponent]) -> LaurentPoly:
     """The polynomial with coefficient vec[i] at support[i]; support holds
     distinct exponents of length dim."""
-    return LaurentPoly._of(dim, {exp: complex(vec[i]) for i, exp in enumerate(support)})
+    return LaurentPoly._of(dim, dict(zip(support, np.asarray(vec, dtype=complex).tolist())))
 
 
 def diff_tables(orders: Sequence[Exponent], support: Sequence[Exponent],

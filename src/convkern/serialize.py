@@ -27,10 +27,14 @@ This module owns the JSON form of the report's two numeric leaf types, and
 dumps writes them itself: a complex (np.complex128 included) as the bytes of
 complex_to_json, {"re", "im"}, and a LaurentPoly as the bytes of
 poly_to_json, its graded-lex term list [{"exp", "re", "im"}, ...], each
-rendered in one pass with no intermediate dict.  json.dumps with an indent
-runs the pure-Python generator encoder, because the C encoder does not
-indent; a direct recursive writer that appends one fragment per member is
-about twice as fast, at no more peak memory.  A non-finite float or complex
+rendered in one pass with no intermediate dict.  A polynomial's terms fill
+one cached %-template per (dimension, indent) with the exponents (%d) and
+the float.__repr__ text of the real and imaginary parts (%s, never %r,
+which would write an np.float64 part as np.float64(...)); a plain complex
+member of a list or dict goes to its writer without the leaf dispatch.
+json.dumps with an indent runs the pure-Python generator encoder, because
+the C encoder does not indent; a direct recursive writer that appends one
+fragment per member is about twice as fast, at no more peak memory.  A non-finite float or complex
 part cannot be written: dumps raises ValueError naming its path (a complex
 part as ".re" or ".im"), found by a second walk only after the writer hits
 it.  Other types and non-str keys raise TypeError.
@@ -38,6 +42,7 @@ it.  Other types and non-str keys raise TypeError.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Any, Dict, List, Sequence, Tuple
@@ -270,19 +275,28 @@ class _NonFinite(Exception):
     """A float that JSON cannot hold; dumps names it in a ValueError."""
 
 
-def _poly(p: LaurentPoly, indent: str) -> str:
-    """The text of poly_to_json(p) whose closing bracket sits at indent.  An
-    exponent is never empty (dim >= 1) and a coefficient is always finite
-    (LaurentPoly checks it), so neither needs the writer's checks."""
+@functools.lru_cache(maxsize=None)
+def _term_template(dim: int, indent: str) -> str:
+    """The %-template of one term of a polynomial in dim variables whose
+    closing bracket sits at indent: dim %d for the exponent, then %s for
+    the real and the imaginary part."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
-    more = "," + i3
-    terms = [f'{{{i2}"exp": [{i3}{more.join(map(_int, exp))}{i2}],'
-             f'{i2}"re": {_float(float(c.real))},{i2}"im": {_float(float(c.imag))}{i1}}}'
-             for exp, c in p.sorted_terms()]
-    if not terms:
+    exp = ("," + i3).join(["%d"] * dim)
+    return f'{{{i2}"exp": [{i3}{exp}{i2}],{i2}"re": %s,{i2}"im": %s{i1}}}'
+
+
+def _poly(p: LaurentPoly, indent: str) -> str:
+    """The text of poly_to_json(p) whose closing bracket sits at indent.  An
+    exponent is never empty (dim >= 1) and a coefficient is always a finite
+    complex (LaurentPoly checks it), so neither needs the writer's checks;
+    its parts are floats, np.float64 included, written by float.__repr__."""
+    if not p.terms:
         return "[]"
+    template = _term_template(p.dim, indent)
+    terms = [template % (*exp, _float(c.real), _float(c.imag)) for exp, c in p.sorted_terms()]
+    i1 = indent + "  "
     return "[" + i1 + ("," + i1).join(terms) + indent + "]"
 
 
@@ -346,6 +360,8 @@ def _write(obj: Any, parts: List[str], indent: str) -> None:
                 parts.append(f"{sep}{_string(key)}: {_string(value)}")
             elif t is int:
                 parts.append(f"{sep}{_string(key)}: {_int(value)}")
+            elif t is complex:
+                parts.append(f"{sep}{_string(key)}: {_complex(value, inner)}")
             elif t is list or t is dict or (text := _scalar(value, inner)) is None:
                 parts.append(f"{sep}{_string(key)}: ")
                 _write(value, parts, inner)
@@ -366,6 +382,8 @@ def _write(obj: Any, parts: List[str], indent: str) -> None:
                 parts.append(sep + _float(value))
             elif t is int:
                 parts.append(sep + _int(value))
+            elif t is complex:
+                parts.append(sep + _complex(value, inner))
             elif t is list or t is dict or (text := _scalar(value, inner)) is None:
                 parts.append(sep)
                 _write(value, parts, inner)

@@ -23,20 +23,24 @@ enough monomials and refuses a degree whose matrix would have more than
 MAX_COLLOCATION_ENTRIES entries with a ValueError, an input error like
 every other.  A search that never reaches full rank is a verdict, not an
 error: hermite_fundamentals returns None and certify_hermite a failed
-record.  verify_zero_dim builds one q(D) h per (filter, shared
-multiplicity space, q) through dual_apply and evaluates it at the points of
-every zero of that space, and certify_kernel checks the P_theta of every
-zero in one oracle call.  The dual functionals come from each zero's
-DInvariantSpace.ortho_basis and the symbols from each filter's
-normalized_symbol (a filter is its symbol, a LaurentPoly), each computed
-once by the object that owns it.
+record.  The fundamentals keep the collocation matrix they were solved
+from, and their dual matrix is that matrix times their coefficients.
+verify_zero_dim builds one q(D) h per (filter, shared multiplicity space,
+q) through dual_apply and evaluates it at the points of every zero of that
+space; its tolerances read |theta^-e| from one moduli table per zero,
+filled once per exponent of the filters' joint support.  certify_kernel
+checks the P_theta of every zero in one oracle call.  The dual functionals
+come from each zero's DInvariantSpace.ortho_basis and the symbols from each
+filter's normalized_symbol (a filter is its symbol, a LaurentPoly), each
+computed once by the object that owns it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +50,7 @@ from .filters import (DEFAULT_TOL, ORACLE_TOL, eigen_impulse, eigen_residual,
                       kernel_residual, require_window_pairs)
 from .linalg import (RANK_TOL, coeff_matrix, diff_tables, from_coeff_vector,
                      monomials_upto, numerical_rank, nullspace)
-from .mpoly import LaurentPoly, apply_poly_diff
+from .mpoly import Exponent, LaurentPoly, apply_poly_diff
 
 # The fundamentals' dual matrix must be the identity to this accuracy.
 KRONECKER_TOL = 1e-8
@@ -129,15 +133,6 @@ def dual_apply(q: LaurentPoly, f: LaurentPoly,
     return [qf.evaluate(p) for p in points]
 
 
-def _dual_scale(g: LaurentPoly, point: Sequence[complex]) -> float:
-    """1 + Σ |c| |point^exp| over the terms of g.  Each power product starts
-    from 1 and skips zero exponents, as LaurentPoly.evaluate of the monomial
-    does, so the scale is bit-identical without building the monomial."""
-    z = [complex(v) for v in point]
-    return 1.0 + sum(abs(c) * abs(math.prod(v ** e for v, e in zip(z, exp) if e))
-                     for exp, c in g.terms.items())
-
-
 def _shared_spaces(spec: Spectrum) -> List[Tuple[DInvariantSpace, List[int]]]:
     """The zeros grouped by their DInvariantSpace object: (space, indices of
     its zeros), in order of first occurrence.  Equal Q_basis share one
@@ -154,12 +149,23 @@ def verify_zero_dim(H: Sequence[LaurentPoly], spec: Spectrum,
     basis elements, each at tol (1 + sum |c| |theta^-e|) over the terms
     c z^e of the normalized symbol.  Symbols are Laurent-normalized first so that
     spurious zeros at the origin cannot interfere; a zero filter annihilates
-    every sequence, and its conditions read 0."""
+    every sequence, and its conditions read 0.
+
+    |theta^-e| is computed once per (zero, exponent), when the first filter
+    with that exponent reaches the zero, so no power is taken before the
+    filters ahead of it have been evaluated; its power product starts from 1
+    and skips zero exponents, as LaurentPoly.evaluate of the monomial does,
+    and the sum runs over the terms in order."""
+    if not H:
+        raise ValueError("empty filter set")
     dims = {h.dim for h in H}
-    if len(dims) != 1 or (spec.zeros and spec.dim not in dims):
+    if len(dims) != 1:
+        raise ValueError("filters have mixed dimensions")
+    if spec.zeros and spec.dim not in dims:
         raise ValueError("filter and spectrum dimensions differ")
     points = [zero.point for zero in spec.zeros]
     shared = _shared_spaces(spec)
+    moduli: List[Dict] = [{} for _ in points]  # moduli[zi][exp] = |theta_zi^-exp|
     records = []
     ok = True
     for hi, h in enumerate(H):
@@ -171,14 +177,18 @@ def verify_zero_dim(H: Sequence[LaurentPoly], spec: Spectrum,
             for q in space.ortho_basis:
                 for zi, val in zip(indices, dual_apply(q, g, at)):
                     values[zi].append(val)
+        weights = [abs(c) for c in g.terms.values()]
         for zi, point in enumerate(points):
-            scale = _dual_scale(g, point)
+            table = moduli[zi]
+            for exp in g.terms.keys() - table.keys():
+                table[exp] = abs(math.prod(v ** e for v, e in zip(point, exp) if e))
+            bound = tol * (1.0 + sum(map(mul, weights, map(table.__getitem__, g.terms))))
             for qi, val in enumerate(values[zi]):
-                passed = abs(val) <= tol * scale
+                residual = abs(val)
+                passed = residual <= bound
                 ok = ok and passed
-                records.append({"filter": hi, "zero": zi, "q": qi,
-                                "value": val, "residual": abs(val),
-                                "tolerance": tol * scale, "pass": passed})
+                records.append({"filter": hi, "zero": zi, "q": qi, "value": val,
+                                "residual": residual, "tolerance": bound, "pass": passed})
     return {"pass": ok, "conditions": records}
 
 
@@ -203,10 +213,16 @@ def _functional_rows(spec: Spectrum, support: Sequence) -> np.ndarray:
 @dataclass(frozen=True)
 class FundamentalSystem:
     """Hermite fundamental polynomials f_(theta,q) dual to the spectrum's
-    orthonormal conditions: q'(D) f_(theta,q)(theta'^-1) = delta delta."""
+    orthonormal conditions: q'(D) f_(theta,q)(theta'^-1) = delta delta.
+
+    V is the collocation matrix the fundamentals were solved from: one row
+    per dual functional, in zero order, and one column per monomial of
+    monos, the exponents of total degree at most the solved degree."""
 
     spec: Spectrum
     polys: Tuple[Tuple[int, int, LaurentPoly], ...]  # (zero index, q index, poly)
+    monos: Tuple[Exponent, ...]
+    V: np.ndarray = field(compare=False, repr=False)
 
     def poly(self, zero_index: int, q_index: int) -> LaurentPoly:
         for zi, qi, p in self.polys:
@@ -216,10 +232,10 @@ class FundamentalSystem:
 
     def dual_matrix(self) -> np.ndarray:
         """Evaluations of all dual functionals on all fundamentals; identity
-        up to numerical error.  The jets of the fundamentals' joint support
-        times their coefficient matrix."""
-        C, support = coeff_matrix([p for _, _, p in self.polys])
-        return _functional_rows(self.spec, support) @ C
+        up to numerical error.  The stored collocation matrix V times the
+        fundamentals' coefficient matrix over monos."""
+        C, _ = coeff_matrix([p for _, _, p in self.polys], self.monos)
+        return self.V @ C
 
 
 def hermite_fundamentals(spec: Spectrum) -> Optional[FundamentalSystem]:
@@ -231,7 +247,7 @@ def hermite_fundamentals(spec: Spectrum) -> Optional[FundamentalSystem]:
     collocation matrix has more than MAX_COLLOCATION_ENTRIES entries
     n dim Pi_d raises ValueError before it is built."""
     if not spec.zeros:
-        return FundamentalSystem(spec, ())
+        return FundamentalSystem(spec, (), (), np.zeros((0, 0), dtype=complex))
     n = spec.total_multiplicity
     d0 = spec.max_degree()
     # rank V <= dim Pi_d = comb(d + s, s), so no degree below the first with
@@ -256,7 +272,7 @@ def hermite_fundamentals(spec: Spectrum) -> Optional[FundamentalSystem]:
                     coeffs = pinv[:, idx]
                     polys.append((zi, qi, from_coeff_vector(spec.dim, coeffs, monos)))
                     idx += 1
-            return FundamentalSystem(spec, tuple(polys))
+            return FundamentalSystem(spec, tuple(polys), tuple(monos), V)
     return None
 
 

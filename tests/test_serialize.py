@@ -77,6 +77,15 @@ def test_matches_json_dumps(obj):
     assert ser.dumps(obj) == reference(plain(obj))
 
 
+def test_polynomial_with_numpy_parts():
+    """A term template filled with %r would write np.float64(1.5)."""
+    p = LaurentPoly._of(2, {(0, 0): np.complex128(1.5 - 0.25j), (2, -1): np.complex128(0.1 + 3j),
+                            (1, 0): np.complex128(-2.0)})
+    assert all(type(c) is np.complex128 for c in p.terms.values())
+    assert ser.dumps(p) == json.dumps(ser.poly_to_json(p), indent=2) + "\n"
+    assert ser.dumps({"f": [p]}) == reference(plain({"f": [p]}))
+
+
 @pytest.mark.parametrize("obj", [{}, [], (), {"a": {}}, {"a": [[], {}]}, [()], "", 0, None],
                          ids=repr)
 def test_empty_containers_and_top_level_scalars(obj):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -16,6 +17,15 @@ from convkern.linalg import span_residual
 from convkern.spectrum import KRONECKER_TOL
 
 from conftest import FIXTURES, const, dual_rows, random_poly, run_cli, variables
+
+
+def reference_scale(g, point):
+    """1 + sum |c| |point^exp| over the terms of g, each power product
+    starting from 1 and skipping zero exponents, as LaurentPoly.evaluate of
+    the monomial does: verify_zero_dim's tolerance over tol, bit for bit."""
+    z = [complex(v) for v in point]
+    return 1.0 + sum(abs(c) * abs(math.prod(v ** e for v, e in zip(z, exp) if e))
+                     for exp, c in g.terms.items())
 
 
 def tensor_difference():
@@ -64,14 +74,13 @@ class TestSharedSpaces:
 
     def test_records_match_per_condition_loop(self, rng):
         from convkern.mpoly import apply_poly_diff
-        from convkern.spectrum import _dual_scale
         H, spec = self._case(rng)
         tol = 1e-9
         ref = []
         for hi, h in enumerate(H):
             g = h.normalized_symbol if h.terms else h
             for zi, zero in enumerate(spec.zeros):
-                bound = tol * _dual_scale(g, zero.point)
+                bound = tol * reference_scale(g, zero.point)
                 for qi, q in enumerate(zero.mult.ortho_basis):
                     val = apply_poly_diff(q, g).evaluate(zero.point)
                     ref.append({"filter": hi, "zero": zi, "q": qi, "value": val,
@@ -130,14 +139,18 @@ class TestVerifyZeroDim:
             verify_zero_dim([h], spec)
 
     def test_dual_scale_matches_monomial_evaluation(self, rng):
-        from convkern.spectrum import _dual_scale
+        tol = 1e-9
         for _ in range(50):
             dim = int(rng.integers(1, 4))
-            g = random_poly(rng, dim, 6, complex_coeffs=True, laurent=True)
-            point = tuple(complex(*rng.normal(size=2)) for _ in range(dim))
+            h = random_poly(rng, dim, 6, complex_coeffs=True, laurent=True)
+            theta = tuple(complex(*rng.normal(size=2)) for _ in range(dim))
+            zero = Zero(theta, fat_point_space(dim, 0))
+            g, point = h.normalized_symbol, zero.point
             reference = 1.0 + sum(abs(c) * abs(LaurentPoly.monomial(dim, exp).evaluate(point))
                                   for exp, c in g.terms.items())
-            assert _dual_scale(g, point) == reference
+            assert reference_scale(g, point) == reference
+            record, = verify_zero_dim([h], Spectrum((zero,)), tol)["conditions"]
+            assert record["tolerance"] == tol * reference
 
 
 class TestHermiteFundamentals:
@@ -699,3 +712,97 @@ class TestSharedAcrossZeros:
                 [(zi, qi) for zi, zero in enumerate(spec.zeros) for qi in range(zero.mult.size)]
             assert [list(p.terms.items()) for _, _, p in system.polys] == \
                 [list(p.terms.items()) for p in ref]
+
+
+class TestFilterSetRefusals:
+    """An empty or mixed filter set is refused for what it is, by every
+    entry point that reads the dual conditions."""
+
+    CHECKS = [verify_zero_dim, certify_kernel, kernel_basis]
+
+    @staticmethod
+    def _spec(dim):
+        return Spectrum((Zero((1.0,) * dim, fat_point_space(dim, 0)),))
+
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__)
+    def test_empty_filter_set(self, check):
+        with pytest.raises(ValueError, match="^empty filter set$"):
+            check([], self._spec(1))
+
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("spec_dim", [1, 2, None], ids=["1d", "2d", "empty"])
+    def test_mixed_dimensions(self, check, spec_dim):
+        z = LaurentPoly.variable(1, 0)
+        spec = Spectrum(()) if spec_dim is None else self._spec(spec_dim)
+        with pytest.raises(ValueError, match="^filters have mixed dimensions$"):
+            check([const(1, 1) - z, tensor_difference()], spec)
+
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__)
+    def test_spectrum_of_another_dimension(self, check):
+        with pytest.raises(ValueError, match="^filter and spectrum dimensions differ$"):
+            check([tensor_difference()], self._spec(1))
+
+
+class TestModuliTable:
+    """verify_zero_dim reads each |theta^-e| from one table per zero, shared
+    by the filters; every tolerance is tol times the per-filter formula, bit
+    for bit, whatever the filters' supports."""
+
+    def test_tolerances_over_different_supports(self, rng):
+        noise = lambda: complex(*rng.normal(size=2))
+        big = LaurentPoly(2, {(0, 0): 1.0 + noise(), (1, 0): noise(), (0, 1): noise(),
+                              (2, 1): noise(), (1, 3): noise()})
+        sub = LaurentPoly(2, {(0, 0): noise(), (2, 1): noise(), (1, 3): noise()})
+        laurent = random_poly(rng, 2, 3, complex_coeffs=True, laurent=True)
+        H = [sub, laurent, LaurentPoly(2, {}), big]
+        symbols = [h.normalized_symbol if h.terms else h for h in H]
+        assert symbols[0].terms.keys() < symbols[3].terms.keys()
+        A = fat_point_space(2, 1)
+        B = lower_set_space(2, [(0, 0), (1, 0)])
+        spaces = (A, B, A, fat_point_space(2, 1))  # the last equals A, as its own object
+        thetas = ((1.0, 1.0), (3.0, 0.2j), (-0.4, 1.5 + 0.5j), (0.9j, -2.5))
+        spec = Spectrum(tuple(Zero(t, q) for t, q in zip(thetas, spaces)))
+        tol = 1e-9
+        records = verify_zero_dim(H, spec, tol)["conditions"]
+        assert len(records) == len(H) * sum(q.size for q in spaces)
+        for rec in records:
+            scale = reference_scale(symbols[rec["filter"]], spec.zeros[rec["zero"]].point)
+            assert rec["tolerance"] == tol * scale
+            assert rec["residual"] == abs(rec["value"])
+            assert rec["pass"] == (rec["residual"] <= rec["tolerance"])
+        assert {rec["tolerance"] for rec in records if rec["filter"] == 2} == {tol}
+
+
+class TestStoredCollocation:
+    """The fundamentals keep the collocation matrix they were solved from;
+    their dual matrix is that matrix times their coefficients, and no
+    degree's matrix is built twice."""
+
+    @pytest.mark.parametrize("dim, nzeros, max_order", [(1, 4, 2), (2, 6, 1), (3, 5, 1)])
+    def test_dual_matrix_from_the_solved_matrix(self, rng, dim, nzeros, max_order):
+        from convkern.linalg import coeff_matrix, monomials_upto
+        from convkern.spectrum import _functional_rows
+        for _ in range(3):
+            spec = _random_spectrum(rng, dim, nzeros, max_order)
+            system = hermite_fundamentals(spec)
+            monos = monomials_upto(dim, max(sum(exp) for exp in system.monos))
+            assert list(system.monos) == monos
+            V = _functional_rows(spec, monos)
+            assert np.array_equal(system.V, V)
+            C, _ = coeff_matrix([p for _, _, p in system.polys], monos)
+            assert np.array_equal(system.dual_matrix(), V @ C)
+
+    def test_one_collocation_matrix_per_degree(self, monkeypatch):
+        # three collinear points: degree 1 has rank 2, degree 2 reaches 3
+        spec = Spectrum(tuple(Zero((t, t), fat_point_space(2, 0)) for t in (1.0, 0.5, 0.25)))
+        rows, ranks = [], []
+        real_rows, real_rank = spectrum._functional_rows, spectrum.numerical_rank
+        monkeypatch.setattr(spectrum, "_functional_rows",
+                            lambda spec, support: rows.append(len(support))
+                            or real_rows(spec, support))
+        monkeypatch.setattr(spectrum, "numerical_rank",
+                            lambda V: ranks.append(V.shape[1]) or real_rank(V))
+        cert = certify_hermite(spec)
+        assert cert["pass"]
+        assert ranks == [3, 6]
+        assert rows == ranks
