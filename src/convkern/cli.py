@@ -10,7 +10,8 @@ alone writes it with serialize.dumps and picks the exit code from its
 The CLI parses, names and prints: each verdict is a library certifier's
 record (residual, tolerance, pass), and every oracle is kernel_residual.
 Reports hold the library's own objects (theta tuples, complex values,
-LaurentPoly bases and subsymbols) and serialize.dumps writes their JSON form.
+LaurentPoly bases and subsymbols, build-kernel's WindowSamples) and
+serialize.dumps writes their JSON form.
 Every ValueError, from a parser or the library, refuses the input: main
 prints "error: <message>" and exits 2, as it does for a magnitude that
 overflows double precision.
@@ -93,12 +94,9 @@ def cmd_build_kernel(args) -> Dict[str, Any]:
     kernel = []
     for zero in spec.zeros:
         P = build_p_theta(zero.mult, zero.theta)
-        samples = []
-        for p in P.elements:
-            seq = ExpPolySeq.single(zero.theta, p)
-            w = certified_window(spec.dim, p.degree(), args.window_pad)
-            samples.append([{"alpha": alpha, "value": seq.value(alpha)}
-                            for alpha in w.points()])
+        samples = [ExpPolySeq.single(zero.theta, p)
+                   .samples(certified_window(spec.dim, p.degree(), args.window_pad))
+                   for p in P.elements]
         kernel.append({"theta": zero.theta, "P_basis": P.elements,
                        "window_samples": samples})
     return {"command": "build-kernel", "inputs_digest": digest,

@@ -32,6 +32,11 @@ exactly the arithmetic of that filter and term alone, within one block, so
 a residual does not depend on what is stacked with it.  A sequence of
 several terms is checked through its .terms.
 
+ExpPolySeq.samples(w) gives the sequence's values at w.points() as one
+WindowSamples (the window and the values in that order, one value call per
+point), which serialize writes as the list [{"alpha", "value"}, ...]
+without a dict per point: build-kernel's window samples.
+
 kernel_residual is the library's one window oracle.  An eigen-sequence c of
 h with eigenvalue lam and shift alpha_h is a kernel element of the filter
 eigen_impulse(h, lam, alpha_h) = h - lam delta_{-alpha_h}, so
@@ -95,10 +100,23 @@ class ExpPolySeq:
         return self.terms[0][1].dim
 
     def value(self, alpha: Sequence[int]) -> complex:
-        alpha = tuple(int(a) for a in alpha)
-        return sum(p.evaluate(alpha) * math.prod((t ** a for t, a in zip(theta, alpha) if a),
-                                                 start=1 + 0j)
-                   for theta, p in self.terms)
+        """sum over terms of p(alpha) theta^alpha: p evaluated first, the
+        power as 1 + 0j times each theta_j ** alpha_j with alpha_j nonzero,
+        in order, and the terms added to int 0, as sum and math.prod would."""
+        alpha = tuple(map(int, alpha))
+        total = 0
+        for theta, p in self.terms:
+            v = p.evaluate(alpha)
+            power = 1 + 0j
+            for t, a in zip(theta, alpha):
+                if a:
+                    power = power * t ** a
+            total = total + v * power
+        return total
+
+    def samples(self, w: "Window") -> "WindowSamples":
+        """The values at w.points(), one value call per point."""
+        return WindowSamples(w, [self.value(alpha) for alpha in w.points()])
 
 
 @dataclass(frozen=True)
@@ -127,6 +145,21 @@ class Window:
         return product(*ranges)
 
 
+@dataclass(frozen=True)
+class WindowSamples:
+    """A sequence sampled on a window: values[k] is its value at the k-th
+    point of window.points().  serialize writes it as the list
+    [{"alpha", "value"}, ...] without building a dict per point."""
+
+    window: Window
+    values: Sequence[complex]
+
+    def __post_init__(self):
+        if len(self.values) != math.prod(u - l + 1 for l, u in zip(self.window.lower,
+                                                                    self.window.upper)):
+            raise ValueError("one value per window point is required")
+
+
 SequenceSamples = Mapping[Exponent, complex]
 
 # Default tolerance of every check: the dual conditions of verify and eigen
@@ -150,8 +183,9 @@ BLOCK_PAIRS = 1 << 13
 # Most (row, window point) pairs that the certified windows of one request
 # may cover, sum over its rows of (deg + pad + 1)^s: the window oracle of
 # verify, eigen and subdivide, and the window samples of build-kernel.  The
-# samples are the costlier, about 200 bytes of report and 2 KB of peak
-# memory per pair; the oracle holds about 40 bytes per pair.
+# samples are the costlier, about 200 bytes of report and 650 bytes of peak
+# memory per pair in two variables (230 and 740 in three), build-kernel and
+# its report writer together; the oracle holds about 40 bytes per pair.
 MAX_WINDOW_PAIRS = 2 * 10 ** 5
 
 
@@ -356,7 +390,8 @@ def kernel_residual(H: Sequence[LaurentPoly], terms: Sequence[Term], pad: int = 
     convolved as one stack, theta-major, by one convolve for the whole of H
     read as a FilterBank; H is split into consecutive banks so that one
     call's result holds at most MAX_WINDOW_PAIRS (filter and row, point)
-    values, and each result is reduced to its row maxima as it comes.
+    values, and each result is reduced to its row maxima as it comes.  Each
+    bank is built once per call and serves every window that uses it.
     Within one block, each result equals that of its filter and term
     alone.
     """
@@ -368,6 +403,7 @@ def kernel_residual(H: Sequence[LaurentPoly], terms: Sequence[Term], pad: int = 
         groups.setdefault(certified_window(p.dim, p.degree(), pad), {}) \
             .setdefault(theta, []).append(r)
     out = [0.0] * len(terms)
+    banks: Dict[Tuple[int, int], FilterBank] = {}  # H[lo:hi], built once per call
     with np.errstate(over="ignore", invalid="ignore"):
         for w, by_theta in groups.items():
             # theta-major, one normalization row per theta repeated over its terms
@@ -380,7 +416,10 @@ def kernel_residual(H: Sequence[LaurentPoly], terms: Sequence[Term], pad: int = 
             # consecutive banks of H, each result at most MAX_WINDOW_PAIRS values
             size = max(1, MAX_WINDOW_PAIRS // scale.size)
             for lo in range(0, len(H), size):
-                residual = np.abs(convolve(FilterBank(H[lo:lo + size]), stack, w)) / scale
+                hi = min(lo + size, len(H))
+                if (lo, hi) not in banks:
+                    banks[lo, hi] = FilterBank(H[lo:hi])
+                residual = np.abs(convolve(banks[lo, hi], stack, w)) / scale
                 # propagates NaN
                 worst = np.maximum(worst, np.max(residual, axis=(0, 2), initial=0.0))
             for r, value in zip(rows, worst.tolist()):

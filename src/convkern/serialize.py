@@ -23,21 +23,26 @@ allow_nan=False) followed by a newline: 2-space indent, "," and ": "
 separators, "[]" and "{}" for empty containers, tuples as lists, strings and
 keys through json.encoder.encode_basestring_ascii, floats and ints through
 float.__repr__ and int.__repr__ (subclasses such as np.float64 included).
-This module owns the JSON form of the report's two numeric leaf types, and
-dumps writes them itself: a complex (np.complex128 included) as the bytes of
-complex_to_json, {"re", "im"}, and a LaurentPoly as the bytes of
-poly_to_json, its graded-lex term list [{"exp", "re", "im"}, ...], each
-rendered in one pass with no intermediate dict.  A polynomial's terms fill
-one cached %-template per (dimension, indent) with the exponents (%d) and
+This module owns the JSON form of the report's three leaf types, and dumps
+writes them itself: a complex (np.complex128 included) as the bytes of
+complex_to_json, {"re", "im"}; a LaurentPoly as the bytes of poly_to_json,
+its graded-lex term list [{"exp", "re", "im"}, ...]; and a
+filters.WindowSamples as the bytes of samples_to_json, one
+{"alpha": [...], "value": {"re", "im"}} per window point in
+window.points() order; each is rendered in one pass with no intermediate
+dict.  A polynomial's terms and a window's samples each fill one cached
+%-template per (dimension, indent) with the exponents or the point (%d) and
 the float.__repr__ text of the real and imaginary parts (%s, never %r,
-which would write an np.float64 part as np.float64(...)); a plain complex
-member of a list or dict goes to its writer without the leaf dispatch.
+which would write an np.float64 part as np.float64(...)); a sample's value
+is checked for non-finite parts as a complex is.  A plain complex member of
+a list or dict goes to its writer without the leaf dispatch.
 json.dumps with an indent runs the pure-Python generator encoder, because
 the C encoder does not indent; a direct recursive writer that appends one
-fragment per member is about twice as fast, at no more peak memory.  A non-finite float or complex
-part cannot be written: dumps raises ValueError naming its path (a complex
-part as ".re" or ".im"), found by a second walk only after the writer hits
-it.  Other types and non-str keys raise TypeError.
+fragment per member is about twice as fast, at no more peak memory.  A
+non-finite float or complex part cannot be written: dumps raises ValueError
+naming its path (a complex part as ".re" or ".im", a sample's as
+"[k].value.re"), found by a second walk of the written form only after the
+writer hits it.  Other types and non-str keys raise TypeError.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import math
 from typing import Any, Dict, List, Sequence, Tuple
 
 from .apolar import DInvariantSpace
+from .filters import WindowSamples
 from .mpoly import MAX_FACTORIAL, LaurentPoly
 from .spectrum import Spectrum, Zero
 from .subdivision import Dilation
@@ -109,6 +115,11 @@ def _thetas(obj: Any) -> Tuple[complex, ...]:
 def poly_to_json(f: LaurentPoly) -> List[Dict[str, Any]]:
     return [{"exp": list(exp), "re": float(c.real), "im": float(c.imag)}
             for exp, c in f.sorted_terms()]
+
+
+def samples_to_json(s: WindowSamples) -> List[Dict[str, Any]]:
+    return [{"alpha": list(alpha), "value": complex_to_json(v)}
+            for alpha, v in zip(s.window.points(), s.values)]
 
 
 def poly_from_json(obj: Any, dim: int | None = None) -> LaurentPoly:
@@ -205,17 +216,24 @@ def spectrum_from_json(obj: Any) -> Spectrum:
     # orthonormal basis run once.  The key keeps each polynomial's term order,
     # on which the floating-point sums over its terms depend.
     spaces: Dict[Tuple, DInvariantSpace] = {}
+    # A Q_basis repeated verbatim is parsed once: its repr tells apart every
+    # two values the parser reads differently (true from 1, 1 from 1.0, -0.0
+    # from 0.0, a list from a tuple), and only a basis that parsed is kept.
+    parsed: Dict[Tuple[int, str], DInvariantSpace] = {}
     for entry in _array(obj["zeros"], "zeros"):
         if not isinstance(entry, dict) or not {"theta", "Q_basis"} <= set(entry):
             raise ValueError("zero must be {theta, Q_basis}")
         theta = _thetas(entry["theta"])
         if dim and len(theta) != dim:
             raise ValueError("theta has wrong dimension")
-        basis = _basis_from_json(entry["Q_basis"], dim or len(theta))
-        key = (dim or len(theta), tuple(tuple(p.terms.items()) for p in basis))
-        if key not in spaces:
-            spaces[key] = DInvariantSpace(basis)
-        zeros.append(Zero(theta, spaces[key]))
+        raw = (dim or len(theta), repr(entry["Q_basis"]))
+        if raw not in parsed:
+            basis = _basis_from_json(entry["Q_basis"], raw[0])
+            key = (raw[0], tuple(tuple(p.terms.items()) for p in basis))
+            if key not in spaces:
+                spaces[key] = DInvariantSpace(basis)
+            parsed[raw] = spaces[key]
+        zeros.append(Zero(theta, parsed[raw]))
     return Spectrum(tuple(zeros))
 
 
@@ -300,6 +318,34 @@ def _poly(p: LaurentPoly, indent: str) -> str:
     return "[" + i1 + ("," + i1).join(terms) + indent + "]"
 
 
+@functools.lru_cache(maxsize=None)
+def _sample_template(dim: int, indent: str) -> str:
+    """The %-template of one sample of a dim-variate window whose closing
+    bracket sits at indent: dim %d for the point, then %s for the real and
+    the imaginary part of the value."""
+    i1 = indent + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    alpha = f"[{i3}" + ("," + i3).join(["%d"] * dim) + f"{i2}]" if dim else "[]"
+    return f'{{{i2}"alpha": {alpha},{i2}"value": {{{i3}"re": %s,{i3}"im": %s{i2}}}{i1}}}'
+
+
+def _samples(s: WindowSamples, indent: str) -> str:
+    """The text of samples_to_json(s) whose closing bracket sits at indent:
+    one template per sample, filled with the window point and the
+    float.__repr__ text of the value's parts, checked as _complex checks
+    them.  A window has at least one point, so the list is never empty."""
+    template = _sample_template(s.window.dim, indent)
+    texts = []
+    for alpha, z in zip(s.window.points(), s.values):
+        re, im = float(z.real), float(z.imag)
+        if re - re or im - im:
+            raise _NonFinite
+        texts.append(template % (*alpha, _float(re), _float(im)))
+    i1 = indent + "  "
+    return "[" + i1 + ("," + i1).join(texts) + indent + "]"
+
+
 def _complex(z: complex, indent: str) -> str:
     """The text of complex_to_json(z) whose closing brace sits at indent."""
     re, im = float(z.real), float(z.imag)
@@ -330,6 +376,8 @@ def _scalar(v: Any, indent: str) -> str | None:
         return _complex(v, indent)
     if isinstance(v, LaurentPoly):
         return _poly(v, indent)
+    if isinstance(v, WindowSamples):
+        return _samples(v, indent)
     if isinstance(v, (list, tuple, dict)):
         return None
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
@@ -395,13 +443,15 @@ def _write(obj: Any, parts: List[str], indent: str) -> None:
 
 def _non_finite(obj: Any, path: str = "") -> Tuple[str, float] | None:
     """(path, value) of the first float in obj that is not finite, or None;
-    a complex or LaurentPoly is walked in its written form."""
+    a complex, LaurentPoly or WindowSamples is walked in its written form."""
     if isinstance(obj, float):
         return None if math.isfinite(obj) else (path, obj)
     if isinstance(obj, complex):
         obj = complex_to_json(obj)
     elif isinstance(obj, LaurentPoly):
         obj = poly_to_json(obj)
+    elif isinstance(obj, WindowSamples):
+        obj = samples_to_json(obj)
     if isinstance(obj, dict):
         items = ((f"{path}.{k}" if path else k, v) for k, v in obj.items())
     elif isinstance(obj, (list, tuple)):
@@ -417,9 +467,10 @@ def _non_finite(obj: Any, path: str = "") -> Tuple[str, float] | None:
 
 def dumps(obj: Any) -> str:
     """The bytes of json.dumps(plain(obj), indent=2, allow_nan=False) + "\n",
-    where plain maps each complex through complex_to_json and each
-    LaurentPoly through poly_to_json, written directly; a non-finite float
-    or complex part raises ValueError naming its path."""
+    where plain maps each complex through complex_to_json, each LaurentPoly
+    through poly_to_json and each WindowSamples through samples_to_json,
+    written directly; a non-finite float or complex part raises ValueError
+    naming its path."""
     try:
         text = _scalar(obj, "\n")
         if text is None:

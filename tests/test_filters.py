@@ -75,6 +75,51 @@ class TestImpulse:
             Impulse(1, {(0,): float("inf")})
 
 
+def _value_by_sum_and_prod(seq, alpha):
+    """ExpPolySeq.value as one sum over the terms of p(alpha) times a
+    math.prod of the theta powers: the reference its loop must equal."""
+    alpha = tuple(int(a) for a in alpha)
+    return sum(p.evaluate(alpha) * math.prod((t ** a for t, a in zip(theta, alpha) if a),
+                                             start=1 + 0j)
+               for theta, p in seq.terms)
+
+
+class TestExpPolySeqValue:
+    def test_bit_identical_to_sum_and_prod(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            dim = int(rng.integers(1, 4))
+            thetas = {tuple(complex(*rng.normal(size=2)) * float(rng.choice([1e-3, 1, 1e3]))
+                            for _ in range(dim)) for _ in range(int(rng.integers(1, 4)))}
+            seq = ExpPolySeq(tuple((theta, random_poly(rng, dim, 3, complex_coeffs=True))
+                                   for theta in thetas))
+            for _ in range(5):
+                alpha = tuple(int(a) for a in rng.integers(-6, 7, size=dim))
+                assert repr(seq.value(alpha)) == repr(_value_by_sum_and_prod(seq, alpha))
+
+    def test_signed_zero_parts_as_the_sum_from_int_zero(self):
+        seq = ExpPolySeq.single((1.0, -2.0), const(2, complex(-0.0, -0.0)))
+        for alpha in [(0, 0), (0, 3), (-1, 2)]:
+            assert repr(seq.value(alpha)) == repr(_value_by_sum_and_prod(seq, alpha))
+
+    @pytest.mark.parametrize("theta, alpha", [((2.0, 1.0), (2000, 1)), ((1.0, 3j), (1, 1500)),
+                                              ((1.0, 1e-300), (2, -5))])
+    def test_power_out_of_range_raises_the_same_type(self, theta, alpha):
+        seq = ExpPolySeq(((theta, variables(2)[0] + const(2, 1)),
+                          ((0.5, 2j), const(2, 1.0))))
+        with pytest.raises(Exception) as expected:
+            _value_by_sum_and_prod(seq, alpha)
+        with pytest.raises(expected.type):
+            seq.value(alpha)
+
+    def test_samples_are_values_in_window_order(self):
+        seq = ExpPolySeq.single((0.5 + 1j, -2.0), variables(2)[1] - 3 * const(2, 1))
+        w = Window((-1, 2), (1, 4))
+        samples = seq.samples(w)
+        assert samples.window == w
+        assert samples.values == [seq.value(alpha) for alpha in w.points()]
+
+
 class TestConvolve:
     def test_difference_kills_constants(self):
         vals = convolve(delta_diff(), [((1.0,), const(1, 1))], Window((-3,), (5,)))
@@ -883,6 +928,35 @@ class TestFilterBank:
                 # residuals near 1e120
                 bound = 1e-10 * h_scale * max(1.0, p.norm()) * max(1.0, abs(b))
                 assert abs(a - b) <= bound
+
+    @pytest.mark.parametrize("pairs, slices", [(None, [(0, 4)]),
+                                               (50, [(0, 2), (2, 4), (0, 3), (3, 4)])])
+    def test_each_slice_is_built_once_per_call(self, pairs, slices):
+        """Three windows: with the default cap they share one bank of all of
+        H.  With a cap of 50 values the two-row 9-point window and the
+        25-point window share two-filter slices, and the 16-point window
+        takes slices of three filters and one.  The residuals are those of
+        each term alone."""
+        from convkern import filters
+        H = [Impulse(2, {(0, 0): 1.0, (1, 0): -2.0 + k, (0, k): 0.5}) for k in range(4)]
+        x, y = variables(2)
+        terms = [((0.5, 2j), const(2, 1)), ((0.5, 2j), x), ((1.5j, 0.7), x * y),
+                 ((1.5j, 0.7), const(2, 1))]
+        built = []
+
+        class Counting(filters.FilterBank):
+            def __init__(self, H):
+                built.append(H)
+                super().__init__(H)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if pairs:
+                mp.setattr(filters, "MAX_WINDOW_PAIRS", pairs)
+            expected = [kernel_residual(H, [term], pad=2) for term in terms]
+            mp.setattr(filters, "FilterBank", Counting)
+            got = kernel_residual(H, terms, pad=2)
+        assert [(H.index(b[0]), H.index(b[-1]) + 1) for b in built] == slices
+        assert all(_same(a, b) for a, (b,) in zip(got, expected))
 
 
 def test_every_check_defaults_to_one_tolerance():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -540,6 +541,43 @@ class TestSharedSpaces:
                                                  [[(0, 1.0)], [(0, 1.0), (1, 1.0)]]]))
         first, second = (zero.mult for zero in spec.zeros)
         assert first.basis == second.basis and first is not second
+
+    def test_a_repeated_basis_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = ser._basis_from_json
+        monkeypatch.setattr(ser, "_basis_from_json",
+                            lambda obj, dim: calls.append(obj) or parse(obj, dim))
+        const_ = [[(0, 1.0)]]
+        linear = [[(0, 1.0)], [(1, 1.0)]]
+        spec = ser.spectrum_from_json(self._obj([const_, linear, const_, linear, const_]))
+        assert len(calls) == 2
+        assert [zero.mult for zero in spec.zeros[2:]] == [zero.mult for zero in spec.zeros[:3]]
+
+    @pytest.mark.parametrize("path, value", [((0, "exp", 0), True), ((0, "exp", 0), 1.0),
+                                             ((0, "re"), True)])
+    def test_a_repeat_that_parses_differently_is_still_refused(self, path, value):
+        """The first basis is accepted; a copy with 1 written as true or
+        1.0 is refused as it would be alone."""
+        obj = self._obj([[[(1, 1.0)], [(0, 1.0)]]] * 2)
+        entry = obj["zeros"][1]["Q_basis"]
+        for key in (0,) + path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        alone = self._obj([[[(1, 1.0)], [(0, 1.0)]]])
+        alone["zeros"][0]["Q_basis"] = obj["zeros"][1]["Q_basis"]
+        with pytest.raises(ValueError) as single:
+            ser.spectrum_from_json(alone)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+            ser.spectrum_from_json(obj)
+
+    def test_signed_zero_parts_parse_on_their_own(self):
+        """-0.0 and 0.0 are parsed one by one; their equal terms still share
+        the first zero's space, as equal parsed terms do."""
+        obj = self._obj([[[(0, 1.0)]]] * 3)
+        obj["zeros"][1]["Q_basis"][0][0]["im"] = -0.0
+        spec = ser.spectrum_from_json(obj)
+        assert all(zero.mult is spec.zeros[0].mult for zero in spec.zeros)
+        assert math.copysign(1.0, spec.zeros[0].mult.basis[0].terms[(0,)].imag) == 1.0
 
     def test_duplicate_theta_is_a_format_error(self):
         """Two zeros whose theta agree to DUPLICATE_THETA_TOL make malformed

@@ -36,11 +36,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
     """The result object, the last stdout line, of one benchmark run in
-    checkout; {"correct": False} when it printed none."""
+    checkout, untraced or traced; {"correct": False} when it printed none."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     try:
         return json.loads(proc.stdout.splitlines()[-1])
